@@ -8,13 +8,7 @@ harness with a pinned, bit-reproducible random-instance generator.
 
 from .bench import BenchRecord, ExperimentSpec, add_sparse_noise, gen_instance, run_experiment, write_csv
 from .direct import fit_linprog, fit_perturbation
-from .linalg import (
-    nullspace_basis,
-    pcg,
-    pinv,
-    soft,
-    spectral_norm,
-)
+from .linalg import nullspace_basis, pcg, pinv, soft
 from .methods import ALL_METHODS, solve
 from .oracle import oracle_solve
 from .reduction import (
@@ -78,7 +72,6 @@ __all__ = [
     "run_experiment",
     "soft",
     "solve",
-    "spectral_norm",
     "split_by_residual",
     "write_csv",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,41 +165,22 @@ def _one_repetition(method, m, n, gamma, variance, seed, params):
     return norm2(report.x - p) / norm2(p), elapsed
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    params: SolverParams | None = None,
-    workers: int = 1,
-) -> list[BenchRecord]:
+def run_experiment(spec: ExperimentSpec, params: SolverParams | None = None) -> list[BenchRecord]:
     """Run the campaign; per-repetition seeds are spec.seed + repetition.
 
     Solver failures are counted per record instead of aborting the run.
-    Repetitions may execute on a thread pool; results are aggregated in
-    repetition order either way.
     """
     params = params or SolverParams()
     records = []
     for method in spec.methods:
         for m, n, gamma in _configurations(spec):
-            jobs = [
-                (method, m, n, gamma, spec.noise_variance, spec.seed + rep, params)
-                for rep in range(spec.repeats)
-            ]
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(_one_repetition, *job) for job in jobs]
-                    outcomes = []
-                    for fut in futures:
-                        try:
-                            outcomes.append(fut.result())
-                        except Exception:
-                            outcomes.append(None)
-            else:
-                outcomes = []
-                for job in jobs:
-                    try:
-                        outcomes.append(_one_repetition(*job))
-                    except Exception:
-                        outcomes.append(None)
+            outcomes = []
+            for rep in range(spec.repeats):
+                try:
+                    outcomes.append(_one_repetition(method, m, n, gamma, spec.noise_variance,
+                                                    spec.seed + rep, params))
+                except Exception:
+                    outcomes.append(None)
             good = [o for o in outcomes if o is not None]
             errs = [e for e, _ in good]
             times = [t for _, t in good]

@@ -7,7 +7,6 @@ iteration limit (the result is still printed).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench import DEFAULT_BENCH_METHODS, ExperimentSpec, add_sparse_noise, gen_instance, run_experiment, write_csv
@@ -58,7 +57,6 @@ def _build_parser() -> _Parser:
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--methods", default=",".join(DEFAULT_BENCH_METHODS))
     ben.add_argument("--csv", default="bench.csv")
-    ben.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -138,8 +136,7 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"l1fit bench: error: {exc}", file=sys.stderr)
         return 1
-    workers = int(os.environ.get("L1REV_THREADS", args.workers))
-    records = run_experiment(spec, workers=max(1, workers))
+    records = run_experiment(spec)
     try:
         write_csv(records, args.csv)
     except OSError as exc:

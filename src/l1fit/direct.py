@@ -116,13 +116,13 @@ def fit_perturbation(
         if r_star.size == 0:
             converged = True  # interpolates every row; nothing left to improve
             break
-        A_z = A[zmask]
-        s = pinv(A_z.T) @ (A[~zmask].T @ np.sign(r_star))
+        A_z_pinv = pinv(A[zmask])
+        s = A_z_pinv.T @ (A[~zmask].T @ np.sign(r_star))
         if norm_inf(s) <= 1.0:
             converged = True
             break
         u = (np.abs(s) > 1.0).astype(float)
-        x = x + c * (pinv(A_z) @ u)
+        x = x + c * (A_z_pinv @ u)
 
     elapsed = time.perf_counter() - t0
     return SolveReport(

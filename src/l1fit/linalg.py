@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels shared by the l1 solvers.
 
-Everything here works on plain float64 ndarrays.  The pseudoinverse is
-computed by the Greville column-recursion and the nullspace by Gaussian
-elimination, so the package needs nothing beyond matrix products and one
-Cholesky factorization (for the PCG preconditioner).
+Everything here works on plain float64 ndarrays.  The pseudoinverse and
+the nullspace come from one LAPACK SVD each (``np.linalg.svd``) with an
+absolute rank threshold; the PCG preconditioner uses a Cholesky
+factorization.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ __all__ = [
     "norm1",
     "norm2",
     "norm_inf",
-    "hadamard",
-    "elemdiv",
-    "positive_part",
-    "negative_part",
-    "sign_vector",
     "soft",
     "default_rank_tol",
     "pinv",
-    "matrix_rank",
     "nullspace_basis",
     "pcg",
-    "spectral_norm",
 ]
 
 
@@ -41,39 +34,6 @@ def norm2(v) -> float:
 def norm_inf(v) -> float:
     v = np.asarray(v, dtype=float)
     return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Element-wise product of two equally sized vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def elemdiv(a, b) -> np.ndarray:
-    """Element-wise division; every divisor entry must be nonzero."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.any(b == 0.0):
-        bad = int(np.flatnonzero(b == 0.0)[0])
-        raise ZeroDivisionError(f"element-wise division by zero at index {bad}")
-    return a / b
-
-
-def positive_part(v) -> np.ndarray:
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def negative_part(v) -> np.ndarray:
-    return np.maximum(-np.asarray(v, dtype=float), 0.0)
-
-
-def sign_vector(v) -> np.ndarray:
-    return np.sign(np.asarray(v, dtype=float))
 
 
 def soft(u, a):
@@ -97,11 +57,10 @@ def default_rank_tol(A: np.ndarray) -> float:
 
 
 def pinv(A, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via the Greville column recursion.
+    """Moore-Penrose inverse from one SVD.
 
-    Columns whose rejection from the span of the previous columns has
-    magnitude <= ``rank_tol`` are treated as dependent.  A zero matrix maps
-    to its transposed zero matrix.
+    Singular values <= ``rank_tol`` (an absolute threshold) are treated as
+    zero, so a zero matrix maps to its transposed zero matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -110,100 +69,24 @@ def pinv(A, rank_tol: float | None = None) -> np.ndarray:
         rank_tol = default_rank_tol(A)
     elif rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    m, n = A.shape
-
-    a = A[:, 0]
-    sq = float(a @ a)
-    if np.max(np.abs(a)) > rank_tol and sq > 0.0:
-        G = (a / sq)[None, :]
-    else:
-        G = np.zeros((1, m))
-    for k in range(1, n):
-        a = A[:, k]
-        d = G @ a
-        c = a - A[:, :k] @ d
-        if np.max(np.abs(c)) > rank_tol:
-            brow = c / float(c @ c)
-        else:
-            brow = (d @ G) / (1.0 + float(d @ d))
-        G = np.vstack([G - np.outer(d, brow), brow[None, :]])
-    return G
-
-
-def _rref(A: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form with partial pivoting; returns (R, pivot cols)."""
-    R = np.array(A, dtype=float, copy=True)
-    if R.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    m, n = R.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        p = row + int(np.argmax(np.abs(R[row:, col])))
-        if np.abs(R[p, col]) <= tol:
-            R[row:, col] = 0.0
-            continue
-        if p != row:
-            R[[row, p]] = R[[p, row]]
-        R[row] /= R[row, col]
-        factors = R[:, col].copy()
-        factors[row] = 0.0
-        R -= np.outer(factors, R[row])
-        R[:, col] = 0.0
-        R[row, col] = 1.0
-        pivots.append(col)
-        row += 1
-    return R, pivots
-
-
-def matrix_rank(A, rank_tol: float | None = None) -> int:
-    A = np.asarray(A, dtype=float)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    if A.size == 0:
-        return 0
-    _, pivots = _rref(A, rank_tol)
-    return len(pivots)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > rank_tol
+    return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
 def nullspace_basis(A, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of {p : A p = 0} as columns; shape (n, n - rank).
 
-    A matrix with zero rows is accepted and yields the identity basis.
+    The rank counts singular values above the absolute ``rank_tol``.  A
+    matrix with zero rows is accepted and yields the identity basis.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("nullspace_basis expects a 2-d matrix")
-    n = A.shape[1]
     if rank_tol is None:
         rank_tol = default_rank_tol(A)
-    R, pivots = _rref(A, rank_tol)
-    free = [j for j in range(n) if j not in pivots]
-    if not free:
-        return np.zeros((n, 0))
-    N = np.zeros((n, len(free)))
-    for idx, f in enumerate(free):
-        N[f, idx] = 1.0
-        for i, pcol in enumerate(pivots):
-            N[pcol, idx] = -R[i, f]
-    return _orthonormalize(N)
-
-
-def _orthonormalize(V: np.ndarray) -> np.ndarray:
-    cols = []
-    for j in range(V.shape[1]):
-        v = V[:, j].copy()
-        for _ in range(2):  # second pass keeps orthogonality near machine level
-            for q in cols:
-                v -= (q @ v) * q
-        nv = np.linalg.norm(v)
-        if nv > 0.0:
-            cols.append(v / nv)
-    if not cols:
-        return np.zeros((V.shape[0], 0))
-    return np.column_stack(cols)
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    return Vt[np.count_nonzero(s > rank_tol):].T
 
 
 def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
@@ -268,28 +151,3 @@ def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -
     if norm2(g - apply_h(x)) <= best_res:
         return x
     return best_x
-
-
-def spectral_norm(A, iters: int = 100, rtol: float = 1e-12) -> float:
-    """Largest singular value, estimated by power iteration on A^T A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        return 0.0
-    n = A.shape[1]
-    # mildly graded start vector so structured matrices cannot hide the
-    # dominant direction from a pure all-ones start
-    v = 1.0 + (np.arange(n) + 1.0) / (10.0 * n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= rtol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-        v = w / nw
-    return float(np.sqrt(max(lam, 0.0)))

@@ -5,19 +5,20 @@ pair (D, w) with
 
     D = [-A2 A1^+  I_{m-n}],   w = A2 A1^+ b(1:n) - b(n+1:m),
 
-where A1 is the top n x n block of A and A2 the remaining rows.  Every
+where A1 is the top n x n block of A and A2 the remaining rows (when that
+block is singular, n linearly independent rows of A take its place).  Every
 residual r = A x - b satisfies D r = w, and conversely the minimum-l1
 residual r* recovers the optimal parameters through x* = A^+ (b + r*).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 
-from .linalg import matrix_rank, norm1, norm_inf, pinv
+from .linalg import default_rank_tol, norm1, norm_inf, pinv
 
 __all__ = [
     "MlmProblem",
@@ -82,39 +83,39 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """(D, w) plus the cached blocks and pseudoinverses used for recovery."""
+    """(D, w) plus the pseudoinverse of A used for recovery."""
 
     D: np.ndarray
     w: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    A1_pinv: np.ndarray
     A_pinv: np.ndarray
 
 
 def reduce_problem(problem: MlmProblem, rank_tol: float | None = None) -> ReducedSystem:
     """Build the reduced system for ``problem``.
 
-    The top block A1 is taken as-is (no row pivoting); a rank-deficient A1 is
-    handled by the pseudoinverse but reported with a RuntimeWarning because
-    the reduction may then lose solutions.
+    The top n x n block A1 is used as-is when it is nonsingular.  Otherwise
+    the n rows that play its part are picked by a column-pivoted QR of A^T,
+    and the columns of D are scattered back to the original row order, so
+    D r = w still holds for every residual r = A x - b.  Raises ValueError
+    when A itself has column rank below n.
     """
     A, b = problem.A, problem.b
     m, n = problem.m, problem.n
-    A1 = A[:n]
-    A2 = A[n:]
-    A1_pinv = pinv(A1, rank_tol)
-    if matrix_rank(A1, rank_tol) < n:
-        warnings.warn(
-            "top n x n block is numerically rank-deficient; the residual-space "
-            "reduction may lose solutions",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    C = A2 @ A1_pinv
-    D = np.hstack([-C, np.eye(m - n)])
-    w = C @ b[:n] - b[n:]
-    return ReducedSystem(D=D, w=w, A1=A1, A2=A2, A1_pinv=A1_pinv, A_pinv=pinv(A, rank_tol))
+    order = np.arange(m)
+    if _rank(A[:n], rank_tol) < n:
+        order = qr(A.T, mode="r", pivoting=True)[1]
+        if _rank(A[order[:n]], rank_tol) < n:
+            raise ValueError("A has column rank below n; the l1 fit is not unique")
+    top, rest = order[:n], order[n:]
+    C = A[rest] @ pinv(A[top], rank_tol)
+    D = np.empty((m - n, m))
+    D[:, order] = np.hstack([-C, np.eye(m - n)])
+    w = C @ b[top] - b[rest]
+    return ReducedSystem(D=D, w=w, A_pinv=pinv(A, rank_tol))
+
+
+def _rank(A: np.ndarray, rank_tol: float | None) -> int:
+    return np.linalg.matrix_rank(A, tol=default_rank_tol(A) if rank_tol is None else rank_tol)
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:

@@ -70,8 +70,6 @@ class SolverParams:
              instead defaults mu to mean|w_i|)
     zeta     alternating-directions relaxation factor
     zero_tol residual-zero classification threshold
-    adm_refresh_alpha  recompute the alternating-directions step size each
-             iteration instead of once up front (experimentation flag)
     """
 
     epsilon: float = 1e-8
@@ -81,7 +79,6 @@ class SolverParams:
     mu: float | None = None
     zeta: float = 1.618
     zero_tol: float = 1e-8
-    adm_refresh_alpha: bool = False
 
     def __post_init__(self):
         if not self.epsilon >= 0:
@@ -574,10 +571,10 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     evaluates to 1 there) and the 1.618 relaxation factor is inside its
     convergence range.  Penalty mu defaults to mean|w_i|; the step size is
-    computed once before the loop (set ``adm_refresh_alpha`` to recompute it
-    each iteration); the stopping ratio uses the original pair (D, w) and the
-    returned point gets an l2-minimal feasibility restoration.  A zero w is
-    answered immediately with r = 0, which is exactly optimal.
+    computed once before the loop; the stopping ratio uses the original pair
+    (D, w) and the returned point gets an l2-minimal feasibility
+    restoration.  A zero w is answered immediately with r = 0, which is
+    exactly optimal.
     """
     p = params or SolverParams()
     D0, w0 = _check_dw(D, w)
@@ -593,19 +590,15 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(mn)
     g = np.zeros(m)
 
-    def step_size(s):
-        Dts = D.T @ s
-        den = float(Dts @ Dts)
-        return float(s @ s) / den if den > 0.0 else 1.0
-
-    alpha = step_size(D @ (g - z + r / mu) - w / mu)
+    s = D @ (g - z + r / mu) - w / mu
+    Dts = D.T @ s
+    den = float(Dts @ Dts)
+    alpha = float(s @ s) / den if den > 0.0 else 1.0
     it = 0
     converged = False
     while it < p.maxiter:
         it += 1
         s = D @ (g - z + r / mu) - w / mu
-        if p.adm_refresh_alpha:
-            alpha = step_size(s)
         y = y - alpha * s
         g = D.T @ y
         z = np.clip(g + r / mu, -1.0, 1.0)

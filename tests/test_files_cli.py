@@ -187,18 +187,3 @@ def test_cli_bench_deterministic_modulo_runtime(tmp_path, capsys):
 def test_cli_bench_rejects_zero_repeats(capsys):
     assert main(["bench", "--experiment", "noise-free", "--repeats", "0"]) == 1
     assert "repeats" in capsys.readouterr().err
-
-
-def test_cli_bench_thread_env_override(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    args = ["bench", "--experiment", "noise-free", "--m", "12", "--n", "3",
-            "--repeats", "3", "--seed", "2", "--methods", "l1-res"]
-    assert main(args + ["--csv", str(serial)]) == 0
-    monkeypatch.setenv("L1REV_THREADS", "3")
-    assert main(args + ["--csv", str(threaded)]) == 0
-    capsys.readouterr()
-    cells_a = serial.read_text().splitlines()[1].split(",")
-    cells_b = threaded.read_text().splitlines()[1].split(",")
-    assert [c for i, c in enumerate(cells_a) if i != 6] == \
-           [c for i, c in enumerate(cells_b) if i != 6]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from l1fit import (
     oracle_solve,
     recover,
     reduce_problem,
+    solve,
     split_by_residual,
 )
 from support import random_problem
@@ -51,11 +54,31 @@ def test_residuals_satisfy_reduced_constraint():
         assert gap <= 1e-9 * (1.0 + np.max(np.abs(rs.w)))
 
 
-def test_rank_deficient_top_block_warns():
-    A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
-    b = np.ones(4)
-    with pytest.warns(RuntimeWarning):
-        reduce_problem(MlmProblem(A, b))
+def test_rank_deficient_top_block_matches_lp():
+    # rows 1..3 repeat row 0, so the top 4 x 4 block has rank 1; built from
+    # that block, the reduction lost the optimum and L1-RES claimed
+    # convergence at cost 28.7 against the direct LP's 8.9
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 4))
+    A[1:4] = A[0] * [[2.0], [-1.0], [3.0]]
+    b = A @ rng.standard_normal(4)
+    b[rng.choice(40, 10, replace=False)] += rng.standard_normal(10)
+    prob = MlmProblem(A, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = reduce_problem(prob)
+    r = A @ rng.standard_normal(4) - b
+    assert np.max(np.abs(rs.D @ r - rs.w)) <= 1e-9 * (1.0 + np.max(np.abs(rs.w)))
+    report = solve(prob, "L1-RES")
+    exact = fit_linprog(prob)
+    assert report.converged
+    assert abs(report.cost - exact.cost) <= 1e-9 * exact.cost
+
+
+def test_rank_deficient_matrix_raises():
+    A = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
+    with pytest.raises(ValueError, match="column rank"):
+        reduce_problem(MlmProblem(A, np.ones(3)))
 
 
 def test_recover_consistent_system():

@@ -134,15 +134,6 @@ def test_run_experiment_drl_grid_sets_m():
     assert [rec.drl for rec in records] == [2.0, 4.0]
 
 
-def test_run_experiment_workers_match_serial():
-    spec = ExperimentSpec(kind="noise_free", m=12, n=3, repeats=4, seed=5,
-                          methods=("L1-RES",))
-    serial = run_experiment(spec, workers=1)[0]
-    parallel = run_experiment(spec, workers=3)[0]
-    assert serial.mean_rel_err == parallel.mean_rel_err
-    assert serial.errors == parallel.errors
-
-
 def test_relative_error_orthogonally_invariant():
     rng = np.random.default_rng(70)
     x_hat = rng.standard_normal(6)
