@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the l1 solvers.
 
 Everything here works on plain float64 ndarrays.  The pseudoinverse and
-the nullspace come from one LAPACK SVD each (``np.linalg.svd``) with an
-absolute rank threshold; the PCG preconditioner uses a Cholesky
+the nullspace come from one LAPACK SVD each (``np.linalg.svd``) with the
+rank threshold ``default_rank_tol``; the PCG preconditioner uses a Cholesky
 factorization.
 """
 
@@ -56,37 +56,36 @@ def default_rank_tol(A: np.ndarray) -> float:
     return float(np.finfo(float).eps * max(A.shape) * np.max(np.abs(A)))
 
 
-def pinv(A, rank_tol: float | None = None) -> np.ndarray:
+def pinv(A) -> np.ndarray:
     """Moore-Penrose inverse from one SVD.
 
-    Singular values <= ``rank_tol`` (an absolute threshold) are treated as
-    zero, so a zero matrix maps to its transposed zero matrix.
+    Singular values <= ``default_rank_tol(A)`` are treated as zero, so a
+    zero matrix maps to its transposed zero matrix.
     """
+    return _pinv_and_rank(A)[0]
+
+
+def _pinv_and_rank(A) -> tuple[np.ndarray, int]:
+    """``pinv(A)`` and the rank it kept, both from the same SVD."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("pinv expects a nonempty 2-d matrix")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    elif rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > rank_tol
-    return (Vt[keep].T / s[keep]) @ U[:, keep].T
+    keep = s > default_rank_tol(A)
+    return (Vt[keep].T / s[keep]) @ U[:, keep].T, int(np.count_nonzero(keep))
 
 
-def nullspace_basis(A, rank_tol: float | None = None) -> np.ndarray:
+def nullspace_basis(A) -> np.ndarray:
     """Orthonormal basis of {p : A p = 0} as columns; shape (n, n - rank).
 
-    The rank counts singular values above the absolute ``rank_tol``.  A
+    The rank counts singular values above ``default_rank_tol(A)``.  A
     matrix with zero rows is accepted and yields the identity basis.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("nullspace_basis expects a 2-d matrix")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    return Vt[np.count_nonzero(s > rank_tol):].T
+    return Vt[np.count_nonzero(s > default_rank_tol(A)):].T
 
 
 def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:

@@ -31,14 +31,11 @@ def solve(
 ) -> SolveReport:
     """Solve ``problem`` with the solver named by ``method``."""
     label = str(method).upper()
-    params = params or SolverParams()
     if label == "L1-LP":
         return fit_linprog(problem)
     if label == "L1-PTB":
         rounds = PERTURBATION_MAXITER if perturbation_maxiter is None else perturbation_maxiter
-        return fit_perturbation(
-            problem, c=perturbation_c, maxiter=rounds, zero_tol=params.zero_tol
-        )
+        return fit_perturbation(problem, c=perturbation_c, maxiter=rounds)
     if label == "ORACLE":
         return oracle_solve(problem)
     if label in _REV_BY_LABEL:

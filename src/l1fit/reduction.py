@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr
 
-from .linalg import default_rank_tol, norm1, norm_inf, pinv
+from .linalg import _pinv_and_rank, norm1, norm_inf, pinv
 
 __all__ = [
     "MlmProblem",
@@ -70,7 +70,10 @@ def cost1(problem: MlmProblem, x) -> float:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: parameters, residual, cost and bookkeeping."""
+    """Outcome of one solve: parameters, residual, cost and bookkeeping.
+
+    ``residual`` is A x - b of the reported x, and ``cost`` its l1 norm.
+    """
 
     x: np.ndarray
     residual: np.ndarray
@@ -90,7 +93,7 @@ class ReducedSystem:
     A_pinv: np.ndarray
 
 
-def reduce_problem(problem: MlmProblem, rank_tol: float | None = None) -> ReducedSystem:
+def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """Build the reduced system for ``problem``.
 
     The top n x n block A1 is used as-is when it is nonsingular.  Otherwise
@@ -102,20 +105,18 @@ def reduce_problem(problem: MlmProblem, rank_tol: float | None = None) -> Reduce
     A, b = problem.A, problem.b
     m, n = problem.m, problem.n
     order = np.arange(m)
-    if _rank(A[:n], rank_tol) < n:
+    top_pinv, rank = _pinv_and_rank(A[:n])
+    if rank < n:
         order = qr(A.T, mode="r", pivoting=True)[1]
-        if _rank(A[order[:n]], rank_tol) < n:
+        top_pinv, rank = _pinv_and_rank(A[order[:n]])
+        if rank < n:
             raise ValueError("A has column rank below n; the l1 fit is not unique")
     top, rest = order[:n], order[n:]
-    C = A[rest] @ pinv(A[top], rank_tol)
+    C = A[rest] @ top_pinv
     D = np.empty((m - n, m))
     D[:, order] = np.hstack([-C, np.eye(m - n)])
     w = C @ b[top] - b[rest]
-    return ReducedSystem(D=D, w=w, A_pinv=pinv(A, rank_tol))
-
-
-def _rank(A: np.ndarray, rank_tol: float | None) -> int:
-    return np.linalg.matrix_rank(A, tol=default_rank_tol(A) if rank_tol is None else rank_tol)
+    return ReducedSystem(D=D, w=w, A_pinv=pinv(A))
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:

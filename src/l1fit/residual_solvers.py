@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .linalg import norm1, norm2, norm_inf, pcg, soft
-from .reduction import MlmProblem, ReducedSystem, SolveReport, cost1, recover, reduce_problem
+from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
 from .simplex import OPTIMAL, LpStandardForm, lp_solve
 
 __all__ = [
@@ -54,6 +54,8 @@ _LEVEL_STALL = 500
 _LEVEL_IMPROVE = 1.0 - 1e-4
 # working norm of the rescaled right-hand side in the proximity scheme
 _POB_W_NORM = 500.0
+# relaxation factor of the alternating-directions multiplier update
+_ADM_ZETA = 1.618
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,6 @@ class SolverParams:
     tau, mu  proximity-operator parameters; mu=None derives the default
              0.999 * tau / ||D||_2^2 (the alternating-directions method
              instead defaults mu to mean|w_i|)
-    zeta     alternating-directions relaxation factor
-    zero_tol residual-zero classification threshold
     """
 
     epsilon: float = 1e-8
@@ -77,8 +77,6 @@ class SolverParams:
     maxiter: int = 10000
     tau: float = 0.02
     mu: float | None = None
-    zeta: float = 1.618
-    zero_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.epsilon >= 0:
@@ -91,10 +89,6 @@ class SolverParams:
             raise ValueError("tau must be positive")
         if self.mu is not None and not self.mu > 0:
             raise ValueError("mu must be positive when given")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
-        if not self.zero_tol >= 0:
-            raise ValueError("zero_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -120,6 +114,7 @@ def _row_orthonormalize(D, w):
     alternating-direction iterations behave far better when the row Gram
     matrix is the identity (the published step-size recipes assume it).
     """
+    D, w = _check_dw(D, w)
     L = np.linalg.cholesky(D @ D.T)
     return solve_triangular(L, D, lower=True), solve_triangular(L, w, lower=True)
 
@@ -155,33 +150,46 @@ def _restore_feasibility(r, D, w):
     return r - D.T @ (D @ r - w)
 
 
-class _LevelTracker:
-    """Per-level stop logic: target reached, or residual stopped improving."""
+def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
+    """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
-    def __init__(self, lam, patient):
-        self.lam = lam
+    ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
+    returns the next state and never changes one in place, so the best state
+    of a level is kept by reference; ``first`` marks a level's first step.
+    ``stationarity(state, lam)`` measures the state against the level.  A
+    level ends at its target or, for a middle level, on a stall, and then
+    rewinds to the best state it saw, as does a run that exhausts the
+    budget.  The answer gets an l2-minimal feasibility restoration.
+    """
+    levels = _lambda_levels(D, w, p.lam)
+    it = 0
+    converged = True
+    for depth, lam in enumerate(levels):
         # the first level (cold start) and the last (the answer) get
         # unlimited patience (the budget still caps them); a middle level
         # that plateaus is abandoned so it cannot starve the schedule
-        self.target = _LEVEL_TOL * lam
-        self.stall_limit = np.inf if patient else _LEVEL_STALL
-        self.best = np.inf
-        self.stalled = 0
-        self.reached = False
-        self.improved = False
-
-    def done(self, stat):
-        if stat <= self.target:
-            self.reached = True
-            return True
-        if stat < _LEVEL_IMPROVE * self.best:
-            self.best = stat
-            self.stalled = 0
-            self.improved = True
-        else:
-            self.stalled += 1
-            self.improved = False
-        return self.stalled >= self.stall_limit
+        patience = np.inf if depth in (0, len(levels) - 1) else _LEVEL_STALL
+        best, best_stat, stalled, start = state, np.inf, 0, it
+        while True:
+            stat = stationarity(state, lam)
+            if stat <= _LEVEL_TOL * lam:
+                break
+            if stat < _LEVEL_IMPROVE * best_stat:
+                best, best_stat, stalled = state, stat, 0
+            else:
+                stalled += 1
+            if stalled >= patience:
+                state = best
+                break
+            if it >= p.maxiter:
+                state, converged = best, False
+                break
+            state = step(state, lam, it == start)
+            it += 1
+        if not converged:
+            break
+    r = _restore_feasibility(state[0], D, w)
+    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
 
 
 def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -210,80 +218,54 @@ def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSoluti
 def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Gradient projection on the split-variable quadratic program.
 
-    The split iteration (projected Barzilai-Borwein steps with an exact
-    line search, step lengths clipped to [1e-30, 1e30]) runs on the
-    row-orthonormalized system inside a warm-started continuation over the
-    penalty weight; each level is left once the stationarity residual drops
-    below _LEVEL_TOL times the level, the last level being ``lam``.
+    Projected Barzilai-Borwein steps on r = u - v (u, v >= 0) with an exact
+    line search, step lengths clipped to [1e-30, 1e30], run on the
+    row-orthonormalized system inside ``_continuation``; each level is left
+    once the stationarity residual drops below _LEVEL_TOL times the level,
+    the last level being ``lam``.
     """
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("gradient projection requires lam > 0")
-    D, w = _check_dw(D, w)
     D, w = _row_orthonormalize(D, w)
-    m = D.shape[1]
-
-    alpha = 1.0
-    r = np.zeros(m)
-    u = np.zeros(m)
-    v = np.zeros(m)
+    r = np.zeros(D.shape[1])
     Dr = D @ r
-    levels = _lambda_levels(D, w, p.lam)
-    it = 0
-    converged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for depth, lam in enumerate(levels):
-            final = depth == len(levels) - 1
+
+    def step(state, lam, first):
+        # shifting u and v by min(u, v) after each step leaves exactly
+        # u = max(r, 0) and v = max(-r, 0), so r alone carries the split
+        r, Dr, grad0, alpha = state
+        if first:
             alpha = 1.0  # stale step estimates from the previous level stall
-            tracker = _LevelTracker(lam, final or depth == 0)
-            snapshot = (r.copy(), u.copy(), v.copy(), Dr.copy(), alpha)
-            out_of_budget = False
-            stalled_out = False
-            while True:
-                grad0 = D.T @ (Dr - w)
-                stop = tracker.done(_qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r))))
-                if tracker.improved:
-                    snapshot = (r.copy(), u.copy(), v.copy(), Dr.copy(), alpha)
-                if stop:
-                    stalled_out = not tracker.reached
-                    break
-                if it >= p.maxiter:
-                    out_of_budget = True
-                    break
-                it += 1
-                grad_u = grad0 + lam
-                grad_v = -grad_u + 2.0 * lam
-                du = np.maximum(u - alpha * grad_u, 0.0) - u
-                dv = np.maximum(v - alpha * grad_v, 0.0) - v
-                dr = du - dv
-                Ddr = D @ dr
-                gamma = float(Ddr @ Ddr)
-                if np.isfinite(gamma) and gamma > 0.0:
-                    beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
-                elif gamma <= 0.0:
-                    beta = 1.0
-                else:  # gamma overflowed; the line search rejects the step
-                    beta = 0.0
-                u_new = u + beta * du
-                v_new = v + beta * dv
-                shift = np.minimum(u_new, v_new)
-                u = u_new - shift
-                v = v_new - shift
-                r = u - v
-                delta = float(du @ du) + float(dv @ dv)
-                if gamma <= 0.0:
-                    alpha = _ALPHA_MAX
-                elif np.isfinite(delta / gamma):
-                    alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
-                Dr = Dr + beta * Ddr
-            if stalled_out or out_of_budget:
-                r, u, v, Dr, alpha = snapshot  # keep the best point this level saw
-            if out_of_budget:
-                break
-            if final:
-                converged = tracker.reached
-    r = _restore_feasibility(r, D, w)
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+        u = np.maximum(r, 0.0)
+        v = np.maximum(-r, 0.0)
+        grad_u = grad0 + lam
+        grad_v = -grad_u + 2.0 * lam
+        du = np.maximum(u - alpha * grad_u, 0.0) - u
+        dv = np.maximum(v - alpha * grad_v, 0.0) - v
+        Ddr = D @ (du - dv)
+        gamma = float(Ddr @ Ddr)
+        if np.isfinite(gamma) and gamma > 0.0:
+            beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
+        elif gamma <= 0.0:
+            beta = 1.0
+        else:  # gamma overflowed; the line search rejects the step
+            beta = 0.0
+        r = (u + beta * du) - (v + beta * dv)
+        delta = float(du @ du) + float(dv @ dv)
+        if gamma <= 0.0:
+            alpha = _ALPHA_MAX
+        elif np.isfinite(delta / gamma):
+            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
+        Dr = Dr + beta * Ddr
+        return r, Dr, D.T @ (Dr - w), alpha
+
+    def stationarity(state, lam):
+        r, _, grad0, _ = state
+        return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity)
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -299,7 +281,6 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
-    D, w = _check_dw(D, w)
     D, w = _row_orthonormalize(D, w)
     m = D.shape[1]
 
@@ -502,66 +483,42 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Iterative shrinkage-thresholding with Barzilai-Borwein curvature.
 
-    Same continuation scheme as the gradient-projection solver; within a
-    level each shrinkage step must not increase the penalized objective
-    (the curvature estimate is doubled until it does not), which keeps the
-    non-monotone Barzilai-Borwein choice from blowing up.
+    Runs inside ``_continuation``, like the gradient-projection solver;
+    within a level each shrinkage step must not increase the penalized
+    objective (the curvature estimate is doubled until it does not), which
+    keeps the non-monotone Barzilai-Borwein choice from blowing up.
     """
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("iterative shrinkage requires lam > 0")
-    D, w = _check_dw(D, w)
     D, w = _row_orthonormalize(D, w)
-    m = D.shape[1]
-
-    r = np.zeros(m)
+    r = np.zeros(D.shape[1])
     s = D @ r - w
-    alpha = 1.0
-    levels = _lambda_levels(D, w, p.lam)
-    it = 0
-    converged = False
-    for depth, lam in enumerate(levels):
-        final = depth == len(levels) - 1
-        f = 0.5 * float(s @ s) + lam * norm1(r)
-        tracker = _LevelTracker(lam, final or depth == 0)
-        snapshot = (r.copy(), s.copy(), alpha)
-        out_of_budget = False
-        stalled_out = False
-        while True:
-            grad = D.T @ s
-            stop = tracker.done(_qp_stationarity(r, grad, lam, 0.0))
-            if tracker.improved:
-                snapshot = (r.copy(), s.copy(), alpha)
-            if stop:
-                stalled_out = not tracker.reached
-                break
-            if it >= p.maxiter:
-                out_of_budget = True
-                break
-            it += 1
-            r_prev, f_prev, s_prev = r, f, s
-            for _ in range(200):
-                r = soft(r_prev - grad / alpha, lam / alpha)
-                dr = r - r_prev
-                z = D @ dr
-                s = s_prev + z
-                f = 0.5 * float(s @ s) + lam * norm1(r)
-                if f <= f_prev + 1e-12 * abs(f_prev):
-                    break
-                alpha = min(2.0 * alpha, _ALPHA_MAX)
-            delta = float(dr @ dr)
-            gamma = float(z @ z)
-            if delta > 0.0 and gamma > 0.0:
-                alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
-        if stalled_out or out_of_budget:
-            r, s, alpha = snapshot
+
+    def step(state, lam, first):
+        # f, the penalized objective at (r, s), is carried within a level
+        r_prev, s_prev, grad, alpha, f_prev = state
+        if first:
+            f_prev = 0.5 * float(s_prev @ s_prev) + lam * norm1(r_prev)
+        for _ in range(200):
+            r = soft(r_prev - grad / alpha, lam / alpha)
+            dr = r - r_prev
+            z = D @ dr
+            s = s_prev + z
             f = 0.5 * float(s @ s) + lam * norm1(r)
-        if out_of_budget:
-            break
-        if final:
-            converged = tracker.reached
-    r = _restore_feasibility(r, D, w)
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+            if f <= f_prev + 1e-12 * abs(f_prev):
+                break
+            alpha = min(2.0 * alpha, _ALPHA_MAX)
+        delta = float(dr @ dr)
+        gamma = float(z @ z)
+        if delta > 0.0 and gamma > 0.0:
+            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
+        return r, s, D.T @ s, alpha, f
+
+    def stationarity(state, lam):
+        return _qp_stationarity(state[0], state[2], lam, 0.0)
+
+    return _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -602,7 +559,7 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
         y = y - alpha * s
         g = D.T @ y
         z = np.clip(g + r / mu, -1.0, 1.0)
-        dr = p.zeta * mu * (g - z)
+        dr = _ADM_ZETA * mu * (g - z)
         r = r + dr
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
@@ -634,12 +591,10 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     D, w = _row_orthonormalize(D0, w0)
     scale = _POB_W_NORM / norm2(w)
     w = scale * w
-    nd2 = 1.0  # rows are orthonormal
-    mu = p.mu if p.mu is not None else 0.999 * p.tau / nd2
-    if not p.tau > mu * nd2 > 0.0:
-        raise ValueError(
-            f"need tau > mu * ||D||_2^2 > 0, got tau={p.tau}, mu*||D||^2={mu * nd2}"
-        )
+    # the rows are orthonormal, so ||D||_2 = 1
+    mu = p.mu if p.mu is not None else 0.999 * p.tau
+    if not p.tau > mu > 0.0:
+        raise ValueError(f"need tau > mu * ||D||_2^2 > 0, got tau={p.tau}, mu*||D||^2={mu}")
     feas_gate = max(p.epsilon, 1e-6 * (1.0 + wnorm0))
 
     y = np.zeros(mn)
@@ -712,11 +667,12 @@ def fit_via_residual(
     else:
         res = RESIDUAL_METHODS[method](rs.D, rs.w, params)
     x = recover(problem, rs, res.r)
+    residual = problem.A @ x - problem.b
     elapsed = time.perf_counter() - t0
     return SolveReport(
         x=x,
-        residual=res.r,
-        cost=cost1(problem, x),
+        residual=residual,
+        cost=norm1(residual),
         iterations=res.iterations,
         runtime_s=elapsed,
         method=RESIDUAL_LABELS[method],

@@ -22,6 +22,10 @@ ITERATION_LIMIT = "iteration_limit"
 _STALL_LIMIT = 30
 # pivots between refactorizations of the tableau from the original data
 _REFACTOR_EVERY = 512
+# feasibility and reduced-cost tolerance
+_FEAS_TOL = 1e-9
+# pivot budget per row plus column of the constraint matrix
+_PIVOTS_PER_DIM = 50
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor=None):
+def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor):
     """Pivot until optimal/unbounded or the iteration budget is exhausted.
 
     Long pivot runs let rounding noise build up in the tableau, which can
@@ -101,7 +105,7 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor=None
         if bland:
             eligible = np.flatnonzero(rc < -tol_rc)
             if eligible.size == 0:
-                if refactor is not None and fresh > 0:
+                if fresh > 0:
                     refactor()
                     fresh = 0
                     continue
@@ -110,7 +114,7 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor=None
         else:
             j_local = int(np.argmin(rc))
             if rc[j_local] >= -tol_rc:
-                if refactor is not None and fresh > 0:
+                if fresh > 0:
                     refactor()
                     fresh = 0
                     continue
@@ -120,7 +124,7 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor=None
         colvals = T[:, col]
         pos = np.flatnonzero(colvals > piv_tol)
         if pos.size == 0:
-            if refactor is not None and fresh > 0:
+            if fresh > 0:
                 refactor()
                 fresh = 0
                 continue
@@ -133,13 +137,13 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor=None
         _pivot(T, basis, row, col)
         iters += 1
         fresh += 1
-        if refactor is not None and fresh >= _REFACTOR_EVERY:
+        if fresh >= _REFACTOR_EVERY:
             refactor()
             fresh = 0
     return ITERATION_LIMIT, iters
 
 
-def lp_solve(problem: LpStandardForm, feas_tol: float = 1e-9, maxiter: int | None = None) -> LpSolution:
+def lp_solve(problem: LpStandardForm) -> LpSolution:
     """Solve a standard-form LP; infeasibility and unboundedness go in status.
 
     The l1-fitting programs are extremely degenerate (the optimum sits on a
@@ -154,10 +158,9 @@ def lp_solve(problem: LpStandardForm, feas_tol: float = 1e-9, maxiter: int | Non
     b = np.array(problem.eq_rhs, dtype=float, copy=True)
     c = problem.cost
     m, d = A.shape
-    if maxiter is None:
-        maxiter = 50 * (m + d)
+    maxiter = _PIVOTS_PER_DIM * (m + d)
     if m == 0:  # no constraints: the origin is optimal unless a cost is negative
-        if c.size and float(np.min(c)) < -feas_tol:
+        if c.size and float(np.min(c)) < -_FEAS_TOL:
             return LpSolution(np.zeros(d), np.nan, UNBOUNDED, 0)
         return LpSolution(np.zeros(d), 0.0, OPTIMAL, 0)
 
@@ -167,7 +170,7 @@ def lp_solve(problem: LpStandardForm, feas_tol: float = 1e-9, maxiter: int | Non
 
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0, float(np.max(np.abs(b))) if b.size else 0.0)
     piv_tol = 1e-10 * scale
-    tol_rc = feas_tol * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    tol_rc = _FEAS_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
 
     data = np.hstack([A, np.eye(m), b[:, None]])  # [columns | artificials | rhs]
     T = data.copy()
@@ -208,18 +211,18 @@ def lp_solve(problem: LpStandardForm, feas_tol: float = 1e-9, maxiter: int | Non
                 pass
             if status != OPTIMAL:
                 return status
-            if float(np.min(T[:, -1])) >= -feas_tol * scale:
+            if float(np.min(T[:, -1])) >= -_FEAS_TOL * scale:
                 return OPTIMAL
             # perturbed optimum infeasible for the original data: retry
         return status
 
     # phase 1: drive the artificial variables to zero
     cost1 = np.concatenate([np.zeros(d), np.ones(m)])
-    status = run_phase(cost1, feas_tol)
+    status = run_phase(cost1, _FEAS_TOL)
     if status == ITERATION_LIMIT:
         return LpSolution(_extract(T, basis, d), np.nan, ITERATION_LIMIT, state["total"])
     phase1_obj = float(cost1[basis] @ T[:, -1])
-    if phase1_obj > feas_tol * (1.0 + float(np.sum(np.abs(b)))):
+    if phase1_obj > _FEAS_TOL * (1.0 + float(np.sum(np.abs(b)))):
         return LpSolution(np.zeros(d), np.nan, INFEASIBLE, state["total"])
 
     # pivot basic artificials out; a row with no usable entry is redundant

@@ -1,0 +1,55 @@
+"""``l1fit.solve``: what every method reports, and the names it looks up at call time."""
+
+import numpy as np
+import pytest
+
+from l1fit import ALL_METHODS, methods, residual_solvers, solve
+from l1fit.linalg import norm1
+from support import random_problem
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_residual_is_a_x_minus_b(method):
+    prob = random_problem(np.random.default_rng(42), 10, 3)
+    report = solve(prob, method)
+    assert np.array_equal(report.residual, prob.A @ report.x - prob.b)
+    assert report.cost == norm1(report.residual)
+
+
+def test_solve_looks_up_entry_points_at_call_time(monkeypatch):
+    # per-layer timing wraps these names from outside the library; a caller
+    # that bound one of them at import time would bypass the wrapper silently
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (residual_solvers, "reduce_problem"),
+        (residual_solvers, "recover"),
+        (methods, "fit_linprog"),
+        (methods, "fit_perturbation"),
+        (methods, "oracle_solve"),
+        (methods, "fit_via_residual"),
+    ]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    table = residual_solvers.RESIDUAL_METHODS
+    monkeypatch.setitem(table, "homotopy", counting("homotopy", table["homotopy"]))
+
+    prob = random_problem(np.random.default_rng(43), 8, 3)
+    for method in ALL_METHODS:
+        solve(prob, method)
+    residual_routes = len(table)
+    assert calls == {
+        "reduce_problem": residual_routes,
+        "recover": residual_routes,
+        "fit_via_residual": residual_routes,
+        "homotopy": 1,
+        "fit_linprog": 1,
+        "fit_perturbation": 1,
+        "oracle_solve": 1,
+    }

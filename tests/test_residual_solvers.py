@@ -4,8 +4,11 @@ import pytest
 from l1fit import MlmProblem, reduce_problem
 from l1fit.linalg import norm1, norm2
 from l1fit.residual_solvers import (
+    _LEVEL_STALL,
     RESIDUAL_METHODS,
     SolverParams,
+    _continuation,
+    _lambda_levels,
     fit_via_residual,
     residual_adm,
     residual_gpsr,
@@ -221,3 +224,94 @@ def test_noise_free_driver_accuracy():
     prob = MlmProblem(A, A @ p)
     report = fit_via_residual(prob, "linprog")
     assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
+
+
+class _ScriptedSolver:
+    """A fake solver driven through ``_continuation``.
+
+    A state is ``(r,)`` where r[1] tags it with the number of steps taken to
+    make it (the feasibility restoration for D = [[1, 0]] leaves r[1] alone);
+    ``stat(depth, tag)`` scripts the stationarity on level ``depth``.  The
+    penalty 0.03 gives three levels: 0.1, 0.05 and 0.03.
+    """
+
+    D = np.array([[1.0, 0.0]])
+    w = np.array([1.0])
+    lam = 0.03
+
+    def __init__(self, stat):
+        self.stat = stat
+        self.levels = _lambda_levels(self.D, self.w, self.lam)
+        self.steps = []  # (depth, tag stepped from, first step of the level?)
+
+    def step(self, state, lam, first):
+        self.steps.append((self.levels.index(lam), int(state[0][1]), first))
+        return (np.array([0.0, float(len(self.steps))]),)
+
+    def stationarity(self, state, lam):
+        return self.stat(self.levels.index(lam), int(state[0][1]))
+
+    def run(self, maxiter=10000):
+        params = SolverParams(lam=self.lam, maxiter=maxiter)
+        res = _continuation(self.D, self.w, params, (np.zeros(2),), self.step, self.stationarity)
+        return res, int(res.r[1])
+
+    def depths(self):
+        return [depth for depth, _, _ in self.steps]
+
+
+def test_continuation_reaching_last_target_converges():
+    # every level needs two steps to reach its target
+    fake = _ScriptedSolver(lambda depth, tag: 0.0 if tag >= 2 * (depth + 1) else 1.0)
+    assert fake.levels == [0.1, 0.05, 0.03]
+    res, tag = fake.run()
+    assert res.converged and res.iterations == 6 and tag == 6
+    assert fake.depths() == [0, 0, 1, 1, 2, 2]
+    assert [first for _, _, first in fake.steps] == [True, False] * 3
+
+
+def test_continuation_leaves_stalled_middle_level_at_its_best():
+    # level 1 improves once (state 2), then stalls; level 2 is reached in one step
+    stalled_from = 2 + _LEVEL_STALL
+
+    def stat(depth, tag):
+        if depth == 0:
+            return 0.0 if tag >= 1 else 1.0
+        if depth == 1:
+            return {1: 1.0, 2: 0.5}.get(tag, 0.9)
+        return 0.0 if tag > stalled_from else 1.0
+
+    fake = _ScriptedSolver(stat)
+    res, tag = fake.run()
+    assert fake.depths().count(1) == _LEVEL_STALL + 1
+    assert fake.steps[-1] == (2, 2, True)  # the last level starts from the best state
+    assert res.converged and res.iterations == stalled_from + 1 and tag == stalled_from + 1
+
+
+def test_continuation_never_leaves_first_or_last_level_on_stall():
+    # the first and last levels improve once and then stall for 3 * _LEVEL_STALL steps
+    long = 3 * _LEVEL_STALL
+
+    def stat(depth, tag):
+        if depth == 1:
+            return 0.0
+        start = 0 if depth == 0 else long
+        return 1.0 if tag == start else 2.0 if tag < start + long else 0.0
+
+    fake = _ScriptedSolver(stat)
+    res, tag = fake.run()
+    assert fake.depths() == [0] * long + [2] * long
+    assert res.converged and res.iterations == 2 * long and tag == 2 * long
+
+
+def test_continuation_out_of_budget_rewinds_and_fails():
+    def stat(depth, tag):
+        if depth == 0:
+            return 0.0 if tag >= 1 else 1.0
+        return {1: 1.0, 2: 0.5}.get(tag, 0.9)
+
+    fake = _ScriptedSolver(stat)
+    res, tag = fake.run(maxiter=10)
+    assert not res.converged
+    assert res.iterations == 10 and len(fake.steps) == 10
+    assert tag == 2  # the best state of the level the budget ran out on
