@@ -3,7 +3,7 @@
 ``fit_linprog`` is the classic split-variable linear program over
 (r+, r-, x+, x-); ``fit_perturbation`` is the descent scheme that grows the
 set of zero residuals along kernel directions and applies a correction step
-when the zero set reaches size n.
+when the zero rows reach rank n.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .reduction import MlmProblem, SolveReport, cost1
 from .simplex import OPTIMAL, LpStandardForm, lp_solve
 
 __all__ = ["fit_linprog", "fit_perturbation"]
+
+# a residual is zero when |r_i| <= _ZERO_TOL * (1 + ||r||_inf)
+_ZERO_TOL = 1e-8
 
 
 def fit_linprog(problem: MlmProblem) -> SolveReport:
@@ -50,8 +53,8 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     )
 
 
-def _zero_mask(r: np.ndarray, zero_tol: float) -> np.ndarray:
-    return np.abs(r) <= zero_tol * (1.0 + norm_inf(r))
+def _zero_mask(r: np.ndarray) -> np.ndarray:
+    return np.abs(r) <= _ZERO_TOL * (1.0 + norm_inf(r))
 
 
 def _best_step(r_star: np.ndarray, Ad: np.ndarray) -> float:
@@ -72,14 +75,14 @@ def fit_perturbation(
     problem: MlmProblem,
     c: float = 1.0,
     maxiter: int = 15,
-    zero_tol: float = 1e-8,
 ) -> SolveReport:
     """Descent on kernel directions with the sign-based correction step.
 
-    The inner loop enlarges the zero-residual set one row per step; once it
-    holds n rows, the decision vector s = (A_z^T)^+ A_*^T sign(r_*) either
-    certifies optimality (||s||_inf <= 1) or points to the rows whose
-    residual signs to flip via x += c * A_z^+ u(s).
+    The inner loop enlarges the zero-residual set one row per step until
+    those rows have rank n (n dependent rows are not enough); the decision
+    vector s = (A_z^T)^+ A_*^T sign(r_*) then either certifies optimality
+    (||s||_inf <= 1) or points to the rows whose residual signs to flip via
+    x += c * A_z^+ u(s).
     """
     if not c > 0:
         raise ValueError("correction scale c must be positive")
@@ -95,22 +98,19 @@ def fit_perturbation(
     while outer < maxiter:
         outer += 1
         r = A @ x - b
-        zmask = _zero_mask(r, zero_tol)
+        zmask = _zero_mask(r)
+        kernel = nullspace_basis(A[zmask])
         guard = 0
-        while int(np.count_nonzero(zmask)) < n:
+        while kernel.shape[1]:
             guard += 1
             if guard > m + n:
                 raise RuntimeError("zero-set growth stalled; residual ties too degenerate")
-            kernel = nullspace_basis(A[zmask])
-            if kernel.shape[1] == 0:
-                raise RuntimeError(
-                    "kernel of the zero-residual block is empty before reaching n zeros"
-                )
             d = kernel[:, 0]
             step = _best_step(r[~zmask], A[~zmask] @ d)
             x = x + step * d
             r = A @ x - b
-            zmask = _zero_mask(r, zero_tol)
+            zmask = _zero_mask(r)
+            kernel = nullspace_basis(A[zmask])
 
         r_star = r[~zmask]
         if r_star.size == 0:

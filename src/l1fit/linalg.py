@@ -2,14 +2,12 @@
 
 Everything here works on plain float64 ndarrays.  The pseudoinverse and
 the nullspace come from one LAPACK SVD each (``np.linalg.svd``) with the
-rank threshold ``default_rank_tol``; the PCG preconditioner uses a Cholesky
-factorization.
+rank threshold ``default_rank_tol``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "norm1",
@@ -92,9 +90,10 @@ def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -
     """Preconditioned conjugate gradients for H x = g with SPD H and P.
 
     Stops when ||H x - g||_2 <= tol * ||g||_2 and otherwise returns the best
-    iterate seen.  ``P`` defaults to the identity, ``x0`` to zero.  Both H
-    and P may be given as callables applying the operator / the inverse
-    preconditioner to a vector (symmetry is then the caller's promise).
+    iterate seen.  ``P`` is a callable applying the inverse preconditioner
+    to a vector and defaults to the identity; ``x0`` defaults to zero.  H
+    may be a symmetric matrix or a callable applying it to a vector
+    (symmetry is then the caller's promise, as it is for P).
     """
     g = np.asarray(g, dtype=float).ravel()
     k = g.size
@@ -114,13 +113,7 @@ def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -
     gnorm = norm2(g)
     if gnorm == 0.0:
         return np.zeros(k)
-    if P is None:
-        apply_prec = lambda v: v  # noqa: E731
-    elif callable(P):
-        apply_prec = P
-    else:
-        factor = cho_factor(np.asarray(P, dtype=float), lower=True)
-        apply_prec = lambda v: cho_solve(factor, v)  # noqa: E731
+    apply_prec = (lambda v: v) if P is None else P
 
     r = g - apply_h(x)
     best_x = x.copy()

@@ -6,9 +6,10 @@ pair (D, w) with
     D = [-A2 A1^+  I_{m-n}],   w = A2 A1^+ b(1:n) - b(n+1:m),
 
 where A1 is the top n x n block of A and A2 the remaining rows (when that
-block is singular, n linearly independent rows of A take its place).  Every
-residual r = A x - b satisfies D r = w, and conversely the minimum-l1
-residual r* recovers the optimal parameters through x* = A^+ (b + r*).
+block is singular, D is an orthonormal basis of the left null space of A
+and w = -D b).  Every residual r = A x - b satisfies D r = w, and
+conversely the minimum-l1 residual r* recovers the optimal parameters
+through x* = A^+ (b + r*).
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
-from .linalg import _pinv_and_rank, norm1, norm_inf, pinv
+from .linalg import _pinv_and_rank, norm1, norm_inf, nullspace_basis
 
 __all__ = [
     "MlmProblem",
@@ -97,26 +97,22 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """Build the reduced system for ``problem``.
 
     The top n x n block A1 is used as-is when it is nonsingular.  Otherwise
-    the n rows that play its part are picked by a column-pivoted QR of A^T,
-    and the columns of D are scattered back to the original row order, so
-    D r = w still holds for every residual r = A x - b.  Raises ValueError
-    when A itself has column rank below n.
+    D is an orthonormal basis of the left null space of A (D A = 0, from one
+    SVD of A^T) and w = -D b, so D r = w still holds for every residual
+    r = A x - b.  Raises ValueError when A itself has column rank below n.
     """
     A, b = problem.A, problem.b
     m, n = problem.m, problem.n
-    order = np.arange(m)
-    top_pinv, rank = _pinv_and_rank(A[:n])
+    A_pinv, rank = _pinv_and_rank(A)
     if rank < n:
-        order = qr(A.T, mode="r", pivoting=True)[1]
-        top_pinv, rank = _pinv_and_rank(A[order[:n]])
-        if rank < n:
-            raise ValueError("A has column rank below n; the l1 fit is not unique")
-    top, rest = order[:n], order[n:]
-    C = A[rest] @ top_pinv
-    D = np.empty((m - n, m))
-    D[:, order] = np.hstack([-C, np.eye(m - n)])
-    w = C @ b[top] - b[rest]
-    return ReducedSystem(D=D, w=w, A_pinv=pinv(A))
+        raise ValueError("A has column rank below n; the l1 fit is not unique")
+    top_pinv, top_rank = _pinv_and_rank(A[:n])
+    if top_rank < n:
+        D = nullspace_basis(A.T).T
+        return ReducedSystem(D=D, w=-(D @ b), A_pinv=A_pinv)
+    C = A[n:] @ top_pinv
+    D = np.hstack([-C, np.eye(m - n)])
+    return ReducedSystem(D=D, w=C @ b[:n] - b[n:], A_pinv=A_pinv)
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:

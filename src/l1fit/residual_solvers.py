@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .linalg import norm1, norm2, norm_inf, pcg, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
@@ -113,10 +112,14 @@ def _row_orthonormalize(D, w):
     The constraint set {r : D r = w} is unchanged; first-order and
     alternating-direction iterations behave far better when the row Gram
     matrix is the identity (the published step-size recipes assume it).
+    The pair is (L^-1 D, L^-1 w) for the Cholesky factor L of D D^T.  Its
+    LinAlgError on linearly dependent rows of D is the callers' only rank
+    check: an orthonormal basis from a QR of D^T would silently drop a
+    constraint instead.
     """
     D, w = _check_dw(D, w)
     L = np.linalg.cholesky(D @ D.T)
-    return solve_triangular(L, D, lower=True), solve_triangular(L, w, lower=True)
+    return np.linalg.solve(L, D), np.linalg.solve(L, w)
 
 
 def _lambda_levels(D, w, lam_target):
@@ -276,7 +279,8 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     (which keeps the Newton systems well conditioned); the duality gap is
     tested relative to the dual objective (only once that is positive).
     When backtracking stalls or the accepted step stops moving the point,
-    the best iterate seen is returned with converged=False.
+    the best iterate seen is returned with converged=False.  The returned
+    point gets an l2-minimal feasibility restoration.
     """
     p = params or SolverParams()
     if not p.lam > 0:
@@ -365,7 +369,7 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
             break  # accepted step moves nothing; numerical floor reached
         r, u, f = r_new, u_new, f_new
 
-    out = r if converged else best_r
+    out = _restore_feasibility(r if converged else best_r, D, w)
     return ResidualSolution(r=out, iterations=it, converged=converged, objective=norm1(out))
 
 
@@ -524,14 +528,13 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Alternating-directions method on the dual of the residual problem.
 
-    Runs on the row-orthonormalized system, where its single dual gradient
+    Runs on the row-orthonormalized system, where the unit dual gradient
     step is the exact subproblem minimizer (the published step-size formula
-    evaluates to 1 there) and the 1.618 relaxation factor is inside its
-    convergence range.  Penalty mu defaults to mean|w_i|; the step size is
-    computed once before the loop; the stopping ratio uses the original pair
-    (D, w) and the returned point gets an l2-minimal feasibility
-    restoration.  A zero w is answered immediately with r = 0, which is
-    exactly optimal.
+    ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
+    inside its convergence range.  Penalty mu defaults to mean|w_i|; the
+    stopping ratio uses the original pair (D, w) and the returned point gets
+    an l2-minimal feasibility restoration.  A zero w is answered immediately
+    with r = 0, which is exactly optimal.
     """
     p = params or SolverParams()
     D0, w0 = _check_dw(D, w)
@@ -547,16 +550,12 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(mn)
     g = np.zeros(m)
 
-    s = D @ (g - z + r / mu) - w / mu
-    Dts = D.T @ s
-    den = float(Dts @ Dts)
-    alpha = float(s @ s) / den if den > 0.0 else 1.0
     it = 0
     converged = False
     while it < p.maxiter:
         it += 1
         s = D @ (g - z + r / mu) - w / mu
-        y = y - alpha * s
+        y = y - s
         g = D.T @ y
         z = np.clip(g + r / mu, -1.0, 1.0)
         dr = _ADM_ZETA * mu * (g - z)

@@ -52,10 +52,6 @@ class LpStandardForm:
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)
 
-    @property
-    def dimension(self) -> int:
-        return self.cost.size
-
 
 @dataclass(frozen=True)
 class LpSolution:

@@ -36,3 +36,13 @@ def bp_enumerate(D, w, singular_tol=1e-10):
 def random_problem(rng, m, n):
     """Gaussian instance with a generic (inconsistent) right-hand side."""
     return MlmProblem(rng.standard_normal((m, n)), rng.standard_normal(m))
+
+
+def dependent_top_rows_problem():
+    """40 x 4 instance whose rows 1..3 are multiples of row 0, so the top block has rank 1."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 4))
+    A[1:4] = A[0] * [[2.0], [-1.0], [3.0]]
+    b = A @ rng.standard_normal(4)
+    b[rng.choice(40, 10, replace=False)] += rng.standard_normal(10)
+    return MlmProblem(A, b)

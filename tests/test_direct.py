@@ -3,7 +3,7 @@ import pytest
 
 from l1fit import MlmProblem, fit_linprog, fit_perturbation, oracle_solve, split_by_residual
 from l1fit.direct import _best_step
-from support import random_problem
+from support import dependent_top_rows_problem, random_problem
 
 
 def test_linprog_consistent_system():
@@ -95,6 +95,15 @@ def test_perturbation_validation():
         fit_perturbation(prob, c=0.0)
     with pytest.raises(ValueError):
         fit_perturbation(prob, maxiter=0)
+
+
+def test_perturbation_needs_zero_rows_of_rank_n():
+    # four zero rows of rank 1 used to pass for a full zero set: the
+    # certificate then claimed convergence at cost 34.09 against the LP's 8.92
+    prob = dependent_top_rows_problem()
+    report = fit_perturbation(prob)
+    exact = fit_linprog(prob)
+    assert not report.converged or abs(report.cost - exact.cost) <= 1e-9 * exact.cost
 
 
 def test_square_system_solved_exactly():

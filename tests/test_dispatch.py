@@ -1,4 +1,11 @@
-"""``l1fit.solve``: what every method reports, and the names it looks up at call time."""
+"""``l1fit.solve``: what every method reports and the names it looks up at call time.
+
+Also what ``import l1fit`` loads.
+"""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,3 +60,11 @@ def test_solve_looks_up_entry_points_at_call_time(monkeypatch):
         "fit_perturbation": 1,
         "oracle_solve": 1,
     }
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy only serves as a test reference
+    code = "import sys, l1fit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

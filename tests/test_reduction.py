@@ -13,7 +13,7 @@ from l1fit import (
     solve,
     split_by_residual,
 )
-from support import random_problem
+from support import dependent_top_rows_problem, random_problem
 
 
 def test_problem_validation():
@@ -73,6 +73,15 @@ def test_rank_deficient_top_block_matches_lp():
     exact = fit_linprog(prob)
     assert report.converged
     assert abs(report.cost - exact.cost) <= 1e-9 * exact.cost
+
+
+def test_singular_top_block_gives_orthonormal_left_null_basis():
+    prob = dependent_top_rows_problem()
+    rs = reduce_problem(prob)
+    assert rs.D.shape == (prob.m - prob.n, prob.m)
+    assert np.max(np.abs(rs.D @ rs.D.T - np.eye(prob.m - prob.n))) <= 1e-12
+    assert np.max(np.abs(rs.D @ prob.A)) <= 1e-12 * np.max(np.abs(prob.A))
+    assert np.array_equal(rs.w, -(rs.D @ prob.b))
 
 
 def test_rank_deficient_matrix_raises():

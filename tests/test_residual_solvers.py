@@ -22,6 +22,8 @@ from support import bp_enumerate, random_problem
 
 ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm, residual_pob]
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
+# the solvers that iterate on the row-orthonormalized pair
+ORTHONORMALIZING = [residual_gpsr, residual_tnipm, residual_ist, residual_adm, residual_pob]
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -95,6 +97,25 @@ def test_feasibility_of_returned_residual(solver):
         res = solver(rs.D, rs.w, params)
         bound = max(params.epsilon, 1e-6 * (1.0 + norm2(rs.w)))
         assert norm2(rs.D @ res.r - rs.w) <= bound
+
+
+@pytest.mark.parametrize("solver", ORTHONORMALIZING)
+def test_orthonormalizing_solvers_restore_feasibility(solver):
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        rs = reduce_problem(random_problem(rng, 12, 4))
+        res = solver(rs.D, rs.w)
+        assert norm2(rs.D @ res.r - rs.w) <= 1e-12 * (1.0 + norm2(rs.w))
+
+
+@pytest.mark.parametrize("solver", ORTHONORMALIZING)
+def test_orthonormalizing_solvers_reject_dependent_rows(solver):
+    # the second row doubles the first; an orthonormal basis of D's row
+    # space drops one constraint, and GPSR and ADM then claim convergence at
+    # cost 1.22, where r = (1, 0, 0) with cost 1 is optimal
+    D = np.array([[1.0, 0.5, 0.2], [2.0, 1.0, 0.4]])
+    with pytest.raises(np.linalg.LinAlgError):
+        solver(D, np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
