@@ -1,10 +1,24 @@
-"""Dense two-phase primal simplex for standard-form linear programs.
+"""Dense primal simplex with a dual cleanup for standard-form linear programs.
 
-Solves  min c^T y  subject to  A y = b, y >= 0  on a dense tableau.  The
-pivot rule is Dantzig pricing with lowest-index tie-breaking; after a run
-of degenerate pivots it falls back to Bland's rule (lowest eligible index)
-until the objective strictly improves again, which rules out cycling while
-keeping the iteration count practical.
+Solves  min c^T y  subject to  A y = b, y >= 0  on a dense tableau.
+
+The start is a crash basis.  Rows with a negative right-hand side are
+negated; then a column whose only nonzero entry is positive is basic in its
+row, the lowest such index winning.  In the split-variable programs of
+l1-fitting these are the residual variables, the classic start of the l1
+simplex (Barrodale & Roberts 1973).  Only rows left without such a column
+get an artificial column, and only then does a first primal phase drive the
+artificials to zero.
+
+Each primal phase runs on a graded perturbation of the right-hand side,
+which makes the ratio tests strict on these extremely degenerate programs.
+The pivot rule is Dantzig pricing with lowest-index tie-breaking; after a
+run of degenerate pivots it falls back to Bland's rule (lowest eligible
+index) until the objective strictly improves again, which rules out cycling
+while keeping the iteration count practical.  The original right-hand side
+is then restored for the final basis.  Reduced costs do not depend on the
+right-hand side, so that basis is still dual feasible, and dual simplex
+pivots remove any primal infeasibility the restore leaves.
 """
 
 from __future__ import annotations
@@ -71,14 +85,21 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor):
-    """Pivot until optimal/unbounded or the iteration budget is exhausted.
+def _refactor(T: np.ndarray, basis: np.ndarray, data: np.ndarray) -> None:
+    """Rebuild the tableau of the current basis from ``data`` = [matrix | rhs]."""
+    try:
+        T[:, :] = np.linalg.solve(data[:, basis], data)
+    except np.linalg.LinAlgError:
+        pass
+
+
+def _primal(T, basis, cost, d, data, maxiter, tol_rc, piv_tol):
+    """Primal pivots over the first ``d`` columns until optimal or unbounded.
 
     Long pivot runs let rounding noise build up in the tableau, which can
-    keep reduced costs spuriously negative at the optimum.  ``refactor``
-    rebuilds the tableau from the original data for the current basis; it
-    runs periodically and as an audit before optimality or unboundedness is
-    declared.
+    keep reduced costs spuriously negative at the optimum.  The tableau is
+    rebuilt from ``data`` periodically and as an audit before optimality or
+    unboundedness is declared.
     """
     iters = 0
     stall = 0
@@ -97,31 +118,26 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor):
                 bland = True
         prev_obj = obj
 
-        rc = cost[enter_cols] - cB @ T[:, enter_cols]
+        rc = cost[:d] - cB @ T[:, :d]
         if bland:
             eligible = np.flatnonzero(rc < -tol_rc)
-            if eligible.size == 0:
-                if fresh > 0:
-                    refactor()
-                    fresh = 0
-                    continue
-                return OPTIMAL, iters
-            j_local = int(eligible[0])
+            col = int(eligible[0]) if eligible.size else -1
         else:
-            j_local = int(np.argmin(rc))
-            if rc[j_local] >= -tol_rc:
-                if fresh > 0:
-                    refactor()
-                    fresh = 0
-                    continue
-                return OPTIMAL, iters
-        col = int(enter_cols[j_local])
+            col = int(np.argmin(rc))
+            if rc[col] >= -tol_rc:
+                col = -1
+        if col < 0:
+            if fresh > 0:
+                _refactor(T, basis, data)
+                fresh = 0
+                continue
+            return OPTIMAL, iters
 
         colvals = T[:, col]
         pos = np.flatnonzero(colvals > piv_tol)
         if pos.size == 0:
             if fresh > 0:
-                refactor()
+                _refactor(T, basis, data)
                 fresh = 0
                 continue
             return UNBOUNDED, iters
@@ -134,21 +150,66 @@ def _iterate(T, basis, cost, enter_cols, maxiter, tol_rc, piv_tol, refactor):
         iters += 1
         fresh += 1
         if fresh >= _REFACTOR_EVERY:
-            refactor()
+            _refactor(T, basis, data)
             fresh = 0
     return ITERATION_LIMIT, iters
+
+
+def _dual(T, basis, cost, d, data, maxiter, feas_tol, piv_tol):
+    """Dual pivots over the first ``d`` columns until the basis is feasible.
+
+    The most negative basic value leaves; the entering column has the
+    smallest ratio of reduced cost to minus its entry in that row (lowest
+    index on ties), which keeps the basis dual feasible.  A negative row
+    without a negative entry proves the program infeasible.  The tableau is
+    rebuilt from ``data`` before either verdict.
+    """
+    iters = 0
+    fresh = 0
+    while True:
+        row = int(np.argmin(T[:, -1]))
+        entries = T[row, :d]
+        enter = np.flatnonzero(entries < -piv_tol)
+        if T[row, -1] >= -feas_tol or enter.size == 0:
+            if fresh > 0:
+                _refactor(T, basis, data)
+                fresh = 0
+                continue
+            return (OPTIMAL if T[row, -1] >= -feas_tol else INFEASIBLE), iters
+        if iters >= maxiter:
+            return ITERATION_LIMIT, iters
+        rc = cost[enter] - cost[basis] @ T[:, enter]
+        col = int(enter[np.argmin(np.maximum(rc, 0.0) / -entries[enter])])
+        _pivot(T, basis, row, col)
+        iters += 1
+        fresh += 1
+
+
+def _crash_basis(A: np.ndarray) -> np.ndarray:
+    """Each row's start column, or -1 where the row needs an artificial.
+
+    A column qualifies for a row when its only nonzero entry is positive and
+    in that row; the lowest such index wins.
+    """
+    nonzero = A != 0.0
+    cols = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
+    rows = np.argmax(nonzero[:, cols], axis=0)
+    positive = A[rows, cols] > 0.0
+    covered, first = np.unique(rows[positive], return_index=True)
+    basis = np.full(A.shape[0], -1)
+    basis[covered] = cols[positive][first]
+    return basis
 
 
 def lp_solve(problem: LpStandardForm) -> LpSolution:
     """Solve a standard-form LP; infeasibility and unboundedness go in status.
 
-    The l1-fitting programs are extremely degenerate (the optimum sits on a
-    face with many zero basic variables), so each phase runs on a graded
-    perturbation of the right-hand side, which makes the ratio tests strict.
-    Reduced costs do not depend on the right-hand side, so optimality of the
-    final basis carries over to the original data exactly; primal
-    feasibility is re-verified on the original values and the phase is
-    re-entered with a fresh perturbation in the rare case it fails.
+    Starts from the crash basis, runs a first phase only for rows that have
+    no positive single-entry column, and ends each primal phase with dual
+    pivots on the original right-hand side (see the module docstring).  The
+    point returned with ``OPTIMAL`` is the basic solution of the final
+    basis, feasible to 1e-9 times the data scale.  ``iterations`` counts
+    every pivot.
     """
     A = np.array(problem.eq_matrix, dtype=float, copy=True)
     b = np.array(problem.eq_rhs, dtype=float, copy=True)
@@ -164,86 +225,69 @@ def lp_solve(problem: LpStandardForm) -> LpSolution:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0, float(np.max(np.abs(b))) if b.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0, float(np.max(np.abs(b))))
     piv_tol = 1e-10 * scale
     tol_rc = _FEAS_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
 
-    data = np.hstack([A, np.eye(m), b[:, None]])  # [columns | artificials | rhs]
-    T = data.copy()
-    basis = d + np.arange(m)
-    enter_cols = np.arange(d)
-
-    state = {"total": 0}
+    basis = _crash_basis(A)
+    open_rows = np.flatnonzero(basis < 0)
+    k = open_rows.size
+    artificials = np.zeros((m, k))
+    artificials[open_rows, np.arange(k)] = 1.0
+    basis[open_rows] = d + np.arange(k)
+    data = np.hstack([A, artificials, b[:, None]])  # [columns | artificials | rhs]
+    T = data / data[np.arange(m), basis][:, None]  # the start basis is diagonal
+    total = 0
 
     def run_phase(cost, rc_tol):
-        """Solve one phase on a perturbed rhs, then restore original values."""
-        rows = T.shape[0]
-        grades = 1.0 + (np.arange(rows) + 1.0) / rows
-        status = OPTIMAL
-        for attempt in range(4):
-            budget = maxiter - state["total"]
-            if budget <= 0:
-                return ITERATION_LIMIT
-            # perturb in the frame of the current basis so the start stays
-            # feasible: basic values become value + delta * grade > 0
-            floor = float(np.min(T[:, -1]))
-            delta = 1e-6 * (1.0 + float(np.max(np.abs(T[:, -1])))) + (2.0 * -floor if floor < 0 else 0.0)
-            pert = data.copy()
-            pert[:, -1] = data[:, basis] @ (T[:, -1] + delta * grades)
-            T[:, -1] += delta * grades
+        """Primal pivots on a perturbed rhs, then dual pivots on the original."""
+        grades = 1.0 + (np.arange(T.shape[0]) + 1.0) / T.shape[0]
+        # perturb in the frame of the current basis so the start stays
+        # feasible: basic values become value + delta * grade > 0
+        floor = float(np.min(T[:, -1]))
+        delta = 1e-6 * (1.0 + float(np.max(np.abs(T[:, -1])))) + (2.0 * -floor if floor < 0 else 0.0)
+        T[:, -1] += delta * grades
+        pert = data.copy()
+        pert[:, -1] = data[:, basis] @ T[:, -1]
+        status, its = _primal(T, basis, cost, d, pert, maxiter - total, rc_tol, piv_tol)
+        _refactor(T, basis, data)
+        if status != OPTIMAL:
+            return status, its
+        status, dual_its = _dual(T, basis, cost, d, data, maxiter - total - its, _FEAS_TOL * scale, piv_tol)
+        return status, its + dual_its
 
-            def refactor(pert=pert):
-                try:
-                    T[:, :] = np.linalg.solve(pert[:, basis], pert)
-                except np.linalg.LinAlgError:
-                    pass
+    if k:
+        # phase 1: drive the artificial variables to zero
+        cost1 = np.concatenate([np.zeros(d), np.ones(k)])
+        status, its = run_phase(cost1, _FEAS_TOL)
+        total += its
+        if status == ITERATION_LIMIT:
+            return LpSolution(_extract(T, basis, d), np.nan, ITERATION_LIMIT, total)
+        if status == INFEASIBLE or float(cost1[basis] @ T[:, -1]) > _FEAS_TOL * (1.0 + float(np.sum(b))):
+            return LpSolution(np.zeros(d), np.nan, INFEASIBLE, total)
 
-            status, its = _iterate(T, basis, cost, enter_cols, budget, rc_tol, piv_tol, refactor)
-            state["total"] += its
-            # restore the original right-hand side for the final basis
-            try:
-                T[:, :] = np.linalg.solve(data[:, basis], data)
-            except np.linalg.LinAlgError:
-                pass
-            if status != OPTIMAL:
-                return status
-            if float(np.min(T[:, -1])) >= -_FEAS_TOL * scale:
-                return OPTIMAL
-            # perturbed optimum infeasible for the original data: retry
-        return status
-
-    # phase 1: drive the artificial variables to zero
-    cost1 = np.concatenate([np.zeros(d), np.ones(m)])
-    status = run_phase(cost1, _FEAS_TOL)
-    if status == ITERATION_LIMIT:
-        return LpSolution(_extract(T, basis, d), np.nan, ITERATION_LIMIT, state["total"])
-    phase1_obj = float(cost1[basis] @ T[:, -1])
-    if phase1_obj > _FEAS_TOL * (1.0 + float(np.sum(np.abs(b)))):
-        return LpSolution(np.zeros(d), np.nan, INFEASIBLE, state["total"])
-
-    # pivot basic artificials out; a row with no usable entry is redundant
-    keep = np.ones(T.shape[0], dtype=bool)
-    for i in range(T.shape[0]):
-        if basis[i] < d:
-            continue
-        row_entries = np.abs(T[i, :d])
-        j = int(np.argmax(row_entries))
-        if row_entries[j] > piv_tol:
-            _pivot(T, basis, i, j)
-            state["total"] += 1
-        else:
-            keep[i] = False
-    if not np.all(keep):
-        T = T[keep].copy()
+        # pivot basic artificials out; a row with no usable entry is redundant
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(basis >= d):
+            row_entries = np.abs(T[i, :d])
+            j = int(np.argmax(row_entries))
+            if row_entries[j] > piv_tol:
+                _pivot(T, basis, i, j)
+                total += 1
+            else:
+                keep[i] = False
+        # the artificial columns never enter again
+        cols = np.r_[:d, d + k]
+        T = T[np.ix_(keep, cols)]
+        data = data[np.ix_(keep, cols)]
         basis = basis[keep]
-        data = data[keep]
 
-    cost2 = np.concatenate([c, np.zeros(m)])
-    status = run_phase(cost2, tol_rc)
-
+    status, its = run_phase(c, tol_rc)
+    total += its
+    if status == INFEASIBLE:
+        return LpSolution(np.zeros(d), np.nan, INFEASIBLE, total)
     y = _extract(T, basis, d)
-    objective = float(c @ y)
-    return LpSolution(y, objective, status, state["total"])
+    return LpSolution(y, float(c @ y), status, total)
 
 
 def _extract(T: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
