@@ -33,7 +33,7 @@ from .residual_solvers import (
     residual_pob,
     residual_tnipm,
 )
-from .simplex import LpSolution, LpStandardForm, lp_solve
+from .simplex import l1_vertex
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,6 @@ __all__ = [
     "ALL_METHODS",
     "BenchRecord",
     "ExperimentSpec",
-    "LpSolution",
-    "LpStandardForm",
     "MlmProblem",
     "ReducedSystem",
     "ResidualSolution",
@@ -55,7 +53,7 @@ __all__ = [
     "fit_perturbation",
     "fit_via_residual",
     "gen_instance",
-    "lp_solve",
+    "l1_vertex",
     "nullspace_basis",
     "oracle_solve",
     "pcg",

@@ -1,8 +1,8 @@
 """Solvers for the minimum-l1 residual problem  min ||r||_1  s.t.  D r = w.
 
-Seven interchangeable routines are provided: an exact linear-programming
-solver and six iterative methods (gradient projection, truncated-Newton
-interior point, homotopy path following, iterative shrinkage, alternating
+Seven interchangeable routines are provided: an exact vertex simplex and
+six iterative methods (gradient projection, truncated-Newton interior
+point, homotopy path following, iterative shrinkage, alternating
 directions, and a proximity-operator scheme).  ``fit_via_residual`` wires
 any of them into the reduce -> solve -> recover pipeline.
 """
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import norm1, norm2, norm_inf, pcg, soft
+from .linalg import default_rank_tol, norm1, norm2, norm_inf, pcg, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
-from .simplex import OPTIMAL, LpStandardForm, lp_solve
+from .simplex import l1_vertex
 
 __all__ = [
     "SolverParams",
@@ -109,8 +109,8 @@ def _check_dw(D, w):
 def _row_orthonormalize(D, w):
     """Equivalent constraint pair with orthonormal rows (D D^T = I).
 
-    The constraint set {r : D r = w} is unchanged; first-order and
-    alternating-direction iterations behave far better when the row Gram
+    The constraint set {r : D r = w} is unchanged; first-order, path-following
+    and alternating-direction iterations behave far better when the row Gram
     matrix is the identity (the published step-size recipes assume it).
     The pair is (L^-1 D, L^-1 w) for the Cholesky factor L of D D^T.  Its
     LinAlgError on linearly dependent rows of D is the callers' only rank
@@ -196,26 +196,26 @@ def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
 
 
 def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSolution:
-    """Exact minimum-l1 residual at a linear-programming vertex.
+    """Exact minimum-l1 residual by the vertex simplex on a basis of {r : D r = w}.
 
-    Splits r into positive and negative parts and solves
-    min 1^T beta  s.t.  [D, -D] beta = w, beta >= 0.
+    One SVD of D gives the kernel basis N = V2 and the minimum-norm point
+    r0 = V1 S^-1 U1^T w (rank from ``default_rank_tol``); a w outside the
+    range of D raises ValueError.  The answer r = N z + r0 takes z from
+    ``l1_vertex(N, -r0)``, so at least dim(null D) entries of r vanish.
+    ``iterations`` counts basis changes; ``converged`` is the vertex's
+    optimality certificate, False when the step budget ran out.
     """
     D, w = _check_dw(D, w)
-    m = D.shape[1]
-    lp = LpStandardForm(
-        cost=np.ones(2 * m),
-        eq_matrix=np.hstack([D, -D]),
-        eq_rhs=w,
-    )
-    sol = lp_solve(lp)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(
-            f"linear program for the residual system came back {sol.status}; "
-            "the reduced system should always be consistent"
-        )
-    r = sol.point[:m] - sol.point[m:]
-    return ResidualSolution(r=r, iterations=sol.iterations, converged=True, objective=norm1(r))
+    U, sv, Vt = np.linalg.svd(D, full_matrices=True)
+    rank = int(np.count_nonzero(sv > default_rank_tol(D)))
+    r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
+    if norm2(D @ r0 - w) > 1e-9 * (1.0 + norm2(w)):
+        raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
+    N = Vt[rank:].T
+    vertex = l1_vertex(N, -r0)
+    r = N @ vertex.x + r0
+    return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
+                            objective=norm1(r))
 
 
 def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -418,12 +418,16 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
 def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=None):
     """Follow the regularization path from ||D^T w||_inf down to epsilon.
 
-    Maintains the active support and its Gram matrix, re-solving the small
-    direction system densely at each breakpoint.  ``support_trace`` (a list,
-    if given) records the support size at every step.
+    Runs on the row-orthonormalized system, where the correlations keep the
+    signs the path rules assume; on the paper's D = [-C I] they drift and
+    the path can end off the optimum.  Maintains the active support and its
+    Gram matrix, re-solving the small direction system densely at each
+    breakpoint.  ``support_trace`` (a list, if given) records the support
+    size at every step.  The end point gets an l2-minimal feasibility
+    restoration.
     """
     p = params or SolverParams()
-    D, w = _check_dw(D, w)
+    D, w = _row_orthonormalize(D, w)
     m = D.shape[1]
     lam = p.epsilon  # terminal level of the path
 
@@ -481,6 +485,7 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
         z[xi] = -np.sign(pvec[xi])
         pvec[pin] = pmax * np.sign(pvec[pin])
 
+    r = _restore_feasibility(r, D, w)
     return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, reduce_problem
+from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, reduce_problem
 from l1fit.linalg import norm1, norm2
 from l1fit.residual_solvers import (
     _LEVEL_STALL,
@@ -18,12 +18,13 @@ from l1fit.residual_solvers import (
     residual_pob,
     residual_tnipm,
 )
-from support import bp_enumerate, random_problem
+from support import bp_enumerate, dependent_top_rows_problem, random_problem
 
 ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm, residual_pob]
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
 # the solvers that iterate on the row-orthonormalized pair
-ORTHONORMALIZING = [residual_gpsr, residual_tnipm, residual_ist, residual_adm, residual_pob]
+ORTHONORMALIZING = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm,
+                    residual_pob]
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -59,6 +60,37 @@ def test_linprog_matches_enumeration():
         _, ref = bp_enumerate(D, w)
         res = residual_linprog(D, w)
         assert res.objective == pytest.approx(ref, rel=1e-9)
+
+
+def test_linprog_on_left_null_basis_of_singular_top_block():
+    # reduce_problem's orthonormal left null basis D of A (D A = 0) for a top
+    # block of rank 1: a pair that is not of the form [-C I]
+    prob = dependent_top_rows_problem()
+    rs = reduce_problem(prob)
+    assert np.allclose(rs.D @ rs.D.T, np.eye(rs.D.shape[0]))
+    res = residual_linprog(rs.D, rs.w)
+    assert res.converged
+    assert res.objective == pytest.approx(fit_linprog(prob).cost, rel=1e-9)
+
+
+def test_linprog_dependent_consistent_rows():
+    # the second row doubles the first and w agrees with it
+    D = np.array([[1.0, 0.5, 0.2], [2.0, 1.0, 0.4]])
+    res = residual_linprog(D, np.array([1.0, 2.0]))
+    assert res.converged
+    assert np.allclose(res.r, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed,sparsity", [(700102, 0.75), (7000101, 0.25)])
+def test_homotopy_reaches_optimum_on_bench_instances(seed, sparsity):
+    # on the paper's D = [-C I] the path claimed convergence 2.4e-3 and
+    # 1.4e-1 above the optimum on these instances
+    problem, _ = gen_instance(256, 128, seed)
+    prob = MlmProblem(problem.A, add_sparse_noise(problem.b, sparsity, 0.25, seed))
+    report = fit_via_residual(prob, "homotopy")
+    ref = fit_linprog(prob).cost
+    assert report.converged
+    assert abs(report.cost - ref) <= 1e-3 * ref
 
 
 @pytest.mark.parametrize("solver", ITERATIVE)
