@@ -4,7 +4,16 @@ Seven interchangeable routines are provided: an exact vertex simplex and
 six iterative methods (gradient projection, truncated-Newton interior
 point, homotopy path following, iterative shrinkage, alternating
 directions, and a proximity-operator scheme).  ``fit_via_residual`` wires
-any of them into the reduce -> solve -> recover pipeline.
+any of them into the reduce -> solve -> recover pipeline and answers a
+consistent system (w = -D b at rounding level) with r = 0 directly.
+
+By the paper's equivalence theorem an optimal residual vanishes on
+dim(null D) rows.  The gradient-projection, interior-point, shrinkage,
+alternating-directions and proximity solvers therefore also try an exact
+vertex certificate on their iterates (``_vertex_certifier``): once the
+vertex an iterate points at is proved optimal, they return that vertex
+with converged=True (a crossover).  Otherwise their own stop rules and
+the iteration budget decide, and they return the raw iterate.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ _LEVEL_IMPROVE = 1.0 - 1e-4
 _POB_W_NORM = 500.0
 # relaxation factor of the alternating-directions multiplier update
 _ADM_ZETA = 1.618
+# the first-order solvers try the vertex certificate every this many iterations
+_CERTIFY_EVERY = 50
+# a vertex entry at most this share of (1 + ||r||_inf) counts as zero
+_VERTEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,7 @@ class SolverParams:
     lam      penalty weight of the quadratic relaxation solved by the
              gradient-projection, interior-point and shrinkage methods
     maxiter  iteration cap; solvers report converged=False when they hit it
+             without reaching their own target or a certified vertex
     tau, mu  proximity-operator parameters; mu=None derives the default
              0.999 * tau / ||D||_2^2 (the alternating-directions method
              instead defaults mu to mean|w_i|)
@@ -153,6 +167,48 @@ def _restore_feasibility(r, D, w):
     return r - D.T @ (D @ r - w)
 
 
+def _vertex_certifier(D, w):
+    """Exact optimality test of the vertex an iterate points at (crossover).
+
+    For orthonormal-row D.  An optimal residual vanishes on k = dim(null D)
+    rows (the equivalence theorem).  ``certify(r)`` restores feasibility,
+    takes the rows Z of the k smallest |r_f| and moves inside the kernel N
+    of D (one complete QR of D^T, taken on the first try) to the vertex
+    r_v = r_f - N N_Z^-1 r_f[Z].  With sigma = sign(r_v), sigma_Z = 0 and
+    rows that vanish off Z taking the iterate's sign, the dual point
+    g_Z = -N_Z^-T N^T sigma proves r_v optimal when ||g_Z||_inf <= 1.
+    Returns r_v, or None when N_Z is singular or ill-conditioned (r_v does
+    not vanish on Z) or the certificate fails.
+    """
+    N = None
+
+    def certify(r):
+        nonlocal N
+        if N is None:
+            N = np.linalg.qr(D.T, mode="complete")[0][:, D.shape[0]:]
+        rf = _restore_feasibility(r, D, w)
+        k = N.shape[1]
+        Z = np.argpartition(np.abs(rf), k - 1)[:k]
+        NZ = N[Z]
+        try:
+            rv = rf - N @ np.linalg.solve(NZ, rf[Z])
+        except np.linalg.LinAlgError:
+            return None
+        tol = _VERTEX_TOL * (1.0 + norm_inf(rv))
+        if norm_inf(rv[Z]) > tol:
+            return None
+        sigma = np.where(np.abs(rv) <= tol, np.sign(r), np.sign(rv))
+        sigma[Z] = 0.0
+        g = np.linalg.solve(NZ.T, N.T @ sigma)
+        return rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None
+
+    return certify
+
+
+def _certified(r, it) -> ResidualSolution:
+    return ResidualSolution(r=r, iterations=it, converged=True, objective=norm1(r))
+
+
 def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
@@ -162,8 +218,11 @@ def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
     ``stationarity(state, lam)`` measures the state against the level.  A
     level ends at its target or, for a middle level, on a stall, and then
     rewinds to the best state it saw, as does a run that exhausts the
-    budget.  The answer gets an l2-minimal feasibility restoration.
+    budget.  Every ``_CERTIFY_EVERY`` steps the vertex certificate is tried
+    on r; once it holds, the certified vertex is the answer.  Otherwise the
+    answer gets an l2-minimal feasibility restoration.
     """
+    certify = _vertex_certifier(D, w)
     levels = _lambda_levels(D, w, p.lam)
     it = 0
     converged = True
@@ -189,6 +248,8 @@ def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
                 break
             state = step(state, lam, it == start)
             it += 1
+            if it % _CERTIFY_EVERY == 0 and (vertex := certify(state[0])) is not None:
+                return _certified(vertex, it)
         if not converged:
             break
     r = _restore_feasibility(state[0], D, w)
@@ -225,7 +286,8 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     line search, step lengths clipped to [1e-30, 1e30], run on the
     row-orthonormalized system inside ``_continuation``; each level is left
     once the stationarity residual drops below _LEVEL_TOL times the level,
-    the last level being ``lam``.
+    the last level being ``lam``.  Every 50 steps the vertex certificate is
+    tried; a certified vertex ends the run.
     """
     p = params or SolverParams()
     if not p.lam > 0:
@@ -278,15 +340,18 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     preconditioned conjugate gradients on the row-orthonormalized system
     (which keeps the Newton systems well conditioned); the duality gap is
     tested relative to the dual objective (only once that is positive).
-    When backtracking stalls or the accepted step stops moving the point,
-    the best iterate seen is returned with converged=False.  The returned
-    point gets an l2-minimal feasibility restoration.
+    After every accepted step the vertex certificate is tried (one step
+    costs far more than a try); a certified vertex ends the run.  When
+    backtracking stalls or the accepted step stops moving the point, the
+    best iterate seen is returned with converged=False.  The returned point
+    gets an l2-minimal feasibility restoration.
     """
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
     D, w = _row_orthonormalize(D, w)
     m = D.shape[1]
+    certify = _vertex_certifier(D, w)
 
     mu_t, ls_alpha, ls_beta = 2.0, 0.01, 0.5
     r = np.zeros(m)
@@ -368,6 +433,8 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f = r_new, u_new, f_new
+        if (vertex := certify(r)) is not None:
+            return _certified(vertex, it)
 
     out = _restore_feasibility(r if converged else best_r, D, w)
     return ResidualSolution(r=out, iterations=it, converged=converged, objective=norm1(out))
@@ -495,7 +562,9 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     Runs inside ``_continuation``, like the gradient-projection solver;
     within a level each shrinkage step must not increase the penalized
     objective (the curvature estimate is doubled until it does not), which
-    keeps the non-monotone Barzilai-Borwein choice from blowing up.
+    keeps the non-monotone Barzilai-Borwein choice from blowing up.  Every
+    50 steps the vertex certificate is tried; a certified vertex ends the
+    run.
     """
     p = params or SolverParams()
     if not p.lam > 0:
@@ -538,8 +607,9 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
     stopping ratio uses the original pair (D, w) and the returned point gets
-    an l2-minimal feasibility restoration.  A zero w is answered immediately
-    with r = 0, which is exactly optimal.
+    an l2-minimal feasibility restoration.  Every 50 iterations the vertex
+    certificate is tried; a certified vertex ends the run.  A zero w is
+    answered immediately with r = 0, which is exactly optimal.
     """
     p = params or SolverParams()
     D0, w0 = _check_dw(D, w)
@@ -548,6 +618,7 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     if wnorm0 == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     D, w = _row_orthonormalize(D0, w0)
+    certify = _vertex_certifier(D, w)
     mu = p.mu if p.mu is not None else float(np.mean(np.abs(w)))
 
     r = D.T @ w
@@ -570,6 +641,8 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
         if norm2(D0 @ r - w0) <= p.epsilon * wnorm0 and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             converged = True
             break
+        if it % _CERTIFY_EVERY == 0 and (vertex := certify(r)) is not None:
+            return _certified(vertex, it)
     r = _restore_feasibility(r, D, w)
     return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
 
@@ -583,8 +656,10 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
     internal stop only counts once the original constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)); the returned point gets an
-    l2-minimal feasibility restoration; a zero w returns r = 0 directly.
+    max(epsilon, 1e-6 * (1 + ||w||_2)); every 50 iterations the vertex
+    certificate is tried, and a certified vertex ends the run; the returned
+    point gets an l2-minimal feasibility restoration; a zero w returns r = 0
+    directly.
     """
     p = params or SolverParams()
     D0, w0 = _check_dw(D, w)
@@ -595,6 +670,7 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     D, w = _row_orthonormalize(D0, w0)
     scale = _POB_W_NORM / norm2(w)
     w = scale * w
+    certify = _vertex_certifier(D, w)
     # the rows are orthonormal, so ||D||_2 = 1
     mu = p.mu if p.mu is not None else 0.999 * p.tau
     if not p.tau > mu > 0.0:
@@ -614,6 +690,8 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D0 @ (r / scale) - w0) <= feas_gate:
             converged = True
             break
+        if it % _CERTIFY_EVERY == 0 and (vertex := certify(r)) is not None:
+            return _certified(vertex / scale, it)
         zdual = y
         t = D @ r + zdual - w
         nt = norm2(t)
@@ -655,7 +733,9 @@ def fit_via_residual(
     """Solve min ||A x - b||_1 by the reduce -> solve -> recover pipeline.
 
     ``method`` picks the residual solver; a precomputed ``reduced`` system
-    may be passed to amortize the reduction over several solves.
+    may be passed to amortize the reduction over several solves.  When
+    |w| <= m eps |D| |b| holds in every row (no constraints, or w = -D b
+    is rounding noise), r = 0 is optimal and no solver runs.
     """
     if method not in RESIDUAL_METHODS:
         raise ValueError(
@@ -665,8 +745,10 @@ def fit_via_residual(
     params = params or SolverParams()
     t0 = time.perf_counter()
     rs = reduced if reduced is not None else reduce_problem(problem)
-    if rs.D.shape[0] == 0:
-        # square consistent system: no constraints remain and r = 0 is optimal
+    rounding = problem.m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
+    if np.all(np.abs(rs.w) <= rounding):
+        # consistent system (w = -D b is rounding noise, or no constraints
+        # remain): r = 0 is optimal
         res = ResidualSolution(r=np.zeros(problem.m), iterations=0, converged=True, objective=0.0)
     else:
         res = RESIDUAL_METHODS[method](rs.D, rs.w, params)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from l1fit import MlmProblem
+from l1fit import MlmProblem, bench
 
 
 def bp_enumerate(D, w, singular_tol=1e-10):
@@ -46,3 +46,21 @@ def dependent_top_rows_problem():
     b = A @ rng.standard_normal(4)
     b[rng.choice(40, 10, replace=False)] += rng.standard_normal(10)
     return MlmProblem(A, b)
+
+
+def bench_problem(m, n, sparsity, seed):
+    """The benchmark's instance: ``bench.gen_instance`` plus sparse noise of variance 0.25."""
+    problem, _ = bench.gen_instance(m, n, seed)
+    return MlmProblem(problem.A, bench.add_sparse_noise(problem.b, sparsity, 0.25, seed))
+
+
+def vertex_certificate(A, b, x):
+    """||A_Z^-T A_S^T sign(r_S)||_inf at x, with Z the n rows of smallest |r|.
+
+    Computed from x alone, without the solver's rows or factors; a value
+    at most 1 proves x optimal.
+    """
+    r = A @ x - b
+    order = np.argsort(np.abs(r), kind="stable")
+    Z, S = order[: A.shape[1]], order[A.shape[1]:]
+    return float(np.max(np.abs(np.linalg.solve(A[Z].T, A[S].T @ np.sign(r[S])))))

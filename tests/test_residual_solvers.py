@@ -9,6 +9,8 @@ from l1fit.residual_solvers import (
     SolverParams,
     _continuation,
     _lambda_levels,
+    _row_orthonormalize,
+    _vertex_certifier,
     fit_via_residual,
     residual_adm,
     residual_gpsr,
@@ -18,10 +20,18 @@ from l1fit.residual_solvers import (
     residual_pob,
     residual_tnipm,
 )
-from support import bp_enumerate, dependent_top_rows_problem, random_problem
+from support import (
+    bench_problem,
+    bp_enumerate,
+    dependent_top_rows_problem,
+    random_problem,
+    vertex_certificate,
+)
 
 ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm, residual_pob]
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
+# the iterative solvers that try the vertex certificate
+CERTIFYING = ["gpsr", "tnipm", "ist", "adm", "pob"]
 # the solvers that iterate on the row-orthonormalized pair
 ORTHONORMALIZING = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm,
                     residual_pob]
@@ -91,6 +101,68 @@ def test_homotopy_reaches_optimum_on_bench_instances(seed, sparsity):
     ref = fit_linprog(prob).cost
     assert report.converged
     assert abs(report.cost - ref) <= 1e-3 * ref
+
+
+@pytest.mark.parametrize("seed,sparsity", [(100101, 0.25), (300202, 0.75)])
+@pytest.mark.parametrize("method", CERTIFYING)
+def test_iterative_converged_means_certified(method, seed, sparsity):
+    # square benchmark instances on which every certifying solver, GPSR
+    # included, stops at a certified vertex; the certificate is recomputed
+    # from the returned x alone
+    problem = bench_problem(256, 128, sparsity, seed)
+    report = fit_via_residual(problem, method)
+    assert report.converged
+    assert vertex_certificate(problem.A, problem.b, report.x) <= 1.0
+    assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
+
+
+def _certifier(D, w):
+    return _vertex_certifier(*_row_orthonormalize(D, w))
+
+
+@pytest.mark.parametrize("slope", [0.5, 0.95])
+def test_certifier_takes_the_cheaper_two_column_vertex(slope):
+    # the vertices of r_0 + slope r_1 = 1 are (1, 0), cost 1, and (0, 1/slope);
+    # the dual point of the second is 1/slope, at slope 0.95 only 1.053
+    certify = _certifier([[1.0, slope]], [1.0])
+    vertex = certify(np.array([0.9, 0.1 / slope]))
+    assert vertex is not None
+    assert np.allclose(vertex, [1.0, 0.0], atol=1e-12)
+    assert certify(np.array([0.1, 0.9 / slope])) is None
+
+
+def test_certifier_rejects_singular_interpolation_rows():
+    # the kernel of D = [[1, 0, 0]] is spanned by e_1 and e_2: the smallest
+    # entries at rows 0 and 1 give a singular N_Z, rows 1 and 2 the optimum
+    certify = _certifier([[1.0, 0.0, 0.0]], [1.0])
+    assert certify(np.array([1.0, 0.5, 3.0])) is None
+    assert np.allclose(certify(np.array([1.0, 0.5, 0.2])), [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_certifier_takes_the_iterate_sign_on_tied_rows():
+    # the optimum e_0 vanishes on rows 1, 2 and 3, one more than
+    # dim(null D) = 2; the iterates r = e_0 +- 1e-6 (-7, 0, 5, 6) lie in
+    # {r : D r = w} and name Z = {1, 2}, and the tied row 3 takes their
+    # sign: the dual point is 0.2 for sign +1, 1.4 for 0 and 2.6 for -1
+    D = [[-0.5, 0.25, 0.5, -1.0], [0.75, 0.25, 0.75, 0.25]]
+    certify = _certifier(D, [-0.5, 0.75])
+    step = 1e-6 * np.array([-7.0, 0.0, 5.0, 6.0])
+    vertex = certify(np.array([1.0, 0.0, 0.0, 0.0]) + step)
+    assert vertex is not None
+    assert np.allclose(vertex, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert certify(np.array([1.0, 0.0, 0.0, 0.0]) - step) is None
+
+
+def test_consistent_system_short_circuits():
+    # w = -D b is rounding noise, so r = 0 is optimal without iterating
+    problem, p = gen_instance(256, 128, 100000)
+    for method in RESIDUAL_METHODS:
+        report = fit_via_residual(problem, method)
+        assert report.converged and report.iterations == 0
+        assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
+    b = problem.b.copy()
+    b[5] += 1e-6
+    assert fit_via_residual(MlmProblem(problem.A, b), "linprog").iterations > 0
 
 
 @pytest.mark.parametrize("solver", ITERATIVE)

@@ -1,26 +1,9 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, bench, fit_linprog, fit_via_residual, oracle_solve, residual_linprog
+from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog
 from l1fit.simplex import _start_rows, l1_vertex
-from support import dependent_top_rows_problem
-
-
-def _certificate(A, b, x):
-    """||A_Z^-T A_S^T sign(r_S)||_inf at x, with Z the n rows of smallest |r|.
-
-    Computed from x alone, without the solver's rows or factors; a value
-    at most 1 proves x optimal.
-    """
-    r = A @ x - b
-    order = np.argsort(np.abs(r), kind="stable")
-    Z, S = order[: A.shape[1]], order[A.shape[1]:]
-    return float(np.max(np.abs(np.linalg.solve(A[Z].T, A[S].T @ np.sign(r[S])))))
-
-
-def _bench_problem(m, n, sparsity, seed):
-    problem, _ = bench.gen_instance(m, n, seed)
-    return MlmProblem(problem.A, bench.add_sparse_noise(problem.b, sparsity, 0.25, seed))
+from support import bench_problem, dependent_top_rows_problem, vertex_certificate
 
 
 def _highs_cost(A, b):
@@ -113,7 +96,7 @@ def test_vertex_is_basic_and_feasible():
         assert np.linalg.matrix_rank(A[vertex.rows]) == 4
         r = A @ vertex.x - b
         assert np.max(np.abs(r[vertex.rows])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
-        assert _certificate(A, b, vertex.x) <= 1.0 + 1e-9
+        assert vertex_certificate(A, b, vertex.x) <= 1.0 + 1e-9
 
 
 def test_objective_dominates_random_feasible_points():
@@ -128,7 +111,7 @@ def test_objective_dominates_random_feasible_points():
 
 
 def test_deterministic():
-    problem = _bench_problem(64, 16, 0.25, 12)
+    problem = bench_problem(64, 16, 0.25, 12)
     first = l1_vertex(problem.A, problem.b)
     second = l1_vertex(problem.A, problem.b)
     assert first.steps == second.steps
@@ -194,7 +177,7 @@ def test_crash_start_vertex_is_basic_and_feasible(build):
         assert vertex.certified
         r = A @ vertex.x - b
         assert np.max(np.abs(r[vertex.rows])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
-        assert _certificate(A, b, vertex.x) <= 1.0 + 1e-9
+        assert vertex_certificate(A, b, vertex.x) <= 1.0 + 1e-9
 
 
 def _small_random_problems(seed, count):
@@ -205,7 +188,7 @@ def _small_random_problems(seed, count):
 
 
 @pytest.mark.parametrize("problems", [
-    lambda: [_bench_problem(256, 128, 0.75, seed) for seed in (100002, 700102)],
+    lambda: [bench_problem(256, 128, 0.75, seed) for seed in (100002, 700102)],
     lambda: _small_random_problems(18, 20),
 ], ids=["square", "tiny"])
 def test_converged_means_certified(problems):
@@ -215,14 +198,14 @@ def test_converged_means_certified(problems):
     for problem in problems():
         for report in (fit_linprog(problem), fit_via_residual(problem, "linprog")):
             assert report.converged
-            assert _certificate(problem.A, problem.b, report.x) <= 1.0 + 1e-9
+            assert vertex_certificate(problem.A, problem.b, report.x) <= 1.0 + 1e-9
 
 
 def test_second_phase_reaches_optimum_on_s200101():
     # on this instance the optimum of the perturbed first phase is 2.6e-6
     # above the true optimum, with ||s||_inf = 0.9987 on the perturbed
     # signs; the second phase on the original b reaches the optimum
-    problem = _bench_problem(256, 128, 0.25, 200101)
+    problem = bench_problem(256, 128, 0.25, 200101)
     vertex = l1_vertex(problem.A, problem.b)
     assert vertex.certified
     cost = np.sum(np.abs(problem.A @ vertex.x - problem.b))
@@ -231,7 +214,7 @@ def test_second_phase_reaches_optimum_on_s200101():
 
 def test_consistent_instances_interpolate():
     for m, n, seed in [(256, 128, 300000), (9, 3, 300001)]:
-        problem = _bench_problem(m, n, 0.0, seed)
+        problem = bench_problem(m, n, 0.0, seed)
         vertex = l1_vertex(problem.A, problem.b)
         assert vertex.certified
         p = np.linalg.lstsq(problem.A, problem.b, rcond=None)[0]
@@ -242,7 +225,7 @@ def test_degenerate_small_instances_match_oracle():
     # a quarter of the rows are noisy, so on 21 of these 27 instances the
     # optimum interpolates more than n rows: a degenerate vertex
     for j in range(27):
-        problem = _bench_problem(6 + j % 9, 2 + j % 3, 0.25, 100 + j)
+        problem = bench_problem(6 + j % 9, 2 + j % 3, 0.25, 100 + j)
         vertex = l1_vertex(problem.A, problem.b)
         assert vertex.certified
         cost = np.sum(np.abs(problem.A @ vertex.x - problem.b))
@@ -251,7 +234,7 @@ def test_degenerate_small_instances_match_oracle():
 
 
 def test_step_budget_reports_not_certified(monkeypatch):
-    problem = _bench_problem(64, 16, 0.25, 17)
+    problem = bench_problem(64, 16, 0.25, 17)
     monkeypatch.setattr("l1fit.simplex._STEPS_PER_DIM", 0)
     report = fit_linprog(problem)
     assert not report.converged and report.iterations == 0
@@ -270,7 +253,7 @@ def test_matches_scipy_reference():
 def test_restored_basis_is_feasible_on_bench_instance():
     # on this instance the basis of the perturbed optimum is not optimal
     # for the original right-hand side; the second phase repairs it
-    problem = _bench_problem(256, 128, 0.25, 1200101)
+    problem = bench_problem(256, 128, 0.25, 1200101)
     report = fit_linprog(problem)
     assert report.converged
     assert report.cost == pytest.approx(_highs_cost(problem.A, problem.b), rel=1e-9)
