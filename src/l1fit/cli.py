@@ -90,14 +90,14 @@ def _cmd_solve(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"l1fit solve: error: {exc}", file=sys.stderr)
         return 1
-    params = SolverParams(
-        epsilon=args.eps,
-        lam=args.lam,
-        maxiter=args.maxiter if args.maxiter is not None else 10000,
-        tau=args.tau,
-        mu=args.mu,
-    )
     try:
+        params = SolverParams(
+            epsilon=args.eps,
+            lam=args.lam,
+            maxiter=args.maxiter if args.maxiter is not None else 10000,
+            tau=args.tau,
+            mu=args.mu,
+        )
         report = solve(problem, args.method, params,
                        perturbation_c=args.ptb_c, perturbation_maxiter=args.maxiter)
     except ValueError as exc:

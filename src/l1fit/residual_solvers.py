@@ -7,11 +7,11 @@ directions, and a proximity-operator scheme).  ``fit_via_residual`` wires
 any of them into the reduce -> solve -> recover pipeline and answers a
 consistent system (w = -D b at rounding level) with r = 0 directly.
 
-By the paper's equivalence theorem an optimal residual vanishes on
-dim(null D) rows.  The gradient-projection, interior-point, shrinkage,
-alternating-directions and proximity solvers therefore also try an exact
-vertex certificate on their iterates (``_vertex_certifier``): once the
-vertex an iterate points at is proved optimal, they return that vertex
+The six iterative methods share one QR of D^T (``_orthonormal_pair``),
+which gives the row-orthonormal pair they iterate on and a kernel basis
+of D.  By the paper's equivalence theorem an optimal residual vanishes on
+dim(null D) rows; all but the homotopy try an exact vertex certificate on
+their iterates (``_certify_vertex``) and return a vertex it proves optimal
 with converged=True (a crossover).  Otherwise their own stop rules and
 the iteration budget decide, and they return the raw iterate.
 """
@@ -68,14 +68,16 @@ _ADM_ZETA = 1.618
 _CERTIFY_EVERY = 50
 # a vertex entry at most this share of (1 + ||r||_inf) counts as zero
 _VERTEX_TOL = 1e-9
+# a QR pivot of D^T at most this share of the largest marks dependent rows
+_RANK_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
 class SolverParams:
     """Shared knobs for the iterative solvers.
 
-    epsilon  stopping / constraint tolerance (also the homotopy's terminal
-             regularization level)
+    epsilon  positive stopping / constraint tolerance (also the homotopy's
+             terminal regularization level; its path cannot end at 0)
     lam      penalty weight of the quadratic relaxation solved by the
              gradient-projection, interior-point and shrinkage methods
     maxiter  iteration cap; solvers report converged=False when they hit it
@@ -92,8 +94,8 @@ class SolverParams:
     mu: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
         if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         if not self.maxiter >= 1:
@@ -120,20 +122,28 @@ def _check_dw(D, w):
     return D, w
 
 
-def _row_orthonormalize(D, w):
-    """Equivalent constraint pair with orthonormal rows (D D^T = I).
+def _orthonormal_pair(D, w):
+    """Equivalent constraint pair with orthonormal rows, and a kernel basis.
 
-    The constraint set {r : D r = w} is unchanged; first-order, path-following
-    and alternating-direction iterations behave far better when the row Gram
-    matrix is the identity (the published step-size recipes assume it).
-    The pair is (L^-1 D, L^-1 w) for the Cholesky factor L of D D^T.  Its
-    LinAlgError on linearly dependent rows of D is the callers' only rank
-    check: an orthonormal basis from a QR of D^T would silently drop a
-    constraint instead.
+    First-order, path-following and alternating-direction iterations behave
+    far better when the row Gram matrix is the identity (the published
+    step-size recipes assume it).  One complete QR D^T = Q R gives the pair
+    R1^-T [D | w] (R1 the top k x k block of R; {r : D r = w} is unchanged)
+    and the kernel basis N = Q[:, k:] of D.  Not Q1^T D: R1^-T D is the
+    Cholesky pair L^-1 D up to row signs and keeps equal columns of D
+    bitwise equal (a tie the homotopy must see).  Dependent rows raise
+    LinAlgError (a pivot of R1 at most sqrt(eps) of the largest, about where
+    that Cholesky fails), the callers' only rank check: an orthonormal basis
+    of D's row space would silently drop a constraint.
     """
     D, w = _check_dw(D, w)
-    L = np.linalg.cholesky(D @ D.T)
-    return np.linalg.solve(L, D), np.linalg.solve(L, w)
+    k = D.shape[0]
+    Q, R = np.linalg.qr(D.T, mode="complete")
+    pivots = np.abs(R.diagonal())
+    if pivots.size and pivots.min() <= _RANK_TOL * pivots.max():
+        raise np.linalg.LinAlgError("the rows of D are linearly dependent")
+    Dw = np.linalg.solve(R[:k].T, np.concatenate((D, w[:, None]), axis=1))
+    return Dw[:, :-1], Dw[:, -1], Q[:, k:]
 
 
 def _lambda_levels(D, w, lam_target):
@@ -167,49 +177,41 @@ def _restore_feasibility(r, D, w):
     return r - D.T @ (D @ r - w)
 
 
-def _vertex_certifier(D, w):
+def _certify_vertex(D, w, N, r):
     """Exact optimality test of the vertex an iterate points at (crossover).
 
-    For orthonormal-row D.  An optimal residual vanishes on k = dim(null D)
-    rows (the equivalence theorem).  ``certify(r)`` restores feasibility,
-    takes the rows Z of the k smallest |r_f| and moves inside the kernel N
-    of D (one complete QR of D^T, taken on the first try) to the vertex
-    r_v = r_f - N N_Z^-1 r_f[Z].  With sigma = sign(r_v), sigma_Z = 0 and
-    rows that vanish off Z taking the iterate's sign, the dual point
+    For an orthonormal-row pair (D, w) and the kernel basis N of D from
+    ``_orthonormal_pair``.  An optimal residual vanishes on k = dim(null D)
+    rows (the equivalence theorem).  This restores feasibility of r, takes
+    the rows Z of the k smallest |r_f| and moves inside the kernel to the
+    vertex r_v = r_f - N N_Z^-1 r_f[Z].  With sigma = sign(r_v), sigma_Z = 0
+    and rows that vanish off Z taking the iterate's sign, the dual point
     g_Z = -N_Z^-T N^T sigma proves r_v optimal when ||g_Z||_inf <= 1.
     Returns r_v, or None when N_Z is singular or ill-conditioned (r_v does
     not vanish on Z) or the certificate fails.
     """
-    N = None
-
-    def certify(r):
-        nonlocal N
-        if N is None:
-            N = np.linalg.qr(D.T, mode="complete")[0][:, D.shape[0]:]
-        rf = _restore_feasibility(r, D, w)
-        k = N.shape[1]
-        Z = np.argpartition(np.abs(rf), k - 1)[:k]
-        NZ = N[Z]
-        try:
-            rv = rf - N @ np.linalg.solve(NZ, rf[Z])
-        except np.linalg.LinAlgError:
-            return None
-        tol = _VERTEX_TOL * (1.0 + norm_inf(rv))
-        if norm_inf(rv[Z]) > tol:
-            return None
-        sigma = np.where(np.abs(rv) <= tol, np.sign(r), np.sign(rv))
-        sigma[Z] = 0.0
-        g = np.linalg.solve(NZ.T, N.T @ sigma)
-        return rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None
-
-    return certify
+    rf = _restore_feasibility(r, D, w)
+    k = N.shape[1]
+    Z = np.argpartition(np.abs(rf), k - 1)[:k]
+    NZ = N[Z]
+    try:
+        rv = rf - N @ np.linalg.solve(NZ, rf[Z])
+    except np.linalg.LinAlgError:
+        return None
+    tol = _VERTEX_TOL * (1.0 + norm_inf(rv))
+    if norm_inf(rv[Z]) > tol:
+        return None
+    sigma = np.where(np.abs(rv) <= tol, np.sign(r), np.sign(rv))
+    sigma[Z] = 0.0
+    g = np.linalg.solve(NZ.T, N.T @ sigma)
+    return rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None
 
 
 def _certified(r, it) -> ResidualSolution:
     return ResidualSolution(r=r, iterations=it, converged=True, objective=norm1(r))
 
 
-def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
+def _continuation(D, w, N, p, state, step, stationarity) -> ResidualSolution:
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
@@ -219,10 +221,10 @@ def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
     level ends at its target or, for a middle level, on a stall, and then
     rewinds to the best state it saw, as does a run that exhausts the
     budget.  Every ``_CERTIFY_EVERY`` steps the vertex certificate is tried
-    on r; once it holds, the certified vertex is the answer.  Otherwise the
-    answer gets an l2-minimal feasibility restoration.
+    on r (N is the kernel basis of D); once it holds, the certified vertex
+    is the answer.  Otherwise the answer gets an l2-minimal feasibility
+    restoration.
     """
-    certify = _vertex_certifier(D, w)
     levels = _lambda_levels(D, w, p.lam)
     it = 0
     converged = True
@@ -248,7 +250,7 @@ def _continuation(D, w, p, state, step, stationarity) -> ResidualSolution:
                 break
             state = step(state, lam, it == start)
             it += 1
-            if it % _CERTIFY_EVERY == 0 and (vertex := certify(state[0])) is not None:
+            if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, state[0])) is not None:
                 return _certified(vertex, it)
         if not converged:
             break
@@ -284,15 +286,15 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
 
     Projected Barzilai-Borwein steps on r = u - v (u, v >= 0) with an exact
     line search, step lengths clipped to [1e-30, 1e30], run on the
-    row-orthonormalized system inside ``_continuation``; each level is left
-    once the stationarity residual drops below _LEVEL_TOL times the level,
-    the last level being ``lam``.  Every 50 steps the vertex certificate is
-    tried; a certified vertex ends the run.
+    row-orthonormal pair from one QR inside ``_continuation``; each level is
+    left once the stationarity residual drops below _LEVEL_TOL times the
+    level, the last level being ``lam``.  Every 50 steps the vertex
+    certificate is tried; a certified vertex ends the run.
     """
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("gradient projection requires lam > 0")
-    D, w = _row_orthonormalize(D, w)
+    D, w, N = _orthonormal_pair(D, w)
     r = np.zeros(D.shape[1])
     Dr = D @ r
 
@@ -330,15 +332,15 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
         return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity)
+        return _continuation(D, w, N, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity)
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Truncated-Newton primal interior-point method with PCG directions.
 
     The Newton system for the log-barrier formulation is solved by
-    preconditioned conjugate gradients on the row-orthonormalized system
-    (which keeps the Newton systems well conditioned); the duality gap is
+    preconditioned conjugate gradients on the row-orthonormal pair from one
+    QR (which keeps the Newton systems well conditioned); the duality gap is
     tested relative to the dual objective (only once that is positive).
     After every accepted step the vertex certificate is tried (one step
     costs far more than a try); a certified vertex ends the run.  When
@@ -349,9 +351,8 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
-    D, w = _row_orthonormalize(D, w)
+    D, w, N = _orthonormal_pair(D, w)
     m = D.shape[1]
-    certify = _vertex_certifier(D, w)
 
     mu_t, ls_alpha, ls_beta = 2.0, 0.01, 0.5
     r = np.zeros(m)
@@ -433,7 +434,7 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f = r_new, u_new, f_new
-        if (vertex := certify(r)) is not None:
+        if (vertex := _certify_vertex(D, w, N, r)) is not None:
             return _certified(vertex, it)
 
     out = _restore_feasibility(r if converged else best_r, D, w)
@@ -485,8 +486,8 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
 def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=None):
     """Follow the regularization path from ||D^T w||_inf down to epsilon.
 
-    Runs on the row-orthonormalized system, where the correlations keep the
-    signs the path rules assume; on the paper's D = [-C I] they drift and
+    Runs on the row-orthonormal pair from one QR, where the correlations keep
+    the signs the path rules assume; on the paper's D = [-C I] they drift and
     the path can end off the optimum.  Maintains the active support and its
     Gram matrix, re-solving the small direction system densely at each
     breakpoint.  ``support_trace`` (a list, if given) records the support
@@ -494,7 +495,7 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
     restoration.
     """
     p = params or SolverParams()
-    D, w = _row_orthonormalize(D, w)
+    D, w, _ = _orthonormal_pair(D, w)
     m = D.shape[1]
     lam = p.epsilon  # terminal level of the path
 
@@ -559,17 +560,17 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Iterative shrinkage-thresholding with Barzilai-Borwein curvature.
 
-    Runs inside ``_continuation``, like the gradient-projection solver;
-    within a level each shrinkage step must not increase the penalized
-    objective (the curvature estimate is doubled until it does not), which
-    keeps the non-monotone Barzilai-Borwein choice from blowing up.  Every
-    50 steps the vertex certificate is tried; a certified vertex ends the
-    run.
+    Runs on the row-orthonormal pair from one QR inside ``_continuation``,
+    like the gradient-projection solver; within a level each shrinkage step
+    must not increase the penalized objective (the curvature estimate is
+    doubled until it does not), which keeps the non-monotone
+    Barzilai-Borwein choice from blowing up.  Every 50 steps the vertex
+    certificate is tried; a certified vertex ends the run.
     """
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("iterative shrinkage requires lam > 0")
-    D, w = _row_orthonormalize(D, w)
+    D, w, N = _orthonormal_pair(D, w)
     r = np.zeros(D.shape[1])
     s = D @ r - w
 
@@ -596,13 +597,13 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     def stationarity(state, lam):
         return _qp_stationarity(state[0], state[2], lam, 0.0)
 
-    return _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity)
+    return _continuation(D, w, N, p, (r, s, D.T @ s, 1.0, None), step, stationarity)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Alternating-directions method on the dual of the residual problem.
 
-    Runs on the row-orthonormalized system, where the unit dual gradient
+    Runs on the row-orthonormal pair from one QR, where the unit dual gradient
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
@@ -617,8 +618,7 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     mn, m = D0.shape
     if wnorm0 == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    D, w = _row_orthonormalize(D0, w0)
-    certify = _vertex_certifier(D, w)
+    D, w, N = _orthonormal_pair(D0, w0)
     mu = p.mu if p.mu is not None else float(np.mean(np.abs(w)))
 
     r = D.T @ w
@@ -641,7 +641,7 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
         if norm2(D0 @ r - w0) <= p.epsilon * wnorm0 and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             converged = True
             break
-        if it % _CERTIFY_EVERY == 0 and (vertex := certify(r)) is not None:
+        if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
             return _certified(vertex, it)
     r = _restore_feasibility(r, D, w)
     return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
@@ -651,7 +651,7 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Proximity-operator scheme: shrinkage step plus a ball projection.
 
     Requires tau > mu * ||D||_2^2 > 0; by default mu = 0.999 tau / ||D||_2^2.
-    The iteration runs on the row-orthonormalized system with w rescaled to
+    The iteration runs on the row-orthonormal pair from one QR, w rescaled to
     a fixed working norm (the solution is scaled back afterwards; the
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
@@ -667,10 +667,9 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     wnorm0 = norm2(w0)
     if mn == 0 or wnorm0 == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    D, w = _row_orthonormalize(D0, w0)
+    D, w, N = _orthonormal_pair(D0, w0)
     scale = _POB_W_NORM / norm2(w)
     w = scale * w
-    certify = _vertex_certifier(D, w)
     # the rows are orthonormal, so ||D||_2 = 1
     mu = p.mu if p.mu is not None else 0.999 * p.tau
     if not p.tau > mu > 0.0:
@@ -690,7 +689,7 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D0 @ (r / scale) - w0) <= feas_gate:
             converged = True
             break
-        if it % _CERTIFY_EVERY == 0 and (vertex := certify(r)) is not None:
+        if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
             return _certified(vertex / scale, it)
         zdual = y
         t = D @ r + zdual - w

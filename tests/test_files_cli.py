@@ -187,3 +187,19 @@ def test_cli_bench_deterministic_modulo_runtime(tmp_path, capsys):
 def test_cli_bench_rejects_zero_repeats(capsys):
     assert main(["bench", "--experiment", "noise-free", "--repeats", "0"]) == 1
     assert "repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--maxiter", "0", "maxiter"),
+    ("--tau", "0", "tau"),
+    ("--eps", "-1", "epsilon"),
+])
+def test_cli_solve_bad_solver_parameter_is_usage_error(tmp_path, capsys, flag, value, message):
+    rng = np.random.default_rng(86)
+    write_matrix(tmp_path / "A.txt", rng.standard_normal((6, 2)))
+    write_vector(tmp_path / "b.txt", rng.standard_normal(6))
+    code = main(["solve", "--method", "l1-adm", "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt"), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("l1fit solve: error: ") and message in err

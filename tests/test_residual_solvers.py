@@ -7,10 +7,10 @@ from l1fit.residual_solvers import (
     _LEVEL_STALL,
     RESIDUAL_METHODS,
     SolverParams,
+    _certify_vertex,
     _continuation,
     _lambda_levels,
-    _row_orthonormalize,
-    _vertex_certifier,
+    _orthonormal_pair,
     fit_via_residual,
     residual_adm,
     residual_gpsr,
@@ -117,7 +117,8 @@ def test_iterative_converged_means_certified(method, seed, sparsity):
 
 
 def _certifier(D, w):
-    return _vertex_certifier(*_row_orthonormalize(D, w))
+    pair = _orthonormal_pair(D, w)
+    return lambda r: _certify_vertex(*pair, r)
 
 
 @pytest.mark.parametrize("slope", [0.5, 0.95])
@@ -222,6 +223,35 @@ def test_orthonormalizing_solvers_reject_dependent_rows(solver):
         solver(D, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(42), 12, 4),
+                                     dependent_top_rows_problem()])
+def test_orthonormal_pair_keeps_the_constraint_set(problem):
+    # reduce_problem's [-C I], and its orthonormal left null basis of A for a
+    # singular top block
+    rs = reduce_problem(problem)
+    Dt, wt, N = _orthonormal_pair(rs.D, rs.w)
+    k, m = rs.D.shape
+    assert Dt.shape == (k, m) and N.shape == (m, m - k)
+    assert np.allclose(Dt @ Dt.T, np.eye(k), rtol=0.0, atol=1e-12)
+    assert np.allclose(N.T @ N, np.eye(m - k), rtol=0.0, atol=1e-12)
+    assert np.allclose(Dt @ N, 0.0, rtol=0.0, atol=1e-12)
+    # every residual A x - b is feasible, for the lstsq x and for random x
+    rng = np.random.default_rng(43)
+    xs = [np.linalg.lstsq(problem.A, problem.b, rcond=None)[0]]
+    xs += [rng.standard_normal(problem.n) for _ in range(3)]
+    for x in xs:
+        r = problem.A @ x - problem.b
+        assert norm2(Dt @ r - wt) <= 1e-12 * (1.0 + norm2(wt))
+
+
+def test_orthonormal_pair_keeps_equal_columns_equal():
+    rng = np.random.default_rng(44)
+    D = rng.standard_normal((3, 6))
+    D[:, 4] = D[:, 1]
+    Dt, _, _ = _orthonormal_pair(D, rng.standard_normal(3))
+    assert np.array_equal(Dt[:, 4], Dt[:, 1])
+
+
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_deterministic(solver):
     rng = np.random.default_rng(33)
@@ -300,6 +330,8 @@ def test_pob_parameter_precondition():
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(epsilon=-1.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        SolverParams(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverParams(maxiter=0)
     with pytest.raises(ValueError):
@@ -378,7 +410,8 @@ class _ScriptedSolver:
 
     def run(self, maxiter=10000):
         params = SolverParams(lam=self.lam, maxiter=maxiter)
-        res = _continuation(self.D, self.w, params, (np.zeros(2),), self.step, self.stationarity)
+        N = _orthonormal_pair(self.D, self.w)[2]
+        res = _continuation(self.D, self.w, N, params, (np.zeros(2),), self.step, self.stationarity)
         return res, int(res.r[1])
 
     def depths(self):
