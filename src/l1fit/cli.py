@@ -1,7 +1,8 @@
 """Command-line interface: generate data, solve instances, run benchmarks.
 
 Exit codes: 0 success, 1 usage or parse error, 2 solver stopped at the
-iteration limit (the result is still printed).
+iteration limit (the result is still printed) or the solver failed
+(``l1fit solve: error: ...`` on stderr, no x written).
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"l1fit solve: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # the method broke down on this instance
+        print(f"l1fit solve: error: {exc}", file=sys.stderr)
+        return 2
     lines = "\n".join(format(v, ".17g") for v in report.x) + "\n"
     if args.out is None:
         sys.stdout.write(lines)

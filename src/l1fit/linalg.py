@@ -60,17 +60,12 @@ def pinv(A) -> np.ndarray:
     Singular values <= ``default_rank_tol(A)`` are treated as zero, so a
     zero matrix maps to its transposed zero matrix.
     """
-    return _pinv_and_rank(A)[0]
-
-
-def _pinv_and_rank(A) -> tuple[np.ndarray, int]:
-    """``pinv(A)`` and the rank it kept, both from the same SVD."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("pinv expects a nonempty 2-d matrix")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s > default_rank_tol(A)
-    return (Vt[keep].T / s[keep]) @ U[:, keep].T, int(np.count_nonzero(keep))
+    return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
 def nullspace_basis(A) -> np.ndarray:

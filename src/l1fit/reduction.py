@@ -5,11 +5,13 @@ pair (D, w) with
 
     D = [-A2 A1^+  I_{m-n}],   w = A2 A1^+ b(1:n) - b(n+1:m),
 
-where A1 is the top n x n block of A and A2 the remaining rows (when that
-block is singular, D is an orthonormal basis of the left null space of A
-and w = -D b).  Every residual r = A x - b satisfies D r = w, and
-conversely the minimum-l1 residual r* recovers the optimal parameters
-through x* = A^+ (b + r*).
+where A1 is the top n x n block of A and A2 the remaining rows.  Every
+residual r = A x - b satisfies D r = w, and conversely the minimum-l1
+residual r* recovers the optimal parameters.  The reduction takes one
+complete QR factorization A = Q [R; 0] and recovers x* = R^-1 Q1^T (b + r*)
+with Q1 = Q[:, :n].  Q2 = Q[:, n:] spans the left null space of A: when A1
+is singular, D = Q2^T and w = -D b, and the residual solvers' pipeline runs
+on that orthonormal pair with the kernel basis Q1 of D.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _pinv_and_rank, norm1, norm_inf, nullspace_basis
+from .linalg import default_rank_tol, norm1, norm_inf
 
 __all__ = [
     "MlmProblem",
@@ -86,41 +88,45 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """(D, w) plus the pseudoinverse of A used for recovery."""
+    """(D, w) plus the complete QR factors of A: A = Q[:, :n] R, R of size n x n."""
 
     D: np.ndarray
     w: np.ndarray
-    A_pinv: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
 
 
 def reduce_problem(problem: MlmProblem) -> ReducedSystem:
-    """Build the reduced system for ``problem``.
+    """Build the reduced system for ``problem`` from one complete QR of A.
 
-    The top n x n block A1 is used as-is when it is nonsingular.  Otherwise
-    D is an orthonormal basis of the left null space of A (D A = 0, from one
-    SVD of A^T) and w = -D b, so D r = w still holds for every residual
-    r = A x - b.  Raises ValueError when A itself has column rank below n.
+    The top n x n block A1 is used as-is when its singular values all exceed
+    ``default_rank_tol(A)``; A then has full column rank too, since
+    sigma_min(A) >= sigma_min(A1).  Otherwise D = Q2^T, an orthonormal basis
+    of the left null space of A (D A = 0), and w = -D b, so D r = w still
+    holds for every residual r = A x - b.  Raises ValueError when A itself
+    has column rank below n (judged on the singular values of R).
     """
     A, b = problem.A, problem.b
     m, n = problem.m, problem.n
-    A_pinv, rank = _pinv_and_rank(A)
-    if rank < n:
+    Q, R = np.linalg.qr(A, mode="complete")
+    R = R[:n]
+    tol = default_rank_tol(A)
+    if np.linalg.svd(A[:n], compute_uv=False)[-1] > tol:
+        C = np.linalg.solve(A[:n].T, A[n:].T).T
+        D = np.hstack([-C, np.eye(m - n)])
+        return ReducedSystem(D=D, w=C @ b[:n] - b[n:], Q=Q, R=R)
+    if np.linalg.svd(R, compute_uv=False)[-1] <= tol:
         raise ValueError("A has column rank below n; the l1 fit is not unique")
-    top_pinv, top_rank = _pinv_and_rank(A[:n])
-    if top_rank < n:
-        D = nullspace_basis(A.T).T
-        return ReducedSystem(D=D, w=-(D @ b), A_pinv=A_pinv)
-    C = A[n:] @ top_pinv
-    D = np.hstack([-C, np.eye(m - n)])
-    return ReducedSystem(D=D, w=C @ b[:n] - b[n:], A_pinv=A_pinv)
+    D = Q[:, n:].T
+    return ReducedSystem(D=D, w=-(D @ b), Q=Q, R=R)
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:
-    """Map an optimal residual back to parameters: x = A^+ (b + r)."""
+    """Map an optimal residual back to parameters: x = R^-1 Q1^T (b + r)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (problem.m,):
         raise ValueError(f"residual must have length {problem.m}, got shape {r.shape}")
-    return reduced.A_pinv @ (problem.b + r)
+    return np.linalg.solve(reduced.R, reduced.Q[:, :problem.n].T @ (problem.b + r))
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,25 @@
 Seven interchangeable routines are provided: an exact vertex simplex and
 six iterative methods (gradient projection, truncated-Newton interior
 point, homotopy path following, iterative shrinkage, alternating
-directions, and a proximity-operator scheme).  ``fit_via_residual`` wires
-any of them into the reduce -> solve -> recover pipeline and answers a
-consistent system (w = -D b at rounding level) with r = 0 directly.
+directions, and a proximity-operator scheme).
 
-The six iterative methods share one QR of D^T (``_orthonormal_pair``),
-which gives the row-orthonormal pair they iterate on and a kernel basis
-of D.  By the paper's equivalence theorem an optimal residual vanishes on
-dim(null D) rows; all but the homotopy try an exact vertex certificate on
-their iterates (``_certify_vertex``) and return a vertex it proves optimal
-with converged=True (a crossover).  Otherwise their own stop rules and
-the iteration budget decide, and they return the raw iterate.
+Each method is a core solver ``(D, w, N, params)`` on a pair with
+orthonormal rows and a kernel basis N of D; ``RESIDUAL_METHODS`` maps the
+method names to these cores.  ``fit_via_residual`` wires them into the
+reduce -> solve -> recover pipeline: from the complete QR A = Q [R; 0]
+that ``reduce_problem`` takes it hands every core D = Q2^T, w = -D b and
+N = Q1, so nothing else is factored per fit, and it answers a consistent
+system (w at rounding level) with r = 0 directly.  The public
+``residual_*`` functions accept any pair (D, w): the six iterative ones
+orthonormalize it with one QR of D^T (``_orthonormal_pair``), the vertex
+simplex with one SVD of D, and then run the core.
+
+By the paper's equivalence theorem an optimal residual vanishes on
+dim(null D) rows; all iterative cores but the homotopy try an exact
+vertex certificate on their iterates (``_certify_vertex``) and return a
+vertex it proves optimal with converged=True (a crossover).  Otherwise
+their own stop rules and the iteration budget decide, and they return the
+raw iterate.
 """
 
 from __future__ import annotations
@@ -258,27 +266,34 @@ def _continuation(D, w, N, p, state, step, stationarity) -> ResidualSolution:
     return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
 
 
-def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSolution:
-    """Exact minimum-l1 residual by the vertex simplex on a basis of {r : D r = w}.
-
-    One SVD of D gives the kernel basis N = V2 and the minimum-norm point
-    r0 = V1 S^-1 U1^T w (rank from ``default_rank_tol``); a w outside the
-    range of D raises ValueError.  The answer r = N z + r0 takes z from
-    ``l1_vertex(N, -r0)``, so at least dim(null D) entries of r vanish.
-    ``iterations`` counts basis changes; ``converged`` is the vertex's
-    optimality certificate, False when the step budget ran out.
-    """
-    D, w = _check_dw(D, w)
-    U, sv, Vt = np.linalg.svd(D, full_matrices=True)
-    rank = int(np.count_nonzero(sv > default_rank_tol(D)))
-    r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
-    if norm2(D @ r0 - w) > 1e-9 * (1.0 + norm2(w)):
-        raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
-    N = Vt[rank:].T
+def _linprog(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """The vertex simplex on an orthonormal pair: r = N z + D^T w, z from l1_vertex(N, -D^T w)."""
+    r0 = D.T @ w
     vertex = l1_vertex(N, -r0)
     r = N @ vertex.x + r0
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))
+
+
+def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSolution:
+    """Exact minimum-l1 residual by the vertex simplex on a basis of {r : D r = w}.
+
+    One SVD of D gives the orthonormal pair (V1^T, S^-1 U1^T w), whose
+    minimum-norm point is r0 = V1 S^-1 U1^T w, and the kernel basis N = V2
+    (rank from ``default_rank_tol``, so dependent consistent rows are
+    accepted); a w outside the range of D raises ValueError.  The answer
+    r = N z + r0 takes z from ``l1_vertex(N, -r0)``, so at least
+    dim(null D) entries of r vanish.  ``iterations`` counts basis changes;
+    ``converged`` is the vertex's optimality certificate, False when the
+    step budget ran out.
+    """
+    D, w = _check_dw(D, w)
+    U, sv, Vt = np.linalg.svd(D, full_matrices=True)
+    rank = int(np.count_nonzero(sv > default_rank_tol(D)))
+    wt = (U[:, :rank].T @ w) / sv[:rank]
+    if norm2(D @ (Vt[:rank].T @ wt) - w) > 1e-9 * (1.0 + norm2(w)):
+        raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
+    return _linprog(Vt[:rank], wt, Vt[rank:].T, params)
 
 
 def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -291,10 +306,14 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     level, the last level being ``lam``.  Every 50 steps the vertex
     certificate is tried; a certified vertex ends the run.
     """
+    return _gpsr(*_orthonormal_pair(D, w), params)
+
+
+def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_gpsr``'s iteration on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("gradient projection requires lam > 0")
-    D, w, N = _orthonormal_pair(D, w)
     r = np.zeros(D.shape[1])
     Dr = D @ r
 
@@ -348,10 +367,14 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     best iterate seen is returned with converged=False.  The returned point
     gets an l2-minimal feasibility restoration.
     """
+    return _tnipm(*_orthonormal_pair(D, w), params)
+
+
+def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_tnipm``'s iteration on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
-    D, w, N = _orthonormal_pair(D, w)
     m = D.shape[1]
 
     mu_t, ls_alpha, ls_beta = 2.0, 0.01, 0.5
@@ -494,8 +517,12 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
     size at every step.  The end point gets an l2-minimal feasibility
     restoration.
     """
+    return _homotopy(*_orthonormal_pair(D, w), params, support_trace)
+
+
+def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
+    """``residual_homotopy``'s path on an orthonormal pair (N is not used)."""
     p = params or SolverParams()
-    D, w, _ = _orthonormal_pair(D, w)
     m = D.shape[1]
     lam = p.epsilon  # terminal level of the path
 
@@ -567,10 +594,14 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     Barzilai-Borwein choice from blowing up.  Every 50 steps the vertex
     certificate is tried; a certified vertex ends the run.
     """
+    return _ist(*_orthonormal_pair(D, w), params)
+
+
+def _ist(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_ist``'s iteration on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("iterative shrinkage requires lam > 0")
-    D, w, N = _orthonormal_pair(D, w)
     r = np.zeros(D.shape[1])
     s = D @ r - w
 
@@ -607,18 +638,27 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio uses the original pair (D, w) and the returned point gets
-    an l2-minimal feasibility restoration.  Every 50 iterations the vertex
+    stopping ratio uses the caller's pair (D, w) (in ``fit_via_residual``,
+    the orthonormal pair the core runs on) and the returned point gets an
+    l2-minimal feasibility restoration.  Every 50 iterations the vertex
     certificate is tried; a certified vertex ends the run.  A zero w is
     answered immediately with r = 0, which is exactly optimal.
     """
+    D, w = _check_dw(D, w)
+    return _adm(*_orthonormal_pair(D, w), params, stop_pair=(D, w))
+
+
+def _adm(D, w, N, params: SolverParams | None = None, stop_pair=None) -> ResidualSolution:
+    """``residual_adm``'s iteration on an orthonormal pair with kernel basis N.
+
+    The stopping ratio is measured on ``stop_pair`` (D0, w0), by default (D, w).
+    """
     p = params or SolverParams()
-    D0, w0 = _check_dw(D, w)
+    D0, w0 = stop_pair or (D, w)
     wnorm0 = norm2(w0)
-    mn, m = D0.shape
+    mn, m = D.shape
     if wnorm0 == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    D, w, N = _orthonormal_pair(D0, w0)
     mu = p.mu if p.mu is not None else float(np.mean(np.abs(w)))
 
     r = D.T @ w
@@ -656,18 +696,27 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
     internal stop only counts once the original constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)); every 50 iterations the vertex
-    certificate is tried, and a certified vertex ends the run; the returned
-    point gets an l2-minimal feasibility restoration; a zero w returns r = 0
-    directly.
+    max(epsilon, 1e-6 * (1 + ||w||_2)) on the caller's pair (D, w) (in
+    ``fit_via_residual``, the orthonormal pair the core runs on); every 50
+    iterations the vertex certificate is tried, and a certified vertex ends
+    the run; the returned point gets an l2-minimal feasibility restoration;
+    a zero w returns r = 0 directly.
+    """
+    D, w = _check_dw(D, w)
+    return _pob(*_orthonormal_pair(D, w), params, stop_pair=(D, w))
+
+
+def _pob(D, w, N, params: SolverParams | None = None, stop_pair=None) -> ResidualSolution:
+    """``residual_pob``'s iteration on an orthonormal pair with kernel basis N.
+
+    The stopping gate is measured on ``stop_pair`` (D0, w0), by default (D, w).
     """
     p = params or SolverParams()
-    D0, w0 = _check_dw(D, w)
-    mn, m = D0.shape
+    D0, w0 = stop_pair or (D, w)
+    mn, m = D.shape
     wnorm0 = norm2(w0)
     if mn == 0 or wnorm0 == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    D, w, N = _orthonormal_pair(D0, w0)
     scale = _POB_W_NORM / norm2(w)
     w = scale * w
     # the rows are orthonormal, so ||D||_2 = 1
@@ -702,14 +751,15 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
 
 
+# the core solvers (D, w, N, params) on an orthonormal pair, by method name
 RESIDUAL_METHODS = {
-    "linprog": residual_linprog,
-    "gpsr": residual_gpsr,
-    "tnipm": residual_tnipm,
-    "homotopy": residual_homotopy,
-    "ist": residual_ist,
-    "adm": residual_adm,
-    "pob": residual_pob,
+    "linprog": _linprog,
+    "gpsr": _gpsr,
+    "tnipm": _tnipm,
+    "homotopy": _homotopy,
+    "ist": _ist,
+    "adm": _adm,
+    "pob": _pob,
 }
 
 RESIDUAL_LABELS = {
@@ -732,9 +782,14 @@ def fit_via_residual(
     """Solve min ||A x - b||_1 by the reduce -> solve -> recover pipeline.
 
     ``method`` picks the residual solver; a precomputed ``reduced`` system
-    may be passed to amortize the reduction over several solves.  When
-    |w| <= m eps |D| |b| holds in every row (no constraints, or w = -D b
-    is rounding noise), r = 0 is optimal and no solver runs.
+    of A may be passed to amortize the reduction over several right-hand
+    sides.  The solver runs on the orthonormal pair D = Q2^T, w = -D b and
+    the kernel basis Q1 from the reduction's QR factors; w is taken from
+    ``problem.b`` (every residual A x - b satisfies D r = -D b), not from
+    ``reduced.w``.  A ``reduced`` whose factors do not fit the problem
+    (Q not m x m or R not n x n) raises ValueError.  When
+    |w| <= m eps |D| |b| holds in every row (no constraints, or w is
+    rounding noise), r = 0 is optimal and no solver runs.
     """
     if method not in RESIDUAL_METHODS:
         raise ValueError(
@@ -742,15 +797,21 @@ def fit_via_residual(
             + ", ".join(sorted(RESIDUAL_METHODS))
         )
     params = params or SolverParams()
+    m, n = problem.m, problem.n
     t0 = time.perf_counter()
     rs = reduced if reduced is not None else reduce_problem(problem)
-    rounding = problem.m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
-    if np.all(np.abs(rs.w) <= rounding):
-        # consistent system (w = -D b is rounding noise, or no constraints
-        # remain): r = 0 is optimal
-        res = ResidualSolution(r=np.zeros(problem.m), iterations=0, converged=True, objective=0.0)
+    if rs.Q.shape != (m, m) or rs.R.shape != (n, n):
+        raise ValueError(f"reduced system has Q {rs.Q.shape} and R {rs.R.shape}; "
+                         f"the problem needs ({m}, {m}) and ({n}, {n})")
+    D = np.ascontiguousarray(rs.Q[:, n:].T)
+    w = -(D @ problem.b)
+    rounding = m * np.finfo(float).eps * (np.abs(D) @ np.abs(problem.b))
+    if np.all(np.abs(w) <= rounding):
+        # consistent system (w is rounding noise, or no constraints remain):
+        # r = 0 is optimal
+        res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     else:
-        res = RESIDUAL_METHODS[method](rs.D, rs.w, params)
+        res = RESIDUAL_METHODS[method](D, w, rs.Q[:, :n], params)
     x = recover(problem, rs, res.r)
     residual = problem.A @ x - problem.b
     elapsed = time.perf_counter() - t0

@@ -142,6 +142,24 @@ def test_cli_solve_exit_two_when_budget_exhausted(tmp_path, capsys):
     assert (tmp_path / "x.txt").exists()  # result still written
 
 
+def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, capsys):
+    # L1-HP's support Gram matrix turns singular on this instance, where the
+    # other methods reach cost 3.5; the CLI printed a traceback
+    write_matrix(tmp_path / "A.txt", np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, 2.0], [0.0, 2.0]]))
+    write_vector(tmp_path / "b.txt", np.array([-1.0, 0.0, -1.0, -3.0]))
+    out = tmp_path / "x.txt"
+    code = main(["solve", "--method", "l1-hp", "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("l1fit solve: error: degenerate support system")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+    assert main(["solve", "--method", "l1-lp", "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt")]) == 0
+    assert float(capsys.readouterr().err.split("cost: ")[1].splitlines()[0]) == pytest.approx(3.5)
+
+
 def test_cli_solve_writes_out_file(tmp_path, capsys):
     rng = np.random.default_rng(85)
     A = rng.standard_normal((6, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, reduce_problem
+from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recover, reduce_problem
 from l1fit.linalg import norm1, norm2
 from l1fit.residual_solvers import (
     _LEVEL_STALL,
@@ -242,6 +242,49 @@ def test_orthonormal_pair_keeps_the_constraint_set(problem):
     for x in xs:
         r = problem.A @ x - problem.b
         assert norm2(Dt @ r - wt) <= 1e-12 * (1.0 + norm2(wt))
+
+
+@pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(45), 12, 4),
+                                     dependent_top_rows_problem()])
+def test_qr_route_matches_the_paper_route(problem):
+    # the pipeline solves on D = Q2^T with kernel Q1; the paper's D (the
+    # [-C I] of a nonsingular top block, Q2^T of a singular one) must cut
+    # out the same residuals: null(D) = range(A), and equal optima
+    rs = reduce_problem(problem)
+    m, n = problem.m, problem.n
+    Q, R = rs.Q, rs.R
+    scale = np.max(np.abs(problem.A))
+    assert Q.shape == (m, m) and R.shape == (n, n)
+    assert np.allclose(Q.T @ Q, np.eye(m), rtol=0.0, atol=1e-12)
+    assert np.allclose(Q[:, :n] @ R, problem.A, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(Q[:, n:].T @ problem.A, 0.0, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(rs.D @ Q[:, :n], 0.0, rtol=0.0, atol=1e-12 * np.max(np.abs(rs.D)))
+    pipeline = fit_via_residual(problem, "linprog").cost
+    paper = norm1(problem.A @ recover(problem, rs, residual_linprog(rs.D, rs.w).r) - problem.b)
+    direct = fit_linprog(problem).cost
+    assert pipeline == pytest.approx(direct, rel=1e-9)
+    assert paper == pytest.approx(direct, rel=1e-9)
+
+
+def test_driver_rejects_a_reduction_of_another_shape():
+    rng = np.random.default_rng(46)
+    prob = random_problem(rng, 10, 3)
+    with pytest.raises(ValueError, match="reduced system"):
+        fit_via_residual(prob, "linprog", reduced=reduce_problem(random_problem(rng, 9, 3)))
+    with pytest.raises(ValueError, match="reduced system"):
+        fit_via_residual(prob, "adm", reduced=reduce_problem(random_problem(rng, 10, 4)))
+
+
+def test_driver_takes_w_from_the_problem():
+    # one reduction of A serves every right-hand side: the solver's w comes
+    # from problem.b, whatever reduced.w holds
+    rng = np.random.default_rng(47)
+    A = rng.standard_normal((14, 4))
+    rs = reduce_problem(MlmProblem(A, rng.standard_normal(14)))
+    for _ in range(3):
+        prob = MlmProblem(A, rng.standard_normal(14))
+        report = fit_via_residual(prob, "linprog", reduced=rs)
+        assert report.cost == pytest.approx(fit_linprog(prob).cost, rel=1e-9)
 
 
 def test_orthonormal_pair_keeps_equal_columns_equal():
