@@ -9,9 +9,10 @@ where A1 is the top n x n block of A and A2 the remaining rows.  Every
 residual r = A x - b satisfies D r = w, and conversely the minimum-l1
 residual r* recovers the optimal parameters.  The reduction takes one
 complete QR factorization A = Q [R; 0] and recovers x* = R^-1 Q1^T (b + r*)
-with Q1 = Q[:, :n].  Q2 = Q[:, n:] spans the left null space of A: when A1
-is singular, D = Q2^T and w = -D b, and the residual solvers' pipeline runs
-on that orthonormal pair with the kernel basis Q1 of D.
+with Q1 = Q[:, :n].  Q2 = Q[:, n:] spans the left null space of A, so
+Q2^T r = -Q2^T b is the same constraint with orthonormal rows: D = Q2^T
+when A1 is singular, and the residual solvers' pipeline always runs on
+that pair, with Q1 as the kernel basis of its D.
 """
 
 from __future__ import annotations
