@@ -1,10 +1,13 @@
 """The reduction that powers the solver family, step by step.
 
-Splitting A into its top square block A1 and the remaining rows A2 gives
-D = [-A2 A1^+  I] and w = A2 A1^+ b(1:n) - b(n+1:m).  Every residual
-r = A x - b satisfies D r = w, so minimizing ||r||_1 under that single
-linear constraint and then applying x = A^+ (b + r) solves the fitting
-problem without ever optimizing over x directly.
+One complete QR factorization A = Q [R; 0], Q = [Q1 Q2], gives the
+constraint operator D = Q2^T: its rows are orthonormal (D D^T = I) and
+annihilate A (D A = 0), so every residual r = A x - b satisfies D r = w
+with w = -D b.  Minimizing ||r||_1 under that single linear constraint and
+then applying x = R^-1 Q1^T (b + r) solves the fitting problem without
+ever optimizing over x directly.  The paper writes the same constraint as
+D = [-A2 A1^+  I] from the top square block A1; both have null space
+range(A).
 """
 
 import numpy as np
@@ -17,16 +20,20 @@ m, n = 9, 3
 problem = l1fit.MlmProblem(rng.standard_normal((m, n)), rng.standard_normal(m))
 
 reduced = l1fit.reduce_problem(problem)
-print("D shape:", reduced.D.shape, " w shape:", reduced.w.shape)
+D, w = reduced.D, reduced.w
+print("D shape:", D.shape, " w shape:", w.shape)
+print("||D D^T - I|| =", np.linalg.norm(D @ D.T - np.eye(m - n)))
+print("||D A||       =", np.linalg.norm(D @ problem.A))
+print("||w + D b||   =", np.linalg.norm(w + D @ problem.b))
 
 # the constraint identity: any parameter vector produces a feasible residual
 for _ in range(3):
     x = rng.standard_normal(n)
     r = problem.A @ x - problem.b
-    print("||D r - w|| =", np.linalg.norm(reduced.D @ r - reduced.w))
+    print("||D r - w|| =", np.linalg.norm(D @ r - w))
 
 # solve the small constrained problem and recover the parameters
-res = residual_linprog(reduced.D, reduced.w)
+res = residual_linprog(D, w)
 x_opt = l1fit.recover(problem, reduced, res.r)
 print("\noptimal residual:", np.round(res.r, 6))
 print("l1 cost from the reduction :", l1fit.cost1(problem, x_opt))

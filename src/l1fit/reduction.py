@@ -1,18 +1,15 @@
 """Problem types and the residual-space reduction.
 
 An overdetermined system A x = b (A of size m x n, m >= n) is mapped to the
-pair (D, w) with
-
-    D = [-A2 A1^+  I_{m-n}],   w = A2 A1^+ b(1:n) - b(n+1:m),
-
-where A1 is the top n x n block of A and A2 the remaining rows.  Every
-residual r = A x - b satisfies D r = w, and conversely the minimum-l1
-residual r* recovers the optimal parameters.  The reduction takes one
-complete QR factorization A = Q [R; 0] and recovers x* = R^-1 Q1^T (b + r*)
-with Q1 = Q[:, :n].  Q2 = Q[:, n:] spans the left null space of A, so
-Q2^T r = -Q2^T b is the same constraint with orthonormal rows: D = Q2^T
-when A1 is singular, and the residual solvers' pipeline always runs on
-that pair, with Q1 as the kernel basis of its D.
+constraint pair (D, w) of  min ||r||_1  s.t.  D r = w,  where the null
+space of D is range(A): every residual r = A x - b satisfies D r = w, and
+conversely the minimum-l1 residual r* recovers the optimal parameters.
+The paper writes D = [-A2 A1^+  I], w = A2 A1^+ b(1:n) - b(n+1:m), with A1
+the top n x n block of A and A2 the remaining rows; any D with that null
+space will do, and the paper's loses it when A1 is singular.  The
+reduction takes one complete QR factorization A = Q [R; 0], Q = [Q1 Q2]
+with Q1 of n columns, and builds D = Q2^T, whose rows are orthonormal,
+with w = -D b.  Q1 is a kernel basis of that D, and x* = R^-1 Q1^T (b + r*).
 """
 
 from __future__ import annotations
@@ -89,7 +86,11 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """(D, w) plus the complete QR factors of A: A = Q[:, :n] R, R of size n x n."""
+    """The pair D = Q2^T, w = -D b and the complete QR factors of A.
+
+    A = Q[:, :n] R with Q of size m x m and R of size n x n; D = Q[:, n:]^T
+    is (m - n) x m with orthonormal rows and D A = 0.
+    """
 
     D: np.ndarray
     w: np.ndarray
@@ -100,26 +101,18 @@ class ReducedSystem:
 def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """Build the reduced system for ``problem`` from one complete QR of A.
 
-    The top n x n block A1 is used as-is when its singular values all exceed
-    ``default_rank_tol(A)``; A then has full column rank too, since
-    sigma_min(A) >= sigma_min(A1).  Otherwise D = Q2^T, an orthonormal basis
-    of the left null space of A (D A = 0), and w = -D b, so D r = w still
-    holds for every residual r = A x - b.  Raises ValueError when A itself
-    has column rank below n (judged on the singular values of R).
+    D = Q2^T is an orthonormal basis of the left null space of A (D A = 0)
+    and w = -D b, so D r = w holds for every residual r = A x - b.  Raises
+    ValueError when A has column rank below n, judged on the singular
+    values of R against ``default_rank_tol(A)``.
     """
-    A, b = problem.A, problem.b
-    m, n = problem.m, problem.n
-    Q, R = np.linalg.qr(A, mode="complete")
+    n = problem.n
+    Q, R = np.linalg.qr(problem.A, mode="complete")
     R = R[:n]
-    tol = default_rank_tol(A)
-    if np.linalg.svd(A[:n], compute_uv=False)[-1] > tol:
-        C = np.linalg.solve(A[:n].T, A[n:].T).T
-        D = np.hstack([-C, np.eye(m - n)])
-        return ReducedSystem(D=D, w=C @ b[:n] - b[n:], Q=Q, R=R)
-    if np.linalg.svd(R, compute_uv=False)[-1] <= tol:
+    if np.linalg.svd(R, compute_uv=False)[-1] <= default_rank_tol(problem.A):
         raise ValueError("A has column rank below n; the l1 fit is not unique")
-    D = Q[:, n:].T
-    return ReducedSystem(D=D, w=-(D @ b), Q=Q, R=R)
+    D = np.ascontiguousarray(Q[:, n:].T)
+    return ReducedSystem(D=D, w=-(D @ problem.b), Q=Q, R=R)
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:

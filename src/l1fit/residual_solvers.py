@@ -8,13 +8,14 @@ directions, and a proximity-operator scheme).
 Each method is a core solver ``(D, w, N, params)`` on a pair with
 orthonormal rows and a kernel basis N of D; ``RESIDUAL_METHODS`` maps the
 method names to these cores.  ``fit_via_residual`` wires them into the
-reduce -> solve -> recover pipeline: from the complete QR A = Q [R; 0]
-that ``reduce_problem`` takes it hands every core D = Q2^T, w = -D b and
-N = Q1, so nothing else is factored per fit, and it answers a consistent
-system (w at rounding level) with r = 0 directly.  The public
-``residual_*`` functions accept any pair (D, w): the six iterative ones
-orthonormalize it with one QR of D^T (``_orthonormal_pair``), the vertex
-simplex with one SVD of D, and then run the core.
+reduce -> solve -> recover pipeline: it hands every core the pair
+D = Q2^T, w = -D b that ``reduce_problem`` builds and N = Q1 from the same
+complete QR A = Q [R; 0], so nothing else is factored per fit, and it
+answers a consistent system (w at rounding level) with r = 0 directly.
+The public ``residual_*`` functions accept any pair (D, w): the six
+iterative ones orthonormalize it with one QR of D^T
+(``_orthonormal_pair``), the vertex simplex with one SVD of D, and then
+run the core, whose stop rules all measure the orthonormal pair.
 
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows; all iterative cores but the homotopy try an exact
@@ -638,26 +639,20 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio uses the caller's pair (D, w) (in ``fit_via_residual``,
-    the orthonormal pair the core runs on) and the returned point gets an
-    l2-minimal feasibility restoration.  Every 50 iterations the vertex
-    certificate is tried; a certified vertex ends the run.  A zero w is
-    answered immediately with r = 0, which is exactly optimal.
+    stopping ratio is measured on the orthonormal pair and the returned
+    point gets an l2-minimal feasibility restoration.  Every 50 iterations
+    the vertex certificate is tried; a certified vertex ends the run.  A
+    zero w is answered immediately with r = 0, which is exactly optimal.
     """
-    D, w = _check_dw(D, w)
-    return _adm(*_orthonormal_pair(D, w), params, stop_pair=(D, w))
+    return _adm(*_orthonormal_pair(D, w), params)
 
 
-def _adm(D, w, N, params: SolverParams | None = None, stop_pair=None) -> ResidualSolution:
-    """``residual_adm``'s iteration on an orthonormal pair with kernel basis N.
-
-    The stopping ratio is measured on ``stop_pair`` (D0, w0), by default (D, w).
-    """
+def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_adm``'s iteration on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
-    D0, w0 = stop_pair or (D, w)
-    wnorm0 = norm2(w0)
+    wnorm = norm2(w)
     mn, m = D.shape
-    if wnorm0 == 0.0:
+    if wnorm == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     mu = p.mu if p.mu is not None else float(np.mean(np.abs(w)))
 
@@ -678,7 +673,7 @@ def _adm(D, w, N, params: SolverParams | None = None, stop_pair=None) -> Residua
         r = r + dr
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
-        if norm2(D0 @ r - w0) <= p.epsilon * wnorm0 and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
+        if norm2(D @ r - w) <= p.epsilon * wnorm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             converged = True
             break
         if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
@@ -695,35 +690,29 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     a fixed working norm (the solution is scaled back afterwards; the
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
-    internal stop only counts once the original constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)) on the caller's pair (D, w) (in
-    ``fit_via_residual``, the orthonormal pair the core runs on); every 50
+    internal stop only counts once the unscaled constraint is met to
+    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; every 50
     iterations the vertex certificate is tried, and a certified vertex ends
     the run; the returned point gets an l2-minimal feasibility restoration;
     a zero w returns r = 0 directly.
     """
-    D, w = _check_dw(D, w)
-    return _pob(*_orthonormal_pair(D, w), params, stop_pair=(D, w))
+    return _pob(*_orthonormal_pair(D, w), params)
 
 
-def _pob(D, w, N, params: SolverParams | None = None, stop_pair=None) -> ResidualSolution:
-    """``residual_pob``'s iteration on an orthonormal pair with kernel basis N.
-
-    The stopping gate is measured on ``stop_pair`` (D0, w0), by default (D, w).
-    """
+def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_pob``'s iteration on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
-    D0, w0 = stop_pair or (D, w)
     mn, m = D.shape
-    wnorm0 = norm2(w0)
-    if mn == 0 or wnorm0 == 0.0:
+    wnorm = norm2(w)
+    if mn == 0 or wnorm == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    scale = _POB_W_NORM / norm2(w)
-    w = scale * w
+    scale = _POB_W_NORM / wnorm
+    w0, w = w, scale * w
     # the rows are orthonormal, so ||D||_2 = 1
     mu = p.mu if p.mu is not None else 0.999 * p.tau
     if not p.tau > mu > 0.0:
         raise ValueError(f"need tau > mu * ||D||_2^2 > 0, got tau={p.tau}, mu*||D||^2={mu}")
-    feas_gate = max(p.epsilon, 1e-6 * (1.0 + wnorm0))
+    feas_gate = max(p.epsilon, 1e-6 * (1.0 + wnorm))
 
     y = np.zeros(mn)
     r = np.zeros(m)
@@ -735,7 +724,7 @@ def _pob(D, w, N, params: SolverParams | None = None, stop_pair=None) -> Residua
         s = r
         r = soft(s - (mu / p.tau) * (D.T @ (2.0 * y - zdual)), 1.0 / p.tau)
         ns = norm2(s)
-        if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D0 @ (r / scale) - w0) <= feas_gate:
+        if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D @ (r / scale) - w0) <= feas_gate:
             converged = True
             break
         if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
@@ -782,12 +771,12 @@ def fit_via_residual(
     """Solve min ||A x - b||_1 by the reduce -> solve -> recover pipeline.
 
     ``method`` picks the residual solver; a precomputed ``reduced`` system
-    of A may be passed to amortize the reduction over several right-hand
-    sides.  The solver runs on the orthonormal pair D = Q2^T, w = -D b and
-    the kernel basis Q1 from the reduction's QR factors; w is taken from
-    ``problem.b`` (every residual A x - b satisfies D r = -D b), not from
-    ``reduced.w``.  A ``reduced`` whose factors do not fit the problem
-    (Q not m x m or R not n x n) raises ValueError.  When
+    of A (from ``reduce_problem``) may be passed to amortize the reduction
+    over several right-hand sides.  The solver runs on the reduction's
+    orthonormal pair D = Q2^T, w = -D b and the kernel basis Q1; w is taken
+    from ``problem.b`` (every residual A x - b satisfies D r = -D b), not
+    from ``reduced.w``.  A ``reduced`` that does not fit the problem (D not
+    (m - n) x m, Q not m x m or R not n x n) raises ValueError.  When
     |w| <= m eps |D| |b| holds in every row (no constraints, or w is
     rounding noise), r = 0 is optimal and no solver runs.
     """
@@ -800,18 +789,17 @@ def fit_via_residual(
     m, n = problem.m, problem.n
     t0 = time.perf_counter()
     rs = reduced if reduced is not None else reduce_problem(problem)
-    if rs.Q.shape != (m, m) or rs.R.shape != (n, n):
-        raise ValueError(f"reduced system has Q {rs.Q.shape} and R {rs.R.shape}; "
-                         f"the problem needs ({m}, {m}) and ({n}, {n})")
-    D = np.ascontiguousarray(rs.Q[:, n:].T)
-    w = -(D @ problem.b)
-    rounding = m * np.finfo(float).eps * (np.abs(D) @ np.abs(problem.b))
+    if rs.D.shape != (m - n, m) or rs.Q.shape != (m, m) or rs.R.shape != (n, n):
+        raise ValueError(f"reduced system has D {rs.D.shape}, Q {rs.Q.shape} and R {rs.R.shape}; "
+                         f"the problem needs ({m - n}, {m}), ({m}, {m}) and ({n}, {n})")
+    w = -(rs.D @ problem.b)
+    rounding = m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
     if np.all(np.abs(w) <= rounding):
         # consistent system (w is rounding noise, or no constraints remain):
         # r = 0 is optimal
         res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     else:
-        res = RESIDUAL_METHODS[method](D, w, rs.Q[:, :n], params)
+        res = RESIDUAL_METHODS[method](rs.D, w, rs.Q[:, :n], params)
     x = recover(problem, rs, res.r)
     residual = problem.A @ x - problem.b
     elapsed = time.perf_counter() - t0

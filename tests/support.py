@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from l1fit import MlmProblem, bench
+from l1fit.linalg import default_rank_tol
 
 
 def bp_enumerate(D, w, singular_tol=1e-10):
@@ -31,6 +32,22 @@ def bp_enumerate(D, w, singular_tol=1e-10):
             best = r
     assert best is not None, "every candidate basis was singular"
     return best, best_cost
+
+
+def paper_pair(problem):
+    """The paper's pair D = [-C I], w = C b(1:n) - b(n+1:m), with C = A2 A1^-1.
+
+    A reference form of the reduction: ``reduce_problem`` builds D = Q2^T,
+    with the same null space range(A) and orthonormal rows, so the public
+    residual solvers are fed this pair to keep testing one whose rows are
+    not orthonormal.  None when the top block A1 has a singular value at
+    most ``default_rank_tol(A)``, where [-C I] loses range(A).
+    """
+    A, b, n = problem.A, problem.b, problem.n
+    if np.linalg.svd(A[:n], compute_uv=False)[-1] <= default_rank_tol(A):
+        return None
+    C = np.linalg.solve(A[:n].T, A[n:].T).T
+    return np.hstack([-C, np.eye(problem.m - n)]), C @ b[:n] - b[n:]
 
 
 def random_problem(rng, m, n):

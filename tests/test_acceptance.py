@@ -15,7 +15,6 @@ from l1fit import (
     fit_linprog,
     gen_instance,
     oracle_solve,
-    reduce_problem,
     run_experiment,
     solve,
     write_csv,
@@ -30,6 +29,7 @@ from l1fit.residual_solvers import (
     residual_pob,
     residual_tnipm,
 )
+from support import paper_pair
 
 EXACT_METHODS = ("L1-LP", "L1-RES")
 ITERATIVE_METHODS = ("L1-GPSR", "L1-TNIPM", "L1-HP", "L1-IST", "L1-ADM", "L1-POB")
@@ -146,10 +146,10 @@ def test_criterion_7_rev_solver_feasibility():
     big, _ = gen_instance(256, 128, seed=0)
     probes.append(MlmProblem(big.A, add_sparse_noise(big.b, 0.25, 0.25, seed=0)))
     for prob in probes:
-        rs = reduce_problem(prob)
-        bound = max(params.epsilon, 1e-6 * (1.0 + norm2(rs.w)))
+        D, w = paper_pair(prob)
+        bound = max(params.epsilon, 1e-6 * (1.0 + norm2(w)))
         for fn in REV_SOLVERS:
-            gap = norm2(rs.D @ fn(rs.D, rs.w, params).r - rs.w)
+            gap = norm2(D @ fn(D, w, params).r - w)
             worst = max(worst, gap / bound)
             ok = ok and gap <= bound
     _report(7, ok, f"every returned residual satisfies the constraint bound "

@@ -13,7 +13,7 @@ from l1fit import (
     solve,
     split_by_residual,
 )
-from support import dependent_top_rows_problem, random_problem
+from support import dependent_top_rows_problem, paper_pair, random_problem
 
 
 def test_problem_validation():
@@ -26,13 +26,19 @@ def test_problem_validation():
 
 
 def test_reduce_identity_top_block():
-    # A = [I2; [1, 1]], b = (1, 2, 4): the bottom block passes through, so
-    # D = [-1, -1, 1] and w = 1 + 2 - 4 = -1
+    # A = [I2; [1, 1]], b = (1, 2, 4): in the paper's pair the bottom block
+    # passes through, so D = [-1, -1, 1] and w = 1 + 2 - 4 = -1; the
+    # reduction's one orthonormal row is that pair divided by sqrt(3), up to sign
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0, 4.0])
-    rs = reduce_problem(MlmProblem(A, b))
-    assert np.allclose(rs.D, [[-1.0, -1.0, 1.0]])
-    assert np.allclose(rs.w, [-1.0])
+    prob = MlmProblem(A, b)
+    D, w = paper_pair(prob)
+    assert np.allclose(D, [[-1.0, -1.0, 1.0]])
+    assert np.allclose(w, [-1.0])
+    rs = reduce_problem(prob)
+    sign = np.sign(rs.D[0, 2])
+    assert np.allclose(sign * rs.D, D / np.sqrt(3.0))
+    assert np.allclose(sign * rs.w, w / np.sqrt(3.0))
 
 
 def test_reduce_zero_bottom_block():
@@ -75,8 +81,11 @@ def test_rank_deficient_top_block_matches_lp():
     assert abs(report.cost - exact.cost) <= 1e-9 * exact.cost
 
 
-def test_singular_top_block_gives_orthonormal_left_null_basis():
-    prob = dependent_top_rows_problem()
+@pytest.mark.parametrize("prob", [
+    pytest.param(random_problem(np.random.default_rng(28), 12, 4), id="nonsingular-top-block"),
+    pytest.param(dependent_top_rows_problem(), id="singular-top-block"),
+])
+def test_reduction_gives_orthonormal_left_null_basis(prob):
     rs = reduce_problem(prob)
     assert rs.D.shape == (prob.m - prob.n, prob.m)
     assert np.max(np.abs(rs.D @ rs.D.T - np.eye(prob.m - prob.n))) <= 1e-12

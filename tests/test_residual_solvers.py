@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from support import (
     bench_problem,
     bp_enumerate,
     dependent_top_rows_problem,
+    paper_pair,
     random_problem,
     vertex_certificate,
 )
@@ -32,9 +35,6 @@ ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, res
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
 # the iterative solvers that try the vertex certificate
 CERTIFYING = ["gpsr", "tnipm", "ist", "adm", "pob"]
-# the solvers that iterate on the row-orthonormalized pair
-ORTHONORMALIZING = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm,
-                    residual_pob]
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -170,10 +170,9 @@ def test_consistent_system_short_circuits():
 def test_cross_solver_agreement(solver):
     rng = np.random.default_rng(31)
     for m, n in [(10, 3), (16, 5), (24, 8)]:
-        prob = random_problem(rng, m, n)
-        rs = reduce_problem(prob)
-        ref = residual_linprog(rs.D, rs.w).objective
-        res = solver(rs.D, rs.w)
+        D, w = paper_pair(random_problem(rng, m, n))
+        ref = residual_linprog(D, w).objective
+        res = solver(D, w)
         assert abs(res.objective - ref) <= 1e-3 * ref
 
 
@@ -186,10 +185,9 @@ def test_quadratic_route_tracks_exact_route(seed, solver, tol):
     rng = np.random.default_rng(seed)
     m, n = (10, 5) if solver is residual_adm else (8, 4)
     for _ in range(5):
-        prob = random_problem(rng, m, n)
-        rs = reduce_problem(prob)
-        ref = residual_linprog(rs.D, rs.w).objective
-        assert abs(solver(rs.D, rs.w).objective - ref) <= tol * ref
+        D, w = paper_pair(random_problem(rng, m, n))
+        ref = residual_linprog(D, w).objective
+        assert abs(solver(D, w).objective - ref) <= tol * ref
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -197,23 +195,22 @@ def test_feasibility_of_returned_residual(solver):
     rng = np.random.default_rng(32)
     params = SolverParams()
     for _ in range(5):
-        prob = random_problem(rng, 12, 4)
-        rs = reduce_problem(prob)
-        res = solver(rs.D, rs.w, params)
-        bound = max(params.epsilon, 1e-6 * (1.0 + norm2(rs.w)))
-        assert norm2(rs.D @ res.r - rs.w) <= bound
+        D, w = paper_pair(random_problem(rng, 12, 4))
+        res = solver(D, w, params)
+        bound = max(params.epsilon, 1e-6 * (1.0 + norm2(w)))
+        assert norm2(D @ res.r - w) <= bound
 
 
-@pytest.mark.parametrize("solver", ORTHONORMALIZING)
+@pytest.mark.parametrize("solver", ITERATIVE)
 def test_orthonormalizing_solvers_restore_feasibility(solver):
     rng = np.random.default_rng(34)
     for _ in range(10):
-        rs = reduce_problem(random_problem(rng, 12, 4))
-        res = solver(rs.D, rs.w)
-        assert norm2(rs.D @ res.r - rs.w) <= 1e-12 * (1.0 + norm2(rs.w))
+        D, w = paper_pair(random_problem(rng, 12, 4))
+        res = solver(D, w)
+        assert norm2(D @ res.r - w) <= 1e-12 * (1.0 + norm2(w))
 
 
-@pytest.mark.parametrize("solver", ORTHONORMALIZING)
+@pytest.mark.parametrize("solver", ITERATIVE)
 def test_orthonormalizing_solvers_reject_dependent_rows(solver):
     # the second row doubles the first; an orthonormal basis of D's row
     # space drops one constraint, and GPSR and ADM then claim convergence at
@@ -226,11 +223,12 @@ def test_orthonormalizing_solvers_reject_dependent_rows(solver):
 @pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(42), 12, 4),
                                      dependent_top_rows_problem()])
 def test_orthonormal_pair_keeps_the_constraint_set(problem):
-    # reduce_problem's [-C I], and its orthonormal left null basis of A for a
-    # singular top block
+    # the paper's [-C I], and reduce_problem's orthonormal left null basis of
+    # A for a singular top block, where [-C I] does not exist
     rs = reduce_problem(problem)
-    Dt, wt, N = _orthonormal_pair(rs.D, rs.w)
-    k, m = rs.D.shape
+    D, w = paper_pair(problem) or (rs.D, rs.w)
+    Dt, wt, N = _orthonormal_pair(D, w)
+    k, m = D.shape
     assert Dt.shape == (k, m) and N.shape == (m, m - k)
     assert np.allclose(Dt @ Dt.T, np.eye(k), rtol=0.0, atol=1e-12)
     assert np.allclose(N.T @ N, np.eye(m - k), rtol=0.0, atol=1e-12)
@@ -251,6 +249,7 @@ def test_qr_route_matches_the_paper_route(problem):
     # [-C I] of a nonsingular top block, Q2^T of a singular one) must cut
     # out the same residuals: null(D) = range(A), and equal optima
     rs = reduce_problem(problem)
+    D, w = paper_pair(problem) or (rs.D, rs.w)
     m, n = problem.m, problem.n
     Q, R = rs.Q, rs.R
     scale = np.max(np.abs(problem.A))
@@ -258,9 +257,9 @@ def test_qr_route_matches_the_paper_route(problem):
     assert np.allclose(Q.T @ Q, np.eye(m), rtol=0.0, atol=1e-12)
     assert np.allclose(Q[:, :n] @ R, problem.A, rtol=0.0, atol=1e-12 * scale)
     assert np.allclose(Q[:, n:].T @ problem.A, 0.0, rtol=0.0, atol=1e-12 * scale)
-    assert np.allclose(rs.D @ Q[:, :n], 0.0, rtol=0.0, atol=1e-12 * np.max(np.abs(rs.D)))
+    assert np.allclose(D @ Q[:, :n], 0.0, rtol=0.0, atol=1e-12 * np.max(np.abs(D)))
     pipeline = fit_via_residual(problem, "linprog").cost
-    paper = norm1(problem.A @ recover(problem, rs, residual_linprog(rs.D, rs.w).r) - problem.b)
+    paper = norm1(problem.A @ recover(problem, rs, residual_linprog(D, w).r) - problem.b)
     direct = fit_linprog(problem).cost
     assert pipeline == pytest.approx(direct, rel=1e-9)
     assert paper == pytest.approx(direct, rel=1e-9)
@@ -273,6 +272,18 @@ def test_driver_rejects_a_reduction_of_another_shape():
         fit_via_residual(prob, "linprog", reduced=reduce_problem(random_problem(rng, 9, 3)))
     with pytest.raises(ValueError, match="reduced system"):
         fit_via_residual(prob, "adm", reduced=reduce_problem(random_problem(rng, 10, 4)))
+    rs = reduce_problem(prob)
+    with pytest.raises(ValueError, match="reduced system"):
+        fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, D=rs.D[1:]))
+
+
+@pytest.mark.parametrize("method", RESIDUAL_METHODS)
+def test_driver_takes_a_precomputed_reduction_bit_for_bit(method):
+    prob = random_problem(np.random.default_rng(48), 12, 4)
+    plain = fit_via_residual(prob, method)
+    reused = fit_via_residual(prob, method, reduced=reduce_problem(prob))
+    assert np.array_equal(reused.x, plain.x)
+    assert (reused.iterations, reused.converged) == (plain.iterations, plain.converged)
 
 
 def test_driver_takes_w_from_the_problem():
@@ -298,10 +309,9 @@ def test_orthonormal_pair_keeps_equal_columns_equal():
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_deterministic(solver):
     rng = np.random.default_rng(33)
-    prob = random_problem(rng, 9, 3)
-    rs = reduce_problem(prob)
-    first = solver(rs.D, rs.w)
-    second = solver(rs.D, rs.w)
+    D, w = paper_pair(random_problem(rng, 9, 3))
+    first = solver(D, w)
+    second = solver(D, w)
     assert np.array_equal(first.r, second.r)
     assert first.iterations == second.iterations
 
@@ -328,12 +338,11 @@ def test_linprog_scale_equivariance():
 def test_homotopy_support_bounded_along_path():
     rng = np.random.default_rng(35)
     for _ in range(5):
-        prob = random_problem(rng, 12, 4)
-        rs = reduce_problem(prob)
+        D, w = paper_pair(random_problem(rng, 12, 4))
         trace = []
-        residual_homotopy(rs.D, rs.w, support_trace=trace)
+        residual_homotopy(D, w, support_trace=trace)
         assert trace, "path never iterated"
-        assert max(trace) <= rs.D.shape[0]
+        assert max(trace) <= D.shape[0]
 
 
 def test_homotopy_degenerate_support_raises():
@@ -347,12 +356,11 @@ def test_homotopy_degenerate_support_raises():
 
 def test_ist_objective_not_increased():
     rng = np.random.default_rng(36)
-    prob = random_problem(rng, 10, 3)
-    rs = reduce_problem(prob)
+    D, w = paper_pair(random_problem(rng, 10, 3))
     params = SolverParams()
-    res = residual_ist(rs.D, rs.w, params)
-    start = 0.5 * norm2(rs.w) ** 2  # objective value at r = 0
-    final = 0.5 * norm2(rs.D @ res.r - rs.w) ** 2 + params.lam * res.objective
+    res = residual_ist(D, w, params)
+    start = 0.5 * norm2(w) ** 2  # objective value at r = 0
+    final = 0.5 * norm2(D @ res.r - w) ** 2 + params.lam * res.objective
     assert final <= start + 1e-12
 
 

@@ -153,7 +153,7 @@ def test_dependent_top_rows_instance():
 
 
 def _split_residual_lp(rng, rows, cols):
-    """The kernel input of residual_linprog for D = [-C I], as reduce_problem builds it."""
+    """The kernel input of residual_linprog for a pair D = [-C I] of the paper's form."""
     D = np.hstack([-rng.standard_normal((rows, cols - rows)), np.eye(rows)])
     w = rng.standard_normal(rows)
     _, _, Vt = np.linalg.svd(D)
