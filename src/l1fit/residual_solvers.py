@@ -18,11 +18,16 @@ iterative ones orthonormalize it with one QR of D^T
 run the core, whose stop rules all measure the orthonormal pair.
 
 By the paper's equivalence theorem an optimal residual vanishes on
-dim(null D) rows; all iterative cores but the homotopy try an exact
-vertex certificate on their iterates (``_certify_vertex``) and return a
-vertex it proves optimal with converged=True (a crossover).  Otherwise
-their own stop rules and the iteration budget decide, and they return the
-raw iterate.
+dim(null D) rows, so every iterative answer points at a vertex that the
+simplex can finish.  All six iterative cores end through ``_Crossover``:
+the exact vertex certificate (``_certify_vertex``) on their iterates (all
+but the homotopy try it along the way), and at most one crossover per
+solve, the vertex simplex warm-started at the rows the iterate names.  It
+runs when a failed certificate names the same rows as the previous try,
+or else on the point the run ends at.  ``converged`` means certified, by
+the vertex test or by the simplex; the solvers' own stop rules and the
+iteration budget only decide when to stop, and an uncertified run
+returns its raw end point with converged=False.
 """
 
 from __future__ import annotations
@@ -89,8 +94,9 @@ class SolverParams:
              terminal regularization level; its path cannot end at 0)
     lam      penalty weight of the quadratic relaxation solved by the
              gradient-projection, interior-point and shrinkage methods
-    maxiter  iteration cap; solvers report converged=False when they hit it
-             without reaching their own target or a certified vertex
+    maxiter  iteration cap; it ends a run like the solver's own stop rule,
+             and converged is then True only if the end point or its one
+             crossover is certified
     tau, mu  proximity-operator parameters; mu=None derives the default
              0.999 * tau / ||D||_2^2 (the alternating-directions method
              instead defaults mu to mean|w_i|)
@@ -187,7 +193,7 @@ def _restore_feasibility(r, D, w):
 
 
 def _certify_vertex(D, w, N, r):
-    """Exact optimality test of the vertex an iterate points at (crossover).
+    """Exact optimality test of the vertex an iterate points at.
 
     For an orthonormal-row pair (D, w) and the kernel basis N of D from
     ``_orthonormal_pair``.  An optimal residual vanishes on k = dim(null D)
@@ -196,31 +202,85 @@ def _certify_vertex(D, w, N, r):
     vertex r_v = r_f - N N_Z^-1 r_f[Z].  With sigma = sign(r_v), sigma_Z = 0
     and rows that vanish off Z taking the iterate's sign, the dual point
     g_Z = -N_Z^-T N^T sigma proves r_v optimal when ||g_Z||_inf <= 1.
-    Returns r_v, or None when N_Z is singular or ill-conditioned (r_v does
-    not vanish on Z) or the certificate fails.
+    Returns (r_v, Z) with r_v None when N_Z is singular or ill-conditioned
+    (r_v does not vanish on Z) or the certificate fails; Z is sorted.
     """
     rf = _restore_feasibility(r, D, w)
     k = N.shape[1]
-    Z = np.argpartition(np.abs(rf), k - 1)[:k]
+    Z = np.sort(np.argpartition(np.abs(rf), k - 1)[:k])
     NZ = N[Z]
     try:
         rv = rf - N @ np.linalg.solve(NZ, rf[Z])
     except np.linalg.LinAlgError:
-        return None
+        return None, Z
     tol = _VERTEX_TOL * (1.0 + norm_inf(rv))
     if norm_inf(rv[Z]) > tol:
-        return None
+        return None, Z
     sigma = np.where(np.abs(rv) <= tol, np.sign(r), np.sign(rv))
     sigma[Z] = 0.0
     g = np.linalg.solve(NZ.T, N.T @ sigma)
-    return rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None
+    return (rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None), Z
 
 
-def _certified(r, it) -> ResidualSolution:
-    return ResidualSolution(r=r, iterations=it, converged=True, objective=norm1(r))
+def _simplex_residual(D, w, N, rows=None):
+    """The vertex simplex on an orthonormal pair: (r = N z + D^T w, the L1Vertex of z).
+
+    z comes from ``l1_vertex(N, -D^T w, rows)``, started from the basis
+    ``rows`` when given.
+    """
+    r0 = D.T @ w
+    vertex = l1_vertex(N, -r0, rows=rows)
+    return N @ vertex.x + r0, vertex
 
 
-def _continuation(D, w, N, p, state, step, stationarity) -> ResidualSolution:
+class _Crossover:
+    """Certifies one solve's iterates and finishes the solve with at most one simplex crossover.
+
+    ``attempt(r)`` tries the vertex certificate on an iterate.  When it
+    fails on the same rows Z as the previous try, the iterate has settled
+    on a wrong or unprovable vertex, and the crossover runs: the vertex
+    simplex warm-started at Z (``_simplex_residual``).  ``finish(r, it)``
+    gives the solve's answer from the point r the run would return: a
+    certified vertex found on the way, else the certificate at r, else a
+    certified crossover from r's rows if none has run yet, else r itself
+    with an l2-minimal feasibility restoration.  ``converged`` is True only
+    for a vertex the certificate or the simplex proved optimal.  The
+    crossover runs at most once per solve: a failed one is not repeated,
+    since each run can spend the simplex's whole step budget.
+    """
+
+    def __init__(self, D, w, N):
+        self.D, self.w, self.N = D, w, N
+        self.vertex = None  # the certified answer, once found
+        self.rows = None  # Z of the last try
+        self.spent = False  # the crossover has run
+
+    def attempt(self, r) -> bool:
+        """Whether the iterate r led to a certified vertex."""
+        self.vertex, rows = _certify_vertex(self.D, self.w, self.N, r)
+        if self.vertex is None and not self.spent and np.array_equal(rows, self.rows):
+            self._crossover(rows)
+        self.rows = rows
+        return self.vertex is not None
+
+    def _crossover(self, rows) -> None:
+        self.spent = True
+        r, vertex = _simplex_residual(self.D, self.w, self.N, rows)
+        if vertex.certified:
+            self.vertex = r
+
+    def finish(self, r, it) -> ResidualSolution:
+        """The solve's answer when the run stops at r after ``it`` iterations."""
+        if self.vertex is None and not self.attempt(r) and not self.spent:
+            self._crossover(self.rows)
+        if self.vertex is not None:
+            return ResidualSolution(r=self.vertex, iterations=it, converged=True,
+                                    objective=norm1(self.vertex))
+        r = _restore_feasibility(r, self.D, self.w)
+        return ResidualSolution(r=r, iterations=it, converged=False, objective=norm1(r))
+
+
+def _continuation(D, w, p, state, step, stationarity, attempt):
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
@@ -229,14 +289,12 @@ def _continuation(D, w, N, p, state, step, stationarity) -> ResidualSolution:
     ``stationarity(state, lam)`` measures the state against the level.  A
     level ends at its target or, for a middle level, on a stall, and then
     rewinds to the best state it saw, as does a run that exhausts the
-    budget.  Every ``_CERTIFY_EVERY`` steps the vertex certificate is tried
-    on r (N is the kernel basis of D); once it holds, the certified vertex
-    is the answer.  Otherwise the answer gets an l2-minimal feasibility
-    restoration.
+    budget.  Every ``_CERTIFY_EVERY`` steps ``attempt(r)`` is called, and
+    the run ends when it returns True.  Returns the raw end state, the
+    iteration count and whether the last level reached its target.
     """
     levels = _lambda_levels(D, w, p.lam)
     it = 0
-    converged = True
     for depth, lam in enumerate(levels):
         # the first level (cold start) and the last (the answer) get
         # unlimited patience (the budget still caps them); a middle level
@@ -255,23 +313,17 @@ def _continuation(D, w, N, p, state, step, stationarity) -> ResidualSolution:
                 state = best
                 break
             if it >= p.maxiter:
-                state, converged = best, False
-                break
+                return best, it, False
             state = step(state, lam, it == start)
             it += 1
-            if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, state[0])) is not None:
-                return _certified(vertex, it)
-        if not converged:
-            break
-    r = _restore_feasibility(state[0], D, w)
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+            if it % _CERTIFY_EVERY == 0 and attempt(state[0]):
+                return state, it, False
+    return state, it, True
 
 
 def _linprog(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     """The vertex simplex on an orthonormal pair: r = N z + D^T w, z from l1_vertex(N, -D^T w)."""
-    r0 = D.T @ w
-    vertex = l1_vertex(N, -r0)
-    r = N @ vertex.x + r0
+    r, vertex = _simplex_residual(D, w, N)
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))
 
@@ -305,7 +357,9 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     row-orthonormal pair from one QR inside ``_continuation``; each level is
     left once the stationarity residual drops below _LEVEL_TOL times the
     level, the last level being ``lam``.  Every 50 steps the vertex
-    certificate is tried; a certified vertex ends the run.
+    certificate is tried; a certified vertex ends the run.  The run ends
+    through ``_Crossover`` (at most one warm-started simplex crossover), and
+    ``converged`` means certified.
     """
     return _gpsr(*_orthonormal_pair(D, w), params)
 
@@ -351,8 +405,11 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         r, _, grad0, _ = state
         return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
 
+    crossover = _Crossover(D, w, N)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _continuation(D, w, N, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity)
+        state, it, _ = _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity,
+                                     crossover.attempt)
+    return crossover.finish(state[0], it)
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -363,10 +420,12 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     QR (which keeps the Newton systems well conditioned); the duality gap is
     tested relative to the dual objective (only once that is positive).
     After every accepted step the vertex certificate is tried (one step
-    costs far more than a try); a certified vertex ends the run.  When
-    backtracking stalls or the accepted step stops moving the point, the
-    best iterate seen is returned with converged=False.  The returned point
-    gets an l2-minimal feasibility restoration.
+    costs far more than a try); a certified vertex ends the run.  The run
+    also ends when the gap closes, backtracking stalls, the accepted step
+    stops moving the point or the budget runs out; then the last point (at
+    a closed gap) or else the best one seen goes through ``_Crossover``, at
+    most one warm-started simplex crossover, and ``converged`` means
+    certified.
     """
     return _tnipm(*_orthonormal_pair(D, w), params)
 
@@ -390,8 +449,9 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 
     best_r = r.copy()
     best_pobj = np.inf
+    crossover = _Crossover(D, w, N)
     it = 0
-    converged = False
+    reached = False
     while it < p.maxiter:
         it += 1
         z = D @ r - w
@@ -406,7 +466,7 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             best_r = r.copy()
         eta = pobj - dobj
         if eta <= 0.0 or (dobj > 0.0 and eta / dobj < p.epsilon):
-            converged = True  # a vanishing gap is exact optimality
+            reached = True
             break
         if step >= 0.5:
             t = max(mu_t * min(2.0 * m / eta, t), t)
@@ -458,11 +518,9 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f = r_new, u_new, f_new
-        if (vertex := _certify_vertex(D, w, N, r)) is not None:
-            return _certified(vertex, it)
-
-    out = _restore_feasibility(r if converged else best_r, D, w)
-    return ResidualSolution(r=out, iterations=it, converged=converged, objective=norm1(out))
+        if crossover.attempt(r):
+            break
+    return crossover.finish(r if reached else best_r, it)
 
 
 def _homotopy_step(support, r_k, v, pvec, dk, level, m):
@@ -515,14 +573,16 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
     the path can end off the optimum.  Maintains the active support and its
     Gram matrix, re-solving the small direction system densely at each
     breakpoint.  ``support_trace`` (a list, if given) records the support
-    size at every step.  The end point gets an l2-minimal feasibility
-    restoration.
+    size at every step.  The path end, the budget's end or the start point
+    r = 0 when ||D^T w||_inf <= epsilon goes through ``_Crossover``: the
+    vertex certificate, then at most one warm-started simplex crossover;
+    ``converged`` means certified.
     """
     return _homotopy(*_orthonormal_pair(D, w), params, support_trace)
 
 
 def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
-    """``residual_homotopy``'s path on an orthonormal pair (N is not used)."""
+    """``residual_homotopy``'s path on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
     m = D.shape[1]
     lam = p.epsilon  # terminal level of the path
@@ -530,8 +590,9 @@ def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
     r = np.zeros(m)
     pvec = -(D.T @ w)
     pmax = norm_inf(pvec)
+    crossover = _Crossover(D, w, N)
     if pmax <= lam:
-        return ResidualSolution(r=r, iterations=0, converged=True, objective=0.0)
+        return crossover.finish(r, 0)
 
     xi = np.flatnonzero(np.abs(pvec) == pmax)
     z = np.zeros(m)
@@ -540,7 +601,6 @@ def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
     B = D[:, xi].T @ D[:, xi]
 
     it = 0
-    converged = False
     while it < p.maxiter:
         it += 1
         if support_trace is not None:
@@ -558,7 +618,6 @@ def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
 
         if pmax - delta <= lam:
             r = r + (pmax - lam) * v
-            converged = True
             break
         r = r + delta * v
         pvec = pvec + delta * dk
@@ -580,9 +639,7 @@ def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
         z = np.zeros(m)
         z[xi] = -np.sign(pvec[xi])
         pvec[pin] = pmax * np.sign(pvec[pin])
-
-    r = _restore_feasibility(r, D, w)
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+    return crossover.finish(r, it)
 
 
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -593,7 +650,9 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     must not increase the penalized objective (the curvature estimate is
     doubled until it does not), which keeps the non-monotone
     Barzilai-Borwein choice from blowing up.  Every 50 steps the vertex
-    certificate is tried; a certified vertex ends the run.
+    certificate is tried; a certified vertex ends the run.  The run ends
+    through ``_Crossover`` (at most one warm-started simplex crossover), and
+    ``converged`` means certified.
     """
     return _ist(*_orthonormal_pair(D, w), params)
 
@@ -629,7 +688,10 @@ def _ist(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     def stationarity(state, lam):
         return _qp_stationarity(state[0], state[2], lam, 0.0)
 
-    return _continuation(D, w, N, p, (r, s, D.T @ s, 1.0, None), step, stationarity)
+    crossover = _Crossover(D, w, N)
+    state, it, _ = _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity,
+                                 crossover.attempt)
+    return crossover.finish(state[0], it)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -639,10 +701,11 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio is measured on the orthonormal pair and the returned
-    point gets an l2-minimal feasibility restoration.  Every 50 iterations
-    the vertex certificate is tried; a certified vertex ends the run.  A
-    zero w is answered immediately with r = 0, which is exactly optimal.
+    stopping ratio is measured on the orthonormal pair.  Every 50 iterations
+    the vertex certificate is tried; a certified vertex ends the run.  The
+    run ends through ``_Crossover`` (at most one warm-started simplex
+    crossover), and ``converged`` means certified.  A zero w is answered
+    immediately with r = 0, which is exactly optimal.
     """
     return _adm(*_orthonormal_pair(D, w), params)
 
@@ -661,8 +724,8 @@ def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(mn)
     g = np.zeros(m)
 
+    crossover = _Crossover(D, w, N)
     it = 0
-    converged = False
     while it < p.maxiter:
         it += 1
         s = D @ (g - z + r / mu) - w / mu
@@ -674,12 +737,10 @@ def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
         if norm2(D @ r - w) <= p.epsilon * wnorm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
-            converged = True
             break
-        if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
-            return _certified(vertex, it)
-    r = _restore_feasibility(r, D, w)
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+        if it % _CERTIFY_EVERY == 0 and crossover.attempt(r):
+            break
+    return crossover.finish(r, it)
 
 
 def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -693,8 +754,9 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     internal stop only counts once the unscaled constraint is met to
     max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; every 50
     iterations the vertex certificate is tried, and a certified vertex ends
-    the run; the returned point gets an l2-minimal feasibility restoration;
-    a zero w returns r = 0 directly.
+    the run.  The run ends through ``_Crossover`` (at most one warm-started
+    simplex crossover, on the rescaled pair), and ``converged`` means
+    certified; a zero w returns r = 0 directly.
     """
     return _pob(*_orthonormal_pair(D, w), params)
 
@@ -717,18 +779,17 @@ def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(mn)
     r = np.zeros(m)
     zdual = y - (D @ r - w)
+    crossover = _Crossover(D, w, N)
     it = 0
-    converged = False
     while it < p.maxiter:
         it += 1
         s = r
         r = soft(s - (mu / p.tau) * (D.T @ (2.0 * y - zdual)), 1.0 / p.tau)
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D @ (r / scale) - w0) <= feas_gate:
-            converged = True
             break
-        if it % _CERTIFY_EVERY == 0 and (vertex := _certify_vertex(D, w, N, r)) is not None:
-            return _certified(vertex / scale, it)
+        if it % _CERTIFY_EVERY == 0 and crossover.attempt(r):
+            break
         zdual = y
         t = D @ r + zdual - w
         nt = norm2(t)
@@ -736,8 +797,9 @@ def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             y = np.zeros(mn)
         else:
             y = (1.0 - p.epsilon / nt) * t
-    r = _restore_feasibility(r, D, w) / scale
-    return ResidualSolution(r=r, iterations=it, converged=converged, objective=norm1(r))
+    res = crossover.finish(r, it)
+    r = res.r / scale
+    return ResidualSolution(r=r, iterations=it, converged=res.converged, objective=norm1(r))
 
 
 # the core solvers (D, w, N, params) on an orthonormal pair, by method name

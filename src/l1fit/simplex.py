@@ -54,6 +54,12 @@ class L1Vertex:
     certified: bool
 
 
+def _independent(A: np.ndarray, rows: np.ndarray, tol: float) -> bool:
+    """Whether each row of A[rows] has a part orthogonal to the rows before it above ``tol``."""
+    # the diagonal of R in A[rows]^T = Q R holds those orthogonal parts
+    return bool(np.all(np.abs(np.diag(np.linalg.qr(A[rows].T, mode="r"))) > tol))
+
+
 def _start_rows(A: np.ndarray) -> np.ndarray:
     """The first n rows that are independent, taken in row order.
 
@@ -62,8 +68,7 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
     """
     m, n = A.shape
     tol = default_rank_tol(A)
-    # the diagonal of R in A[:n]^T = Q R holds those orthogonal parts for A[:n]
-    if np.all(np.abs(np.diag(np.linalg.qr(A[:n].T, mode="r"))) > tol):
+    if _independent(A, np.arange(n), tol):
         return np.arange(n)
     Q = np.zeros((n, n))
     rows = []
@@ -137,12 +142,16 @@ def _descend(A, b, b_pert, rows, budget):
             inv, since, r = np.linalg.inv(A[rows]), 0, None
 
 
-def l1_vertex(A, b) -> L1Vertex:
+def l1_vertex(A, b, rows=None) -> L1Vertex:
     """Minimize ||A x - b||_1 at a vertex: n rows of A x = b interpolated.
 
     A must be m x n with m >= n and column rank n (ValueError otherwise).
-    The step budget is 50 (m + n) over both phases; a run that spends it
-    returns its last vertex with ``certified`` False.
+    ``rows`` (n row indices) is the start basis, a warm start; by default,
+    or when A[rows] fails the independence test of the default start, the
+    descent starts from the first n independent rows.  Indices of another
+    count or out of range raise ValueError.  The step budget is 50 (m + n)
+    over both phases; a run that spends it returns its last vertex with
+    ``certified`` False.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,8 +162,15 @@ def l1_vertex(A, b) -> L1Vertex:
         raise ValueError(f"need at least as many rows as columns, got {m} x {n}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("A and b must be finite")
+    if rows is not None:
+        rows = np.array(rows)  # a copy: _descend edits the basis in place
+        if rows.shape != (n,) or (n and (rows.dtype.kind not in "iu" or rows.min() < 0
+                                         or rows.max() >= m)):
+            raise ValueError(f"rows must be {n} row indices in [0, {m}), got {rows!r}")
+    if rows is None or not _independent(A, rows, default_rank_tol(A)):
+        rows = _start_rows(A)
     budget = _STEPS_PER_DIM * (m + n)
     b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
-    rows, inv, steps, s_max = _descend(A, b, b_pert, _start_rows(A), budget)
+    rows, inv, steps, s_max = _descend(A, b, b_pert, rows, budget)
     x = inv @ b[rows]
     return L1Vertex(x=x, rows=rows, steps=steps, certified=s_max <= 1.0 + _CERT_TOL)

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from l1fit import MlmProblem, bench
 from l1fit.linalg import default_rank_tol
@@ -81,3 +82,23 @@ def vertex_certificate(A, b, x):
     order = np.argsort(np.abs(r), kind="stable")
     Z, S = order[: A.shape[1]], order[A.shape[1]:]
     return float(np.max(np.abs(np.linalg.solve(A[Z].T, A[S].T @ np.sign(r[S])))))
+
+
+def highs_cost(A, b):
+    """min ||A x - b||_1 by HiGHS (dual simplex) on the direct LP with free x."""
+    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = A.shape
+    ref = scipy_linprog(np.concatenate([np.zeros(n), np.ones(2 * m)]),
+                        A_eq=np.hstack([A, -np.eye(m), np.eye(m)]), b_eq=b,
+                        bounds=[(None, None)] * n + [(0, None)] * (2 * m), method="highs-ds")
+    assert ref.status == 0
+    return float(np.sum(np.abs(A @ ref.x[:n] - b)))
+
+
+def quickstart_problem():
+    """``demos/quickstart.py``'s 40 x 5 instance: exact data with three gross outliers."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((40, 5))
+    b = A @ rng.standard_normal(5)
+    b[[3, 17, 28]] += np.array([8.0, -6.0, 11.0])
+    return MlmProblem(A, b)

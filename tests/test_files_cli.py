@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l1fit import add_sparse_noise, gen_instance
 from l1fit.cli import main
 from l1fit.datafiles import read_matrix, read_vector, write_matrix, write_vector
 
@@ -131,10 +132,12 @@ def test_cli_solve_parse_failure(tmp_path, capsys):
 
 
 def test_cli_solve_exit_two_when_budget_exhausted(tmp_path, capsys):
-    rng = np.random.default_rng(84)
-    write_matrix(tmp_path / "A.txt", rng.standard_normal((12, 3)))
-    write_vector(tmp_path / "b.txt", rng.standard_normal(12))
-    code = main(["solve", "--method", "l1-adm", "--maxiter", "3",
+    # the iterative residual methods finish with a simplex crossover, so
+    # even three ADM steps end certified; L1-PTB stays nonconverged here
+    problem, _ = gen_instance(12, 3, 2)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", add_sparse_noise(problem.b, 0.25, 0.25, 2))
+    code = main(["solve", "--method", "l1-ptb", "--maxiter", "3",
                  "--matrix", str(tmp_path / "A.txt"),
                  "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path / "x.txt")])
     capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recover, reduce_problem
 from l1fit.linalg import norm1, norm2
+from l1fit.simplex import l1_vertex
 from l1fit.residual_solvers import (
     _LEVEL_STALL,
     RESIDUAL_METHODS,
@@ -26,15 +27,18 @@ from support import (
     bench_problem,
     bp_enumerate,
     dependent_top_rows_problem,
+    highs_cost,
     paper_pair,
+    quickstart_problem,
     random_problem,
     vertex_certificate,
 )
 
 ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm, residual_pob]
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
-# the iterative solvers that try the vertex certificate
+# the iterative solvers that try the vertex certificate on their iterates
 CERTIFYING = ["gpsr", "tnipm", "ist", "adm", "pob"]
+ITERATIVE_METHODS = ["gpsr", "tnipm", "homotopy", "ist", "adm", "pob"]
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -116,9 +120,66 @@ def test_iterative_converged_means_certified(method, seed, sparsity):
     assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
 
 
+NAMED_INSTANCES = {
+    "quickstart": quickstart_problem,
+    "s400201": lambda: bench_problem(256, 128, 0.25, 400201),
+    "s100001": lambda: bench_problem(256, 128, 0.25, 100001),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_INSTANCES)
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_named_instances_end_certified_at_the_optimum(method, name):
+    # before every iterative solve ended in the crossover: on quickstart
+    # L1-TNIPM reported converged=False at the optimum and L1-POB
+    # converged=True 3.6e-7 above it; on s400201 L1-IST and L1-HP
+    # converged=True 4.0e-8 and 8.6e-9 above; L1-GPSR spent its budget on
+    # both square instances
+    problem = NAMED_INSTANCES[name]()
+    report = fit_via_residual(problem, method)
+    assert report.converged
+    assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_near_consistent_fit_claims_no_false_optimum(monkeypatch, method, seed):
+    # one row of a consistent system is off by 3e-8, below the simplex's
+    # first-phase perturbation 1e-7 (1 + ||b||_inf); L1-GPSR, L1-HP and
+    # L1-IST claimed convergence at cost 4.7e-8 (seed 2) and 6.0e-8 (seed 4)
+    # against the optimum 3e-8.  The cost is at rounding level, so it is
+    # compared relative to 1 + cost.  An uncapped crossover, retried on each
+    # repeat of the rows, took up to 30 s per fit here.
+    problem, _ = gen_instance(40, 5, seed)
+    b = problem.b.copy()
+    b[7] += 3e-8
+    problem = MlmProblem(problem.A, b)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return l1_vertex(*args, **kwargs)
+
+    monkeypatch.setattr("l1fit.residual_solvers.l1_vertex", counted)
+    report = fit_via_residual(problem, method)
+    assert len(calls) <= 1
+    if report.converged:
+        assert report.cost == pytest.approx(highs_cost(problem.A, problem.b), rel=1e-9, abs=1e-9)
+
+
+def test_homotopy_early_return_meets_the_constraint():
+    # ||D^T w||_inf <= epsilon ends the path before its first step; the
+    # answer was r = 0 with converged=True, off D r = w by all of ||w||
+    D = np.array([[1.0, 0.5]])
+    w = np.array([1e-9])
+    res = residual_homotopy(D, w)
+    assert res.converged
+    assert norm2(D @ res.r - w) <= 1e-12 * norm2(w)
+
+
 def _certifier(D, w):
     pair = _orthonormal_pair(D, w)
-    return lambda r: _certify_vertex(*pair, r)
+    return lambda r: _certify_vertex(*pair, r)[0]
 
 
 @pytest.mark.parametrize("slope", [0.5, 0.95])
@@ -438,8 +499,7 @@ class _ScriptedSolver:
     """A fake solver driven through ``_continuation``.
 
     A state is ``(r,)`` where r[1] tags it with the number of steps taken to
-    make it (the feasibility restoration for D = [[1, 0]] leaves r[1] alone);
-    ``stat(depth, tag)`` scripts the stationarity on level ``depth``.  The
+    make it; ``stat(depth, tag)`` scripts the stationarity on level ``depth``.  The
     penalty 0.03 gives three levels: 0.1, 0.05 and 0.03.
     """
 
@@ -460,10 +520,11 @@ class _ScriptedSolver:
         return self.stat(self.levels.index(lam), int(state[0][1]))
 
     def run(self, maxiter=10000):
+        """The loop's raw end: (reached the last target?, iterations, tag of the end state)."""
         params = SolverParams(lam=self.lam, maxiter=maxiter)
-        N = _orthonormal_pair(self.D, self.w)[2]
-        res = _continuation(self.D, self.w, N, params, (np.zeros(2),), self.step, self.stationarity)
-        return res, int(res.r[1])
+        state, it, reached = _continuation(self.D, self.w, params, (np.zeros(2),), self.step,
+                                           self.stationarity, lambda r: False)
+        return reached, it, int(state[0][1])
 
     def depths(self):
         return [depth for depth, _, _ in self.steps]
@@ -473,8 +534,8 @@ def test_continuation_reaching_last_target_converges():
     # every level needs two steps to reach its target
     fake = _ScriptedSolver(lambda depth, tag: 0.0 if tag >= 2 * (depth + 1) else 1.0)
     assert fake.levels == [0.1, 0.05, 0.03]
-    res, tag = fake.run()
-    assert res.converged and res.iterations == 6 and tag == 6
+    reached, it, tag = fake.run()
+    assert reached and it == 6 and tag == 6
     assert fake.depths() == [0, 0, 1, 1, 2, 2]
     assert [first for _, _, first in fake.steps] == [True, False] * 3
 
@@ -491,10 +552,10 @@ def test_continuation_leaves_stalled_middle_level_at_its_best():
         return 0.0 if tag > stalled_from else 1.0
 
     fake = _ScriptedSolver(stat)
-    res, tag = fake.run()
+    reached, it, tag = fake.run()
     assert fake.depths().count(1) == _LEVEL_STALL + 1
     assert fake.steps[-1] == (2, 2, True)  # the last level starts from the best state
-    assert res.converged and res.iterations == stalled_from + 1 and tag == stalled_from + 1
+    assert reached and it == stalled_from + 1 and tag == stalled_from + 1
 
 
 def test_continuation_never_leaves_first_or_last_level_on_stall():
@@ -508,9 +569,9 @@ def test_continuation_never_leaves_first_or_last_level_on_stall():
         return 1.0 if tag == start else 2.0 if tag < start + long else 0.0
 
     fake = _ScriptedSolver(stat)
-    res, tag = fake.run()
+    reached, it, tag = fake.run()
     assert fake.depths() == [0] * long + [2] * long
-    assert res.converged and res.iterations == 2 * long and tag == 2 * long
+    assert reached and it == 2 * long and tag == 2 * long
 
 
 def test_continuation_out_of_budget_rewinds_and_fails():
@@ -520,7 +581,7 @@ def test_continuation_out_of_budget_rewinds_and_fails():
         return {1: 1.0, 2: 0.5}.get(tag, 0.9)
 
     fake = _ScriptedSolver(stat)
-    res, tag = fake.run(maxiter=10)
-    assert not res.converged
-    assert res.iterations == 10 and len(fake.steps) == 10
+    reached, it, tag = fake.run(maxiter=10)
+    assert not reached
+    assert it == 10 and len(fake.steps) == 10
     assert tag == 2  # the best state of the level the budget ran out on

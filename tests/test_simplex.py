@@ -3,18 +3,7 @@ import pytest
 
 from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog
 from l1fit.simplex import _start_rows, l1_vertex
-from support import bench_problem, dependent_top_rows_problem, vertex_certificate
-
-
-def _highs_cost(A, b):
-    """min ||A x - b||_1 by HiGHS on the direct LP with free x."""
-    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
-    m, n = A.shape
-    ref = scipy_linprog(np.concatenate([np.zeros(n), np.ones(2 * m)]),
-                        A_eq=np.hstack([A, -np.eye(m), np.eye(m)]), b_eq=b,
-                        bounds=[(None, None)] * n + [(0, None)] * (2 * m), method="highs-ds")
-    assert ref.status == 0
-    return float(np.sum(np.abs(A @ ref.x[:n] - b)))
+from support import bench_problem, dependent_top_rows_problem, highs_cost, vertex_certificate
 
 
 def test_single_variable():
@@ -209,7 +198,7 @@ def test_second_phase_reaches_optimum_on_s200101():
     vertex = l1_vertex(problem.A, problem.b)
     assert vertex.certified
     cost = np.sum(np.abs(problem.A @ vertex.x - problem.b))
-    assert cost == pytest.approx(_highs_cost(problem.A, problem.b), rel=1e-9)
+    assert cost == pytest.approx(highs_cost(problem.A, problem.b), rel=1e-9)
 
 
 def test_consistent_instances_interpolate():
@@ -247,7 +236,7 @@ def test_matches_scipy_reference():
         A = rng.standard_normal((12, 4))
         b = rng.standard_normal(12)
         cost = np.sum(np.abs(A @ l1_vertex(A, b).x - b))
-        assert cost == pytest.approx(_highs_cost(A, b), rel=1e-9)
+        assert cost == pytest.approx(highs_cost(A, b), rel=1e-9)
 
 
 def test_restored_basis_is_feasible_on_bench_instance():
@@ -256,4 +245,42 @@ def test_restored_basis_is_feasible_on_bench_instance():
     problem = bench_problem(256, 128, 0.25, 1200101)
     report = fit_linprog(problem)
     assert report.converged
-    assert report.cost == pytest.approx(_highs_cost(problem.A, problem.b), rel=1e-9)
+    assert report.cost == pytest.approx(highs_cost(problem.A, problem.b), rel=1e-9)
+
+
+def test_warm_start_at_the_cold_basis_takes_no_steps():
+    problem = bench_problem(256, 128, 0.25, 400201)
+    cold = l1_vertex(problem.A, problem.b)
+    start = cold.rows.copy()
+    warm = l1_vertex(problem.A, problem.b, rows=start)
+    assert cold.certified and warm.certified and warm.steps == 0
+    assert np.array_equal(warm.x, cold.x)
+    assert np.array_equal(start, cold.rows)  # the caller's rows are not edited
+
+
+def test_warm_start_at_the_cold_basis_on_s200101():
+    # the cold basis is not optimal for the perturbed first phase here (see
+    # test_second_phase_reaches_optimum_on_s200101), so the warm run moves
+    # away from it and back
+    problem = bench_problem(256, 128, 0.25, 200101)
+    cold = l1_vertex(problem.A, problem.b)
+    warm = l1_vertex(problem.A, problem.b, rows=cold.rows)
+    assert warm.certified
+    assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
+
+
+def test_warm_start_on_dependent_rows_starts_cold():
+    problem = bench_problem(64, 16, 0.25, 12)
+    cold = l1_vertex(problem.A, problem.b)
+    rows = cold.rows.copy()
+    rows[1] = rows[0]
+    warm = l1_vertex(problem.A, problem.b, rows=rows)
+    assert (warm.steps, warm.certified) == (cold.steps, cold.certified)
+    assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.x, cold.x)
+
+
+@pytest.mark.parametrize("rows", [[0, 1], [0, 1, 2, 3], [0, 1, 6], [-1, 0, 1], [0.0, 1.0, 2.0]])
+def test_warm_start_rows_validated(rows):
+    rng = np.random.default_rng(19)
+    with pytest.raises(ValueError, match="rows"):
+        l1_vertex(rng.standard_normal((6, 3)), rng.standard_normal(6), rows=rows)
