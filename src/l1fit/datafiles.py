@@ -2,8 +2,9 @@
 
 Matrix files carry a header line ``m n`` followed by m rows of n decimals;
 vector files carry ``m`` followed by one decimal per line.  Lines starting
-with ``#`` (and blank lines) are comments.  Values are written with 17
-significant digits, so a write/read round trip is bit-exact.
+with ``#`` (and blank lines) are comments; a data line beyond the count
+the header declares is an error.  Values are written with 17 significant
+digits, so a write/read round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -35,57 +36,44 @@ def _parse_floats(text: str, lineno: int, path) -> list[float]:
     return values
 
 
-def read_matrix(path) -> np.ndarray:
+def _read(path, header: str, noun: str) -> np.ndarray:
+    """The data rows of a file whose header line is ``header``: 'm n' or 'm' (n = 1).
+
+    ``noun`` names the m rows in messages; a data line after the m-th is an
+    error, so a file that holds more than it declares is never truncated.
+    """
     lines = _data_lines(path)
+    lineno, text = next(lines, (0, None))
+    if text is None:
+        raise ValueError(f"{path}: empty file")
     try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"{path}: line {lineno}: expected header 'm n', got {header!r}")
-    try:
-        m, n = int(parts[0]), int(parts[1])
+        dims = [int(part) for part in text.split()]
     except ValueError:
-        raise ValueError(f"{path}: line {lineno}: expected integer dimensions") from None
-    if m < 1 or n < 1:
+        dims = []
+    if len(dims) != len(header.split()):
+        raise ValueError(f"{path}: line {lineno}: expected header {header!r}, got {text!r}")
+    if min(dims) < 1:
         raise ValueError(f"{path}: line {lineno}: dimensions must be positive")
+    m, n = dims if len(dims) == 2 else (dims[0], 1)
     rows = []
     for lineno, text in lines:
+        if len(rows) == m:
+            raise ValueError(f"{path}: line {lineno}: data beyond the {m} {noun} the header declares")
         row = _parse_floats(text, lineno, path)
         if len(row) != n:
-            raise ValueError(f"{path}: line {lineno}: expected {n} values, got {len(row)}")
+            raise ValueError(f"{path}: line {lineno}: expected {n} value{'s' * (n > 1)}, got {len(row)}")
         rows.append(row)
-        if len(rows) == m:
-            break
     if len(rows) != m:
-        raise ValueError(f"{path}: expected {m} data rows, found {len(rows)}")
+        raise ValueError(f"{path}: expected {m} {noun}, found {len(rows)}")
     return np.array(rows, dtype=float)
 
 
+def read_matrix(path) -> np.ndarray:
+    return _read(path, "m n", "data rows")
+
+
 def read_vector(path) -> np.ndarray:
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    try:
-        m = int(header)
-    except ValueError:
-        raise ValueError(f"{path}: line {lineno}: expected header 'm', got {header!r}") from None
-    if m < 1:
-        raise ValueError(f"{path}: line {lineno}: length must be positive")
-    values = []
-    for lineno, text in lines:
-        row = _parse_floats(text, lineno, path)
-        if len(row) != 1:
-            raise ValueError(f"{path}: line {lineno}: expected one value per line")
-        values.extend(row)
-        if len(values) == m:
-            break
-    if len(values) != m:
-        raise ValueError(f"{path}: expected {m} entries, found {len(values)}")
-    return np.array(values, dtype=float)
+    return _read(path, "m", "entries").ravel()
 
 
 def _fmt(x: float) -> str:

@@ -81,36 +81,30 @@ def nullspace_basis(A) -> np.ndarray:
     return Vt[np.count_nonzero(s > default_rank_tol(A)):].T
 
 
-def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradients for H x = g with SPD H and P.
+def pcg(H, g, P=None, tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
+    """Preconditioned conjugate gradients for H x = g with SPD matrix H and SPD P.
 
-    Stops when ||H x - g||_2 <= tol * ||g||_2 and otherwise returns the best
-    iterate seen.  ``P`` is a callable applying the inverse preconditioner
-    to a vector and defaults to the identity; ``x0`` defaults to zero.  H
-    may be a symmetric matrix or a callable applying it to a vector
-    (symmetry is then the caller's promise, as it is for P).
+    Starts from zero, stops when ||H x - g||_2 <= tol * ||g||_2 and
+    otherwise returns the best iterate seen.  ``P`` is a callable applying
+    the inverse preconditioner to a vector and defaults to the identity.
     """
     g = np.asarray(g, dtype=float).ravel()
     k = g.size
-    if callable(H):
-        apply_h = H
-    else:
-        H = np.asarray(H, dtype=float)
-        if H.shape != (k, k):
-            raise ValueError(f"system shape mismatch: H is {H.shape}, g has length {k}")
-        scale = 1.0 + (np.max(np.abs(H)) if H.size else 0.0)
-        if np.max(np.abs(H - H.T)) > 1e-10 * scale:
-            raise ValueError("pcg requires a symmetric matrix")
-        apply_h = H.__matmul__
+    H = np.asarray(H, dtype=float)
+    if H.shape != (k, k):
+        raise ValueError(f"system shape mismatch: H is {H.shape}, g has length {k}")
+    scale = 1.0 + (np.max(np.abs(H)) if H.size else 0.0)
+    if np.max(np.abs(H - H.T)) > 1e-10 * scale:
+        raise ValueError("pcg requires a symmetric matrix")
     if maxiter is None:
         maxiter = 10 * k
-    x = np.zeros(k) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(k)
     gnorm = norm2(g)
     if gnorm == 0.0:
-        return np.zeros(k)
+        return x
     apply_prec = (lambda v: v) if P is None else P
 
-    r = g - apply_h(x)
+    r = g
     best_x = x.copy()
     best_res = norm2(r)
     z = apply_prec(r)
@@ -119,7 +113,7 @@ def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -
     for _ in range(maxiter):
         if norm2(r) <= tol * gnorm:
             return x
-        Hp = apply_h(p)
+        Hp = H @ p
         denom = float(p @ Hp)
         if denom <= 0.0:  # loss of positive definiteness; bail out
             break
@@ -135,6 +129,6 @@ def pcg(H, g, P=None, x0=None, tol: float = 1e-10, maxiter: int | None = None) -
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    if norm2(g - apply_h(x)) <= best_res:
+    if norm2(g - H @ x) <= best_res:
         return x
     return best_x

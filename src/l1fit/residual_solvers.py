@@ -1,9 +1,10 @@
 """Solvers for the minimum-l1 residual problem  min ||r||_1  s.t.  D r = w.
 
 Seven interchangeable routines are provided: an exact vertex simplex and
-six iterative methods (gradient projection, truncated-Newton interior
-point, homotopy path following, iterative shrinkage, alternating
-directions, and a proximity-operator scheme).
+six iterative methods (gradient projection, a log-barrier interior point
+whose exact Newton steps take one n x n solve on the kernel basis,
+homotopy path following, iterative shrinkage, alternating directions, and
+a proximity-operator scheme).
 
 Each method is a core solver ``(D, w, N, params)`` on a pair with
 orthonormal rows and a kernel basis N of D; ``RESIDUAL_METHODS`` maps the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm1, norm2, norm_inf, pcg, soft
+from .linalg import default_rank_tol, norm1, norm2, norm_inf, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
 from .simplex import l1_vertex
 
@@ -413,11 +414,11 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
-    """Truncated-Newton primal interior-point method with PCG directions.
+    """Truncated-Newton primal interior-point model with exact Newton steps.
 
-    The Newton system for the log-barrier formulation is solved by
-    preconditioned conjugate gradients on the row-orthonormal pair from one
-    QR (which keeps the Newton systems well conditioned); the duality gap is
+    Each Newton system of the log-barrier formulation is solved exactly by
+    one n x n solve on the kernel basis N (``_newton_direction``); on the
+    row-orthonormal pair from one QR, D^T D = I - N N^T.  The duality gap is
     tested relative to the dual objective (only once that is positive).
     After every accepted step the vertex certificate is tried (one step
     costs far more than a try); a certified vertex ends the run.  The run
@@ -428,6 +429,25 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     certified.
     """
     return _tnipm(*_orthonormal_pair(D, w), params)
+
+
+def _newton_direction(N, grad, q1, q2, t):
+    """The exact Newton step (dr, du), stacked, of ``_tnipm``'s barrier problem.
+
+    The Hessian [[D^T D + diag(b1), diag(b2)], [diag(b2), diag(b1)]] is
+    M - U U^T, with M its 2 x 2-block diagonal at D^T D = I and U = [N; 0],
+    since D^T D = I - N N^T.  Woodbury takes y = M^-1(-grad) and corrects it
+    by one n x n solve with the Schur complement N^T diag(e) N, where
+    e = 1 - b1/det = 4 q1^2 q2^2 / (t^2 det) is formed without cancellation.
+    """
+    m = N.shape[0]
+    b1, b2 = (q1 * q1 + q2 * q2) / t, (q1 * q1 - q2 * q2) / t
+    cross = 4.0 * (q1 * q2 / t) ** 2  # b1^2 - b2^2
+    det = b1 + cross
+    y_top = (b2 * grad[m:] - b1 * grad[:m]) / det
+    y_bot = (b2 * grad[:m] - (1.0 + b1) * grad[m:]) / det
+    c = N @ np.linalg.solve(N.T @ ((cross / det)[:, None] * N), N.T @ y_top)
+    return np.concatenate([y_top + b1 / det * c, y_bot - b2 / det * c])
 
 
 def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
@@ -441,11 +461,9 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     r = np.zeros(m)
     u = np.ones(m)
     f = np.concatenate([u - r, u + r])
-    df = np.zeros(2 * m)
     step = np.inf
     dobj = -np.inf
     t = min(max(1.0, 1.0 / p.lam), 2.0 * m / p.epsilon)
-    DtD = D.T @ D
 
     best_r = r.copy()
     best_pobj = np.inf
@@ -474,25 +492,8 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         q1 = 1.0 / (u + r)
         q2 = 1.0 / (u - r)
         grad = np.concatenate([D.T @ z - (q1 - q2) / t, p.lam - (q1 + q2) / t])
-        b1 = (q1 * q1 + q2 * q2) / t
-        b2 = (q1 * q1 - q2 * q2) / t
-
-        # the Hessian [[D^T D + diag(b1), diag(b2)], [diag(b2), diag(b1)]]
-        # and the preconditioner (D^T D replaced by I) are applied blockwise
-        def apply_h(v):
-            top, bot = v[:m], v[m:]
-            return np.concatenate([DtD @ top + b1 * top + b2 * bot, b2 * top + b1 * bot])
-
-        det = (1.0 + b1) * b1 - b2 * b2
-
-        def apply_prec(v):
-            top, bot = v[:m], v[m:]
-            return np.concatenate([(b1 * top - b2 * bot) / det, ((1.0 + b1) * bot - b2 * top) / det])
-
-        cg_tol = min(0.1, p.epsilon * eta / min(1.0, norm2(grad)))
-        df = pcg(apply_h, -grad, apply_prec, df, cg_tol, maxiter=2 * m)
-        dr = df[:m]
-        du = df[m:]
+        df = _newton_direction(N, grad, q1, q2, t)
+        dr, du = df[:m], df[m:]
 
         fval = 0.5 * float(z @ z) + p.lam * float(np.sum(u)) - float(np.sum(np.log(f))) / t
         gtd = float(grad @ df)

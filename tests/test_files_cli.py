@@ -44,6 +44,20 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         read_matrix(path)
 
 
+def test_matrix_rejects_rows_beyond_the_header(tmp_path):
+    path = tmp_path / "A.txt"
+    path.write_text("2 2\n1 2\n3 4\n# comment\n5 6\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"A\.txt: line 5: data beyond the 2 data rows"):
+        read_matrix(path)
+
+
+def test_vector_rejects_entries_beyond_the_header(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("2\n1\n2\n\n3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"b\.txt: line 5: data beyond the 2 entries"):
+        read_vector(path)
+
+
 def _gen(tmp_path, *extra):
     args = ["gen", "--m", "8", "--n", "3", "--seed", "7",
             "--out-prefix", str(tmp_path) + "/"]
@@ -129,6 +143,17 @@ def test_cli_solve_parse_failure(tmp_path, capsys):
     assert main(["solve", "--method", "l1-res", "--matrix", str(bad),
                  "--rhs", str(tmp_path / "b.txt")]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_a_truncated_matrix(tmp_path, capsys):
+    # a "2 2" header over three rows used to be fitted as the 2 x 2 problem
+    bad = tmp_path / "A.txt"
+    bad.write_text("2 2\n1 2\n3 4\n5 6\n", encoding="utf-8")
+    write_vector(tmp_path / "b.txt", np.ones(2))
+    assert main(["solve", "--method", "l1-res", "--matrix", str(bad),
+                 "--rhs", str(tmp_path / "b.txt")]) == 1
+    captured = capsys.readouterr()
+    assert "line 4" in captured.err and captured.out == ""
 
 
 def test_cli_solve_exit_two_when_budget_exhausted(tmp_path, capsys):

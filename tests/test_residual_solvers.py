@@ -13,6 +13,7 @@ from l1fit.residual_solvers import (
     _certify_vertex,
     _continuation,
     _lambda_levels,
+    _newton_direction,
     _orthonormal_pair,
     fit_via_residual,
     residual_adm,
@@ -184,6 +185,41 @@ def test_homotopy_early_return_meets_the_constraint():
     res = residual_homotopy(D, w)
     assert res.converged
     assert norm2(D @ res.r - w) <= 1e-12 * norm2(w)
+
+
+def _reduced_pair(problem):
+    rs = reduce_problem(problem)
+    return rs.D, rs.Q[:, :problem.n]
+
+
+def _paper_orthonormal_pair(problem):
+    D, _, N = _orthonormal_pair(*paper_pair(problem))
+    return D, N
+
+
+@pytest.mark.parametrize("pair", [_reduced_pair, _paper_orthonormal_pair])
+def test_newton_direction_solves_the_assembled_hessian(pair):
+    # the Woodbury step on D^T D = I - N N^T against a dense solve of
+    # [[D^T D + diag(b1), diag(b2)], [diag(b2), diag(b1)]] d = -grad, at a
+    # strictly interior (r, u) shaped like a late iterate: 12 rows near
+    # r = 0 (more than n, so the kernel keeps its curvature and the dense
+    # solve its accuracy) and the rest close to their bound u = |r|
+    rng = np.random.default_rng(47)
+    D, N = pair(random_problem(rng, 40, 8))
+    m = D.shape[1]
+    r = rng.standard_normal(m)
+    r[:12] *= 1e-4
+    u = np.abs(r) + 10.0 ** rng.uniform(-4.0, -2.0, m)
+    u[:12] = np.abs(r[:12]) + 1e-3
+    t = 1e6
+    q1, q2 = 1.0 / (u + r), 1.0 / (u - r)
+    grad = rng.standard_normal(2 * m)
+    b1 = (q1 * q1 + q2 * q2) / t
+    b2 = (q1 * q1 - q2 * q2) / t
+    H = np.block([[D.T @ D + np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b1)]])
+    direct = np.linalg.solve(H, -grad)
+    step = _newton_direction(N, grad, q1, q2, t)
+    assert norm2(step - direct) <= 1e-10 * norm2(direct)
 
 
 def _certifier(D, w):
