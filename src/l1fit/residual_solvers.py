@@ -414,19 +414,18 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
-    """Truncated-Newton primal interior-point model with exact Newton steps.
+    """Primal log-barrier interior point (the truncated-Newton model) with exact Newton steps.
 
     Each Newton system of the log-barrier formulation is solved exactly by
     one n x n solve on the kernel basis N (``_newton_direction``); on the
     row-orthonormal pair from one QR, D^T D = I - N N^T.  The duality gap is
     tested relative to the dual objective (only once that is positive).
-    After every accepted step the vertex certificate is tried (one step
-    costs far more than a try); a certified vertex ends the run.  The run
-    also ends when the gap closes, backtracking stalls, the accepted step
-    stops moving the point or the budget runs out; then the last point (at
-    a closed gap) or else the best one seen goes through ``_Crossover``, at
-    most one warm-started simplex crossover, and ``converged`` means
-    certified.
+    After every accepted step the vertex certificate is tried (a try costs
+    less than a step); a certified vertex ends the run.  The run also ends
+    when the gap closes, backtracking stalls, the accepted step stops moving
+    the point or the budget runs out; then the last point (at a closed gap)
+    or else the best one seen goes through ``_Crossover``, at most one
+    warm-started simplex crossover, and ``converged`` means certified.
     """
     return _tnipm(*_orthonormal_pair(D, w), params)
 
