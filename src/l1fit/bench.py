@@ -85,8 +85,8 @@ def add_sparse_noise(
     b = np.asarray(b, dtype=float)
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("sparsity ratio must lie in [0, 1]")
-    if variance < 0.0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0.0 <= variance < math.inf:
+        raise ValueError("noise variance must be finite and nonnegative")
     m = b.size
     k = int(math.floor(ratio * m + 0.5))
     out = b.copy()

@@ -65,13 +65,12 @@ def _cmd_gen(args) -> int:
     if not (args.m > args.n >= 2):
         print(f"l1fit gen: error: need m > n >= 2, got m={args.m}, n={args.n}", file=sys.stderr)
         return 1
-    if not 0.0 <= args.sparsity <= 1.0:
-        print("l1fit gen: error: sparsity must lie in [0, 1]", file=sys.stderr)
-        return 1
     problem, p = gen_instance(args.m, args.n, args.seed)
-    b = problem.b
-    if args.sparsity > 0.0:
-        b = add_sparse_noise(b, args.sparsity, args.noise_var, args.seed)
+    try:
+        b = add_sparse_noise(problem.b, args.sparsity, args.noise_var, args.seed)
+    except ValueError as exc:
+        print(f"l1fit gen: error: {exc}", file=sys.stderr)
+        return 1
     prefix = args.out_prefix
     try:
         write_matrix(f"{prefix}A.txt", problem.A)

@@ -70,11 +70,6 @@ _LEVEL_FACTOR = 0.5
 # along the constraint kernel and later, smaller levels move too slowly to
 # repair slop inherited from earlier ones
 _LEVEL_TOL = 1e-4
-# a level is abandoned when its stationarity residual stops improving for
-# this many iterations (the working precision floor has been reached); the
-# iterate then rewinds to the best point the level saw
-_LEVEL_STALL = 500
-_LEVEL_IMPROVE = 1.0 - 1e-4
 # working norm of the rescaled right-hand side in the proximity scheme
 _POB_W_NORM = 500.0
 # relaxation factor of the alternating-directions multiplier update
@@ -285,41 +280,24 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
-    returns the next state and never changes one in place, so the best state
-    of a level is kept by reference; ``first`` marks a level's first step.
-    ``stationarity(state, lam)`` measures the state against the level.  A
-    level ends at its target or, for a middle level, on a stall, and then
-    rewinds to the best state it saw, as does a run that exhausts the
-    budget.  Every ``_CERTIFY_EVERY`` steps ``attempt(r)`` is called, and
-    the run ends when it returns True.  Returns the raw end state, the
-    iteration count and whether the last level reached its target.
+    returns the next state; ``first`` marks a level's first step.
+    ``stationarity(state, lam)`` measures the state against the level, and
+    a level ends at its target.  Every ``_CERTIFY_EVERY`` steps ``attempt(r)``
+    is called, and the run ends when it returns True.  Returns the state the
+    run stopped on (the last level's target, a certified attempt or the
+    spent budget) and the iteration count; ``_Crossover`` finishes from it.
     """
-    levels = _lambda_levels(D, w, p.lam)
     it = 0
-    for depth, lam in enumerate(levels):
-        # the first level (cold start) and the last (the answer) get
-        # unlimited patience (the budget still caps them); a middle level
-        # that plateaus is abandoned so it cannot starve the schedule
-        patience = np.inf if depth in (0, len(levels) - 1) else _LEVEL_STALL
-        best, best_stat, stalled, start = state, np.inf, 0, it
-        while True:
-            stat = stationarity(state, lam)
-            if stat <= _LEVEL_TOL * lam:
-                break
-            if stat < _LEVEL_IMPROVE * best_stat:
-                best, best_stat, stalled = state, stat, 0
-            else:
-                stalled += 1
-            if stalled >= patience:
-                state = best
-                break
+    for lam in _lambda_levels(D, w, p.lam):
+        start = it
+        while stationarity(state, lam) > _LEVEL_TOL * lam:
             if it >= p.maxiter:
-                return best, it, False
+                return state, it
             state = step(state, lam, it == start)
             it += 1
             if it % _CERTIFY_EVERY == 0 and attempt(state[0]):
-                return state, it, False
-    return state, it, True
+                return state, it
+    return state, it
 
 
 def _linprog(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
@@ -408,8 +386,8 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 
     crossover = _Crossover(D, w, N)
     with np.errstate(over="ignore", invalid="ignore"):
-        state, it, _ = _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity,
-                                     crossover.attempt)
+        state, it = _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity,
+                                  crossover.attempt)
     return crossover.finish(state[0], it)
 
 
@@ -423,9 +401,9 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     After every accepted step the vertex certificate is tried (a try costs
     less than a step); a certified vertex ends the run.  The run also ends
     when the gap closes, backtracking stalls, the accepted step stops moving
-    the point or the budget runs out; then the last point (at a closed gap)
-    or else the best one seen goes through ``_Crossover``, at most one
-    warm-started simplex crossover, and ``converged`` means certified.
+    the point or the budget runs out; then the last point goes through
+    ``_Crossover``, at most one warm-started simplex crossover, and
+    ``converged`` means certified.
     """
     return _tnipm(*_orthonormal_pair(D, w), params)
 
@@ -464,11 +442,8 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     dobj = -np.inf
     t = min(max(1.0, 1.0 / p.lam), 2.0 * m / p.epsilon)
 
-    best_r = r.copy()
-    best_pobj = np.inf
     crossover = _Crossover(D, w, N)
     it = 0
-    reached = False
     while it < p.maxiter:
         it += 1
         z = D @ r - w
@@ -478,12 +453,8 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             nu *= p.lam / dual_scale
         pobj = 0.5 * float(z @ z) + p.lam * norm1(r)
         dobj = max(-0.5 * float(nu @ nu) - float(nu @ w), dobj)
-        if pobj < best_pobj:
-            best_pobj = pobj
-            best_r = r.copy()
         eta = pobj - dobj
         if eta <= 0.0 or (dobj > 0.0 and eta / dobj < p.epsilon):
-            reached = True
             break
         if step >= 0.5:
             t = max(mu_t * min(2.0 * m / eta, t), t)
@@ -497,7 +468,6 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         fval = 0.5 * float(z @ z) + p.lam * float(np.sum(u)) - float(np.sum(np.log(f))) / t
         gtd = float(grad @ df)
         step = 1.0
-        ok = False
         for _ in range(100):
             r_new = r + step * dr
             u_new = u + step * du
@@ -510,17 +480,16 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
                     - float(np.sum(np.log(f_new))) / t
                 )
                 if f_cand - fval <= ls_alpha * step * gtd:
-                    ok = True
                     break
             step *= ls_beta
-        if not ok:
-            break
+        else:
+            break  # backtracking found no acceptable step
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f = r_new, u_new, f_new
         if crossover.attempt(r):
             break
-    return crossover.finish(r if reached else best_r, it)
+    return crossover.finish(r, it)
 
 
 def _homotopy_step(support, r_k, v, pvec, dk, level, m):
@@ -689,8 +658,8 @@ def _ist(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         return _qp_stationarity(state[0], state[2], lam, 0.0)
 
     crossover = _Crossover(D, w, N)
-    state, it, _ = _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity,
-                                 crossover.attempt)
+    state, it = _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity,
+                              crossover.attempt)
     return crossover.finish(state[0], it)
 
 
@@ -837,8 +806,9 @@ def fit_via_residual(
     over several right-hand sides.  The solver runs on the reduction's
     orthonormal pair D = Q2^T, w = -D b and the kernel basis Q1; w is taken
     from ``problem.b`` (every residual A x - b satisfies D r = -D b), not
-    from ``reduced.w``.  A ``reduced`` that does not fit the problem (D not
-    (m - n) x m, Q not m x m or R not n x n) raises ValueError.  When
+    from ``reduced.w``.  A ``reduced`` of other shapes, or with Q1 R v off
+    A v for the probe v = (1, ..., n) (distinct entries, so permuted columns
+    show), does not fit the problem and raises ValueError.  When
     |w| <= m eps |D| |b| holds in every row (no constraints, or w is
     rounding noise), r = 0 is optimal and no solver runs.
     """
@@ -854,6 +824,10 @@ def fit_via_residual(
     if rs.D.shape != (m - n, m) or rs.Q.shape != (m, m) or rs.R.shape != (n, n):
         raise ValueError(f"reduced system has D {rs.D.shape}, Q {rs.Q.shape} and R {rs.R.shape}; "
                          f"the problem needs ({m - n}, {m}), ({m}, {m}) and ({n}, {n})")
+    v = np.arange(1.0, n + 1.0)
+    if reduced is not None and (norm2(rs.Q[:, :n] @ (rs.R @ v) - problem.A @ v)
+                                > 1e-8 * np.linalg.norm(problem.A) * norm2(v)):
+        raise ValueError("reduced system is not a QR factorization of the problem's A")
     w = -(rs.D @ problem.b)
     rounding = m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
     if np.all(np.abs(w) <= rounding):

@@ -89,6 +89,13 @@ def test_cli_gen_rejects_bad_sparsity(tmp_path):
     assert _gen(tmp_path, "--sparsity", "1.5") == 1
 
 
+@pytest.mark.parametrize("variance", ["-1", "nan", "inf"])
+def test_cli_gen_rejects_bad_noise_variance(tmp_path, capsys, variance):
+    assert _gen(tmp_path, "--sparsity", "0.25", "--noise-var", variance) == 1
+    assert "l1fit gen: error: noise variance must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "b.txt").exists()
+
+
 def test_cli_gen_unwritable_prefix(tmp_path, capsys):
     prefix = str(tmp_path / "missing" / "dir" / "x_")
     assert main(["gen", "--m", "6", "--n", "2", "--out-prefix", prefix]) == 1

@@ -69,6 +69,8 @@ def test_nullspace_examples():
     assert nullspace_basis(np.eye(2)).shape == (2, 0)
     # zero-row matrix: the whole space
     assert np.allclose(nullspace_basis(np.zeros((0, 3))), np.eye(3))
+    with pytest.raises(ValueError, match="2-d matrix"):
+        nullspace_basis(np.ones(3))
 
 
 def test_nullspace_orthonormal_and_annihilating():
@@ -111,3 +113,8 @@ def test_pcg_matches_direct_solve():
 def test_pcg_rejects_asymmetric():
     with pytest.raises(ValueError):
         pcg(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+
+
+def test_pcg_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        pcg(np.eye(2), np.ones(3))

@@ -23,6 +23,8 @@ def test_problem_validation():
         MlmProblem(np.ones((3, 2)), np.ones(2))  # rhs length
     with pytest.raises(ValueError):
         MlmProblem(np.array([[np.inf], [1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="2-d matrix"):
+        MlmProblem(np.ones(3), np.ones(3))
 
 
 def test_reduce_identity_top_block():
@@ -145,6 +147,8 @@ def test_split_exact_fit():
     split = split_by_residual(prob, x)
     assert split.m0 == 5
     assert split.nonzero_set.size == 0
+    with pytest.raises(ValueError, match="x must have length 2"):
+        split_by_residual(prob, np.ones(3))
 
 
 def test_split_pattern():

@@ -7,7 +7,7 @@ from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recov
 from l1fit.linalg import norm1, norm2
 from l1fit.simplex import l1_vertex
 from l1fit.residual_solvers import (
-    _LEVEL_STALL,
+    _CERTIFY_EVERY,
     RESIDUAL_METHODS,
     SolverParams,
     _certify_vertex,
@@ -383,6 +383,17 @@ def test_driver_rejects_a_reduction_of_another_shape():
         fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, D=rs.D[1:]))
 
 
+def test_driver_rejects_a_reduction_of_another_matrix():
+    # same shapes, so only the factorization itself can tell them apart
+    rng = np.random.default_rng(49)
+    prob = random_problem(rng, 30, 4)
+    with pytest.raises(ValueError, match="not a QR factorization"):
+        fit_via_residual(prob, "adm", reduced=reduce_problem(random_problem(rng, 30, 4)))
+    swapped = MlmProblem(prob.A[:, [1, 0, 2, 3]], prob.b)
+    with pytest.raises(ValueError, match="not a QR factorization"):
+        fit_via_residual(prob, "linprog", reduced=reduce_problem(swapped))
+
+
 @pytest.mark.parametrize("method", RESIDUAL_METHODS)
 def test_driver_takes_a_precomputed_reduction_bit_for_bit(method):
     prob = random_problem(np.random.default_rng(48), 12, 4)
@@ -495,6 +506,15 @@ def test_solver_params_validation():
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(mu=-0.5)
+    for lam in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            SolverParams(lam=lam)
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_solvers_reject_mismatched_constraint_shapes(solver):
+    with pytest.raises(ValueError, match="constraint shapes do not match"):
+        solver(np.array([[1.0, 0.5, 0.0]]), np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("solver", [residual_gpsr, residual_tnipm, residual_ist])
@@ -564,12 +584,12 @@ class _ScriptedSolver:
     def stationarity(self, state, lam):
         return self.stat(self.levels.index(lam), int(state[0][1]))
 
-    def run(self, maxiter=10000):
-        """The loop's raw end: (reached the last target?, iterations, tag of the end state)."""
+    def run(self, maxiter=10000, attempt=lambda r: False):
+        """The loop's raw end: (iterations, tag of the end state)."""
         params = SolverParams(lam=self.lam, maxiter=maxiter)
-        state, it, reached = _continuation(self.D, self.w, params, (np.zeros(2),), self.step,
-                                           self.stationarity, lambda r: False)
-        return reached, it, int(state[0][1])
+        state, it = _continuation(self.D, self.w, params, (np.zeros(2),), self.step,
+                                  self.stationarity, attempt)
+        return it, int(state[0][1])
 
     def depths(self):
         return [depth for depth, _, _ in self.steps]
@@ -579,54 +599,35 @@ def test_continuation_reaching_last_target_converges():
     # every level needs two steps to reach its target
     fake = _ScriptedSolver(lambda depth, tag: 0.0 if tag >= 2 * (depth + 1) else 1.0)
     assert fake.levels == [0.1, 0.05, 0.03]
-    reached, it, tag = fake.run()
-    assert reached and it == 6 and tag == 6
+    it, tag = fake.run()
+    assert it == 6 and tag == 6
     assert fake.depths() == [0, 0, 1, 1, 2, 2]
     assert [first for _, _, first in fake.steps] == [True, False] * 3
 
 
-def test_continuation_leaves_stalled_middle_level_at_its_best():
-    # level 1 improves once (state 2), then stalls; level 2 is reached in one step
-    stalled_from = 2 + _LEVEL_STALL
+def test_continuation_middle_level_ends_at_first_certified_attempt():
+    # level 0 is reached in one step; level 1 never reaches its target
+    fake = _ScriptedSolver(lambda depth, tag: 0.0 if depth == 0 and tag >= 1 else 1.0)
+    tried = []
 
-    def stat(depth, tag):
-        if depth == 0:
-            return 0.0 if tag >= 1 else 1.0
-        if depth == 1:
-            return {1: 1.0, 2: 0.5}.get(tag, 0.9)
-        return 0.0 if tag > stalled_from else 1.0
+    def attempt(r):
+        tried.append(int(r[1]))
+        return len(tried) == 3
 
-    fake = _ScriptedSolver(stat)
-    reached, it, tag = fake.run()
-    assert fake.depths().count(1) == _LEVEL_STALL + 1
-    assert fake.steps[-1] == (2, 2, True)  # the last level starts from the best state
-    assert reached and it == stalled_from + 1 and tag == stalled_from + 1
+    it, tag = fake.run(attempt=attempt)
+    assert tried == [_CERTIFY_EVERY, 2 * _CERTIFY_EVERY, 3 * _CERTIFY_EVERY]
+    assert it == 3 * _CERTIFY_EVERY and tag == it
+    assert fake.depths() == [0] + [1] * (it - 1)
 
 
-def test_continuation_never_leaves_first_or_last_level_on_stall():
-    # the first and last levels improve once and then stall for 3 * _LEVEL_STALL steps
-    long = 3 * _LEVEL_STALL
-
-    def stat(depth, tag):
-        if depth == 1:
-            return 0.0
-        start = 0 if depth == 0 else long
-        return 1.0 if tag == start else 2.0 if tag < start + long else 0.0
-
-    fake = _ScriptedSolver(stat)
-    reached, it, tag = fake.run()
-    assert fake.depths() == [0] * long + [2] * long
-    assert reached and it == 2 * long and tag == 2 * long
-
-
-def test_continuation_out_of_budget_rewinds_and_fails():
+def test_continuation_out_of_budget_returns_the_last_state():
+    # level 1 improves once (state 2) and then gets worse until the budget runs out
     def stat(depth, tag):
         if depth == 0:
             return 0.0 if tag >= 1 else 1.0
         return {1: 1.0, 2: 0.5}.get(tag, 0.9)
 
     fake = _ScriptedSolver(stat)
-    reached, it, tag = fake.run(maxiter=10)
-    assert not reached
+    it, tag = fake.run(maxiter=10)
     assert it == 10 and len(fake.steps) == 10
-    assert tag == 2  # the best state of the level the budget ran out on
+    assert tag == 10  # the state the run stopped on, not the level's best

@@ -77,8 +77,9 @@ def test_sparse_noise_scale_and_flag():
 def test_sparse_noise_validation():
     with pytest.raises(ValueError):
         add_sparse_noise(np.zeros(4), 1.5, 0.25, seed=0)
-    with pytest.raises(ValueError):
-        add_sparse_noise(np.zeros(4), 0.5, -1.0, seed=0)
+    for variance in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            add_sparse_noise(np.zeros(4), 0.5, variance, seed=0)
 
 
 def test_experiment_spec_validation():
