@@ -126,6 +126,8 @@ class ExperimentSpec:
             raise ValueError("repeats must be at least 1")
         if any(not 0.0 <= g <= 1.0 for g in self.sparsity_ratios):
             raise ValueError("sparsity ratios must lie in [0, 1]")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise ValueError("noise variance must be finite and nonnegative")
         if any(v < 1.0 for v in self.drl_values):
             raise ValueError("redundancy levels must be at least 1")
         if not self.methods:

@@ -21,14 +21,13 @@ run the core, whose stop rules all measure the orthonormal pair.
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
 simplex can finish.  All six iterative cores end through ``_Crossover``:
-the exact vertex certificate (``_certify_vertex``) on their iterates (all
-but the homotopy try it along the way), and at most one crossover per
-solve, the vertex simplex warm-started at the rows the iterate names.  It
-runs when a failed certificate names the same rows as the previous try,
-or else on the point the run ends at.  ``converged`` means certified, by
-the vertex test or by the simplex; the solvers' own stop rules and the
-iteration budget only decide when to stop, and an uncertified run
-returns its raw end point with converged=False.
+exactly one crossover per solve, the vertex simplex warm-started at the
+rows the iterate names (``_vertex_rows``).  All but the homotopy name rows
+along the way, and the crossover runs when a try names the same rows as
+the previous one, or else on the point the run ends at.  ``converged`` is
+the simplex's certificate; the solvers' own stop rules and the iteration
+budget only decide when to stop, and an uncertified run returns its end
+point, restored onto the constraints, with converged=False.
 """
 
 from __future__ import annotations
@@ -74,10 +73,8 @@ _LEVEL_TOL = 1e-4
 _POB_W_NORM = 500.0
 # relaxation factor of the alternating-directions multiplier update
 _ADM_ZETA = 1.618
-# the first-order solvers try the vertex certificate every this many iterations
-_CERTIFY_EVERY = 50
-# a vertex entry at most this share of (1 + ||r||_inf) counts as zero
-_VERTEX_TOL = 1e-9
+# the first-order solvers name vertex rows every this many iterations
+_TRY_EVERY = 10
 # a QR pivot of D^T at most this share of the largest marks dependent rows
 _RANK_TOL = float(np.sqrt(np.finfo(float).eps))
 
@@ -91,8 +88,8 @@ class SolverParams:
     lam      penalty weight of the quadratic relaxation solved by the
              gradient-projection, interior-point and shrinkage methods
     maxiter  iteration cap; it ends a run like the solver's own stop rule,
-             and converged is then True only if the end point or its one
-             crossover is certified
+             and converged is then True only if the crossover from the end
+             point is certified
     tau, mu  proximity-operator parameters; mu=None derives the default
              0.999 * tau / ||D||_2^2 (the alternating-directions method
              instead defaults mu to mean|w_i|)
@@ -188,34 +185,17 @@ def _restore_feasibility(r, D, w):
     return r - D.T @ (D @ r - w)
 
 
-def _certify_vertex(D, w, N, r):
-    """Exact optimality test of the vertex an iterate points at.
+def _vertex_rows(D, w, N, r):
+    """The rows Z an iterate names: the k = dim(null D) smallest |r_f|, sorted.
 
     For an orthonormal-row pair (D, w) and the kernel basis N of D from
-    ``_orthonormal_pair``.  An optimal residual vanishes on k = dim(null D)
-    rows (the equivalence theorem).  This restores feasibility of r, takes
-    the rows Z of the k smallest |r_f| and moves inside the kernel to the
-    vertex r_v = r_f - N N_Z^-1 r_f[Z].  With sigma = sign(r_v), sigma_Z = 0
-    and rows that vanish off Z taking the iterate's sign, the dual point
-    g_Z = -N_Z^-T N^T sigma proves r_v optimal when ||g_Z||_inf <= 1.
-    Returns (r_v, Z) with r_v None when N_Z is singular or ill-conditioned
-    (r_v does not vanish on Z) or the certificate fails; Z is sorted.
+    ``_orthonormal_pair``; r_f is r restored onto {r : D r = w}.  An optimal
+    residual vanishes on k rows (the equivalence theorem), so Z is where
+    the vertex simplex starts.
     """
     rf = _restore_feasibility(r, D, w)
     k = N.shape[1]
-    Z = np.sort(np.argpartition(np.abs(rf), k - 1)[:k])
-    NZ = N[Z]
-    try:
-        rv = rf - N @ np.linalg.solve(NZ, rf[Z])
-    except np.linalg.LinAlgError:
-        return None, Z
-    tol = _VERTEX_TOL * (1.0 + norm_inf(rv))
-    if norm_inf(rv[Z]) > tol:
-        return None, Z
-    sigma = np.where(np.abs(rv) <= tol, np.sign(r), np.sign(rv))
-    sigma[Z] = 0.0
-    g = np.linalg.solve(NZ.T, N.T @ sigma)
-    return (rv if norm_inf(g) <= 1.0 + _VERTEX_TOL else None), Z
+    return np.sort(np.argpartition(np.abs(rf), k - 1)[:k])
 
 
 def _simplex_residual(D, w, N, rows=None):
@@ -230,48 +210,41 @@ def _simplex_residual(D, w, N, rows=None):
 
 
 class _Crossover:
-    """Certifies one solve's iterates and finishes the solve with at most one simplex crossover.
+    """Ends one solve with exactly one simplex crossover from the rows its iterates name.
 
-    ``attempt(r)`` tries the vertex certificate on an iterate.  When it
-    fails on the same rows Z as the previous try, the iterate has settled
-    on a wrong or unprovable vertex, and the crossover runs: the vertex
-    simplex warm-started at Z (``_simplex_residual``).  ``finish(r, it)``
-    gives the solve's answer from the point r the run would return: a
-    certified vertex found on the way, else the certificate at r, else a
-    certified crossover from r's rows if none has run yet, else r itself
-    with an l2-minimal feasibility restoration.  ``converged`` is True only
-    for a vertex the certificate or the simplex proved optimal.  The
-    crossover runs at most once per solve: a failed one is not repeated,
-    since each run can spend the simplex's whole step budget.
+    ``attempt(r)`` names the rows Z of an iterate (``_vertex_rows``).  When
+    they equal the previous try's rows, the iterate has settled on a vertex,
+    and the crossover runs: the vertex simplex warm-started at Z
+    (``_simplex_residual``).  The attempt then returns True, whether or not
+    the simplex certified, since nothing later in the run can certify.
+    ``finish(r, it)`` gives the solve's answer from the point r the run
+    stops at: it runs the crossover from r's rows if none ran, and returns
+    the simplex's vertex with converged=True when it is certified, else r
+    with an l2-minimal feasibility restoration and converged=False.
     """
 
     def __init__(self, D, w, N):
         self.D, self.w, self.N = D, w, N
-        self.vertex = None  # the certified answer, once found
         self.rows = None  # Z of the last try
-        self.spent = False  # the crossover has run
+        self.result = None  # the crossover's (r, L1Vertex), once run
 
     def attempt(self, r) -> bool:
-        """Whether the iterate r led to a certified vertex."""
-        self.vertex, rows = _certify_vertex(self.D, self.w, self.N, r)
-        if self.vertex is None and not self.spent and np.array_equal(rows, self.rows):
-            self._crossover(rows)
+        """Whether the iterate r named the previous try's rows, so the crossover ran."""
+        rows = _vertex_rows(self.D, self.w, self.N, r)
+        if np.array_equal(rows, self.rows):
+            self.result = _simplex_residual(self.D, self.w, self.N, rows)
         self.rows = rows
-        return self.vertex is not None
-
-    def _crossover(self, rows) -> None:
-        self.spent = True
-        r, vertex = _simplex_residual(self.D, self.w, self.N, rows)
-        if vertex.certified:
-            self.vertex = r
+        return self.result is not None
 
     def finish(self, r, it) -> ResidualSolution:
         """The solve's answer when the run stops at r after ``it`` iterations."""
-        if self.vertex is None and not self.attempt(r) and not self.spent:
-            self._crossover(self.rows)
-        if self.vertex is not None:
-            return ResidualSolution(r=self.vertex, iterations=it, converged=True,
-                                    objective=norm1(self.vertex))
+        if self.result is None:
+            rows = _vertex_rows(self.D, self.w, self.N, r)
+            self.result = _simplex_residual(self.D, self.w, self.N, rows)
+        vertex_r, vertex = self.result
+        if vertex.certified:
+            return ResidualSolution(r=vertex_r, iterations=it, converged=True,
+                                    objective=norm1(vertex_r))
         r = _restore_feasibility(r, self.D, self.w)
         return ResidualSolution(r=r, iterations=it, converged=False, objective=norm1(r))
 
@@ -282,10 +255,11 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
     returns the next state; ``first`` marks a level's first step.
     ``stationarity(state, lam)`` measures the state against the level, and
-    a level ends at its target.  Every ``_CERTIFY_EVERY`` steps ``attempt(r)``
+    a level ends at its target.  Every ``_TRY_EVERY`` steps ``attempt(r)``
     is called, and the run ends when it returns True.  Returns the state the
-    run stopped on (the last level's target, a certified attempt or the
-    spent budget) and the iteration count; ``_Crossover`` finishes from it.
+    run stopped on (the last level's target, the attempt that ran the
+    crossover or the spent budget) and the iteration count; ``_Crossover``
+    finishes from it.
     """
     it = 0
     for lam in _lambda_levels(D, w, p.lam):
@@ -295,7 +269,7 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
                 return state, it
             state = step(state, lam, it == start)
             it += 1
-            if it % _CERTIFY_EVERY == 0 and attempt(state[0]):
+            if it % _TRY_EVERY == 0 and attempt(state[0]):
                 return state, it
     return state, it
 
@@ -335,10 +309,10 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     line search, step lengths clipped to [1e-30, 1e30], run on the
     row-orthonormal pair from one QR inside ``_continuation``; each level is
     left once the stationarity residual drops below _LEVEL_TOL times the
-    level, the last level being ``lam``.  Every 50 steps the vertex
-    certificate is tried; a certified vertex ends the run.  The run ends
-    through ``_Crossover`` (at most one warm-started simplex crossover), and
-    ``converged`` means certified.
+    level, the last level being ``lam``.  Every 10 steps the iterate names
+    its vertex rows, and a repeat of the previous rows ends the run.  The
+    run ends through ``_Crossover`` (one warm-started simplex crossover),
+    and ``converged`` means certified.
     """
     return _gpsr(*_orthonormal_pair(D, w), params)
 
@@ -398,12 +372,11 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     one n x n solve on the kernel basis N (``_newton_direction``); on the
     row-orthonormal pair from one QR, D^T D = I - N N^T.  The duality gap is
     tested relative to the dual objective (only once that is positive).
-    After every accepted step the vertex certificate is tried (a try costs
-    less than a step); a certified vertex ends the run.  The run also ends
-    when the gap closes, backtracking stalls, the accepted step stops moving
-    the point or the budget runs out; then the last point goes through
-    ``_Crossover``, at most one warm-started simplex crossover, and
-    ``converged`` means certified.
+    After every accepted step the iterate names its vertex rows, and a
+    repeat of the previous rows ends the run.  The run also ends when the
+    gap closes, backtracking stalls, the accepted step stops moving the
+    point or the budget runs out.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover), and ``converged`` means certified.
     """
     return _tnipm(*_orthonormal_pair(D, w), params)
 
@@ -543,9 +516,9 @@ def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=No
     Gram matrix, re-solving the small direction system densely at each
     breakpoint.  ``support_trace`` (a list, if given) records the support
     size at every step.  The path end, the budget's end or the start point
-    r = 0 when ||D^T w||_inf <= epsilon goes through ``_Crossover``: the
-    vertex certificate, then at most one warm-started simplex crossover;
-    ``converged`` means certified.
+    r = 0 when ||D^T w||_inf <= epsilon goes through ``_Crossover``, one
+    simplex crossover warm-started at the rows it names; ``converged``
+    means certified.
     """
     return _homotopy(*_orthonormal_pair(D, w), params, support_trace)
 
@@ -618,10 +591,10 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     like the gradient-projection solver; within a level each shrinkage step
     must not increase the penalized objective (the curvature estimate is
     doubled until it does not), which keeps the non-monotone
-    Barzilai-Borwein choice from blowing up.  Every 50 steps the vertex
-    certificate is tried; a certified vertex ends the run.  The run ends
-    through ``_Crossover`` (at most one warm-started simplex crossover), and
-    ``converged`` means certified.
+    Barzilai-Borwein choice from blowing up.  Every 10 steps the iterate
+    names its vertex rows, and a repeat of the previous rows ends the run.
+    The run ends through ``_Crossover`` (one warm-started simplex
+    crossover), and ``converged`` means certified.
     """
     return _ist(*_orthonormal_pair(D, w), params)
 
@@ -670,11 +643,11 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio is measured on the orthonormal pair.  Every 50 iterations
-    the vertex certificate is tried; a certified vertex ends the run.  The
-    run ends through ``_Crossover`` (at most one warm-started simplex
-    crossover), and ``converged`` means certified.  A zero w is answered
-    immediately with r = 0, which is exactly optimal.
+    stopping ratio is measured on the orthonormal pair.  Every 10
+    iterations the iterate names its vertex rows, and a repeat of the
+    previous rows ends the run.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover), and ``converged`` means certified.  A
+    zero w is answered immediately with r = 0, which is exactly optimal.
     """
     return _adm(*_orthonormal_pair(D, w), params)
 
@@ -707,7 +680,7 @@ def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         # moving; also require the update itself to have settled
         if norm2(D @ r - w) <= p.epsilon * wnorm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
-        if it % _CERTIFY_EVERY == 0 and crossover.attempt(r):
+        if it % _TRY_EVERY == 0 and crossover.attempt(r):
             break
     return crossover.finish(r, it)
 
@@ -721,11 +694,11 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
     internal stop only counts once the unscaled constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; every 50
-    iterations the vertex certificate is tried, and a certified vertex ends
-    the run.  The run ends through ``_Crossover`` (at most one warm-started
-    simplex crossover, on the rescaled pair), and ``converged`` means
-    certified; a zero w returns r = 0 directly.
+    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; every 10
+    iterations the iterate names its vertex rows, and a repeat of the
+    previous rows ends the run.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover, on the rescaled pair), and
+    ``converged`` means certified; a zero w returns r = 0 directly.
     """
     return _pob(*_orthonormal_pair(D, w), params)
 
@@ -757,7 +730,7 @@ def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D @ (r / scale) - w0) <= feas_gate:
             break
-        if it % _CERTIFY_EVERY == 0 and crossover.attempt(r):
+        if it % _TRY_EVERY == 0 and crossover.attempt(r):
             break
         zdual = y
         t = D @ r + zdual - w
@@ -806,9 +779,10 @@ def fit_via_residual(
     over several right-hand sides.  The solver runs on the reduction's
     orthonormal pair D = Q2^T, w = -D b and the kernel basis Q1; w is taken
     from ``problem.b`` (every residual A x - b satisfies D r = -D b), not
-    from ``reduced.w``.  A ``reduced`` of other shapes, or with Q1 R v off
-    A v for the probe v = (1, ..., n) (distinct entries, so permuted columns
-    show), does not fit the problem and raises ValueError.  When
+    from ``reduced.w``.  A ``reduced`` of other shapes, with Q1 R v off A v
+    for the probe v = (1, ..., n) (distinct entries, so permuted columns
+    show), or with D (A v) off zero, does not fit the problem and raises
+    ValueError.  When
     |w| <= m eps |D| |b| holds in every row (no constraints, or w is
     rounding noise), r = 0 is optimal and no solver runs.
     """
@@ -824,10 +798,13 @@ def fit_via_residual(
     if rs.D.shape != (m - n, m) or rs.Q.shape != (m, m) or rs.R.shape != (n, n):
         raise ValueError(f"reduced system has D {rs.D.shape}, Q {rs.Q.shape} and R {rs.R.shape}; "
                          f"the problem needs ({m - n}, {m}), ({m}, {m}) and ({n}, {n})")
-    v = np.arange(1.0, n + 1.0)
-    if reduced is not None and (norm2(rs.Q[:, :n] @ (rs.R @ v) - problem.A @ v)
-                                > 1e-8 * np.linalg.norm(problem.A) * norm2(v)):
-        raise ValueError("reduced system is not a QR factorization of the problem's A")
+    if reduced is not None:
+        v = np.arange(1.0, n + 1.0)
+        Av, scale = problem.A @ v, 1e-8 * np.linalg.norm(problem.A) * norm2(v)
+        if norm2(rs.Q[:, :n] @ (rs.R @ v) - Av) > scale:
+            raise ValueError("reduced system is not a QR factorization of the problem's A")
+        if norm2(rs.D @ Av) > scale:
+            raise ValueError("reduced system's D does not annihilate the problem's A")
     w = -(rs.D @ problem.b)
     rounding = m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
     if np.all(np.abs(w) <= rounding):

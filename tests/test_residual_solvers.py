@@ -7,14 +7,14 @@ from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recov
 from l1fit.linalg import norm1, norm2
 from l1fit.simplex import l1_vertex
 from l1fit.residual_solvers import (
-    _CERTIFY_EVERY,
+    _TRY_EVERY,
     RESIDUAL_METHODS,
     SolverParams,
-    _certify_vertex,
     _continuation,
     _lambda_levels,
     _newton_direction,
     _orthonormal_pair,
+    _vertex_rows,
     fit_via_residual,
     residual_adm,
     residual_gpsr,
@@ -37,8 +37,8 @@ from support import (
 
 ITERATIVE = [residual_gpsr, residual_tnipm, residual_homotopy, residual_ist, residual_adm, residual_pob]
 ALL_SOLVERS = [residual_linprog] + ITERATIVE
-# the iterative solvers that try the vertex certificate on their iterates
-CERTIFYING = ["gpsr", "tnipm", "ist", "adm", "pob"]
+# the iterative solvers that name vertex rows along the way, not only at their end
+TRYING = ["gpsr", "tnipm", "ist", "adm", "pob"]
 ITERATIVE_METHODS = ["gpsr", "tnipm", "homotopy", "ist", "adm", "pob"]
 
 
@@ -109,11 +109,11 @@ def test_homotopy_reaches_optimum_on_bench_instances(seed, sparsity):
 
 
 @pytest.mark.parametrize("seed,sparsity", [(100101, 0.25), (300202, 0.75)])
-@pytest.mark.parametrize("method", CERTIFYING)
+@pytest.mark.parametrize("method", TRYING)
 def test_iterative_converged_means_certified(method, seed, sparsity):
-    # square benchmark instances on which every certifying solver, GPSR
-    # included, stops at a certified vertex; the certificate is recomputed
-    # from the returned x alone
+    # square benchmark instances on which every solver that tries along the
+    # way, GPSR included, stops at a certified vertex; the certificate is
+    # recomputed from the returned x alone
     problem = bench_problem(256, 128, sparsity, seed)
     report = fit_via_residual(problem, method)
     assert report.converged
@@ -151,6 +151,21 @@ def test_named_instances_end_certified_at_the_optimum(method, name):
     assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
 
 
+def _counting_simplex(monkeypatch, certified=None):
+    """Record the residual solvers' l1_vertex calls; a given ``certified`` overrides the verdict."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        vertex = l1_vertex(*args, **kwargs)
+        calls.append(vertex)
+        if certified is None:
+            return vertex
+        return dataclasses.replace(vertex, certified=certified)
+
+    monkeypatch.setattr("l1fit.residual_solvers.l1_vertex", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [2, 4])
 @pytest.mark.parametrize("method", ITERATIVE_METHODS)
 def test_near_consistent_fit_claims_no_false_optimum(monkeypatch, method, seed):
@@ -164,13 +179,7 @@ def test_near_consistent_fit_claims_no_false_optimum(monkeypatch, method, seed):
     b = problem.b.copy()
     b[7] += 3e-8
     problem = MlmProblem(problem.A, b)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return l1_vertex(*args, **kwargs)
-
-    monkeypatch.setattr("l1fit.residual_solvers.l1_vertex", counted)
+    calls = _counting_simplex(monkeypatch)
     report = fit_via_residual(problem, method)
     assert len(calls) <= 1
     if report.converged:
@@ -222,42 +231,41 @@ def test_newton_direction_solves_the_assembled_hessian(pair):
     assert norm2(step - direct) <= 1e-10 * norm2(direct)
 
 
-def _certifier(D, w):
-    pair = _orthonormal_pair(D, w)
-    return lambda r: _certify_vertex(*pair, r)[0]
+def test_vertex_rows_restore_feasibility_and_sort():
+    # the kernel of D = [[1, 0, 0]] is spanned by e_1 and e_2, so k = 2 rows
+    # are named; restoring D r = 1 sets r_0 = 1 before the rows are ranked
+    pair = _orthonormal_pair([[1.0, 0.0, 0.0]], [1.0])
+    assert list(_vertex_rows(*pair, np.array([1.0, 0.5, 3.0]))) == [0, 1]
+    assert list(_vertex_rows(*pair, np.array([0.1, 0.5, 0.2]))) == [1, 2]
+    assert list(_vertex_rows(*pair, np.array([0.1, 0.2, 0.5]))) == [1, 2]
 
 
-@pytest.mark.parametrize("slope", [0.5, 0.95])
-def test_certifier_takes_the_cheaper_two_column_vertex(slope):
-    # the vertices of r_0 + slope r_1 = 1 are (1, 0), cost 1, and (0, 1/slope);
-    # the dual point of the second is 1/slope, at slope 0.95 only 1.053
-    certify = _certifier([[1.0, slope]], [1.0])
-    vertex = certify(np.array([0.9, 0.1 / slope]))
-    assert vertex is not None
-    assert np.allclose(vertex, [1.0, 0.0], atol=1e-12)
-    assert certify(np.array([0.1, 0.9 / slope])) is None
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_iterative_methods_run_the_simplex_exactly_once(monkeypatch, method):
+    # the simplex's certificate is the only one: every solve ends in one
+    # crossover, L1-HP's at its path end, which the n-row vertex test used
+    # to certify without a simplex call
+    calls = _counting_simplex(monkeypatch)
+    report = fit_via_residual(bench_problem(256, 128, 0.25, 100001), method)
+    assert len(calls) == 1
+    assert report.converged and calls[0].certified
 
 
-def test_certifier_rejects_singular_interpolation_rows():
-    # the kernel of D = [[1, 0, 0]] is spanned by e_1 and e_2: the smallest
-    # entries at rows 0 and 1 give a singular N_Z, rows 1 and 2 the optimum
-    certify = _certifier([[1.0, 0.0, 0.0]], [1.0])
-    assert certify(np.array([1.0, 0.5, 3.0])) is None
-    assert np.allclose(certify(np.array([1.0, 0.5, 0.2])), [1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_certifier_takes_the_iterate_sign_on_tied_rows():
-    # the optimum e_0 vanishes on rows 1, 2 and 3, one more than
-    # dim(null D) = 2; the iterates r = e_0 +- 1e-6 (-7, 0, 5, 6) lie in
-    # {r : D r = w} and name Z = {1, 2}, and the tied row 3 takes their
-    # sign: the dual point is 0.2 for sign +1, 1.4 for 0 and 2.6 for -1
-    D = [[-0.5, 0.25, 0.5, -1.0], [0.75, 0.25, 0.75, 0.25]]
-    certify = _certifier(D, [-0.5, 0.75])
-    step = 1e-6 * np.array([-7.0, 0.0, 5.0, 6.0])
-    vertex = certify(np.array([1.0, 0.0, 0.0, 0.0]) + step)
-    assert vertex is not None
-    assert np.allclose(vertex, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert certify(np.array([1.0, 0.0, 0.0, 0.0]) - step) is None
+@pytest.mark.parametrize("method", TRYING)
+def test_uncertified_crossover_ends_the_run_at_its_try(monkeypatch, method):
+    # a crossover the simplex cannot certify still ends the run where it
+    # ran: the same iteration as a certified one, with converged=False and
+    # the iterate restored onto D r = w
+    problem = bench_problem(256, 128, 0.25, 100001)
+    rs = reduce_problem(problem)
+    D, w, N = rs.D, -(rs.D @ problem.b), rs.Q[:, :problem.n]
+    certified = RESIDUAL_METHODS[method](D, w, N)
+    calls = _counting_simplex(monkeypatch, certified=False)
+    res = RESIDUAL_METHODS[method](D, w, N)
+    assert len(calls) == 1
+    assert certified.converged and not res.converged
+    assert res.iterations == certified.iterations
+    assert norm2(D @ res.r - w) <= 1e-9 * norm2(w)
 
 
 def test_consistent_system_short_circuits():
@@ -392,6 +400,17 @@ def test_driver_rejects_a_reduction_of_another_matrix():
     swapped = MlmProblem(prob.A[:, [1, 0, 2, 3]], prob.b)
     with pytest.raises(ValueError, match="not a QR factorization"):
         fit_via_residual(prob, "linprog", reduced=reduce_problem(swapped))
+
+
+@pytest.mark.parametrize("method", ["linprog", "adm", "tnipm", "gpsr"])
+def test_driver_rejects_a_reduction_with_another_pair(method):
+    # Q and R factor A, but D comes from another matrix; these four methods
+    # reported converged=True at cost 24.252 against the optimum 23.684
+    rng = np.random.default_rng(49)
+    prob = random_problem(rng, 30, 4)
+    other = reduce_problem(random_problem(rng, 30, 4))
+    with pytest.raises(ValueError, match="does not annihilate"):
+        fit_via_residual(prob, method, reduced=dataclasses.replace(reduce_problem(prob), D=other.D))
 
 
 @pytest.mark.parametrize("method", RESIDUAL_METHODS)
@@ -615,8 +634,8 @@ def test_continuation_middle_level_ends_at_first_certified_attempt():
         return len(tried) == 3
 
     it, tag = fake.run(attempt=attempt)
-    assert tried == [_CERTIFY_EVERY, 2 * _CERTIFY_EVERY, 3 * _CERTIFY_EVERY]
-    assert it == 3 * _CERTIFY_EVERY and tag == it
+    assert tried == [_TRY_EVERY, 2 * _TRY_EVERY, 3 * _TRY_EVERY]
+    assert it == 3 * _TRY_EVERY and tag == it
     assert fake.depths() == [0] + [1] * (it - 1)
 
 

@@ -97,6 +97,14 @@ def test_experiment_spec_validation():
         ExperimentSpec(kind="noise_free", methods=())
 
 
+@pytest.mark.parametrize("variance", [np.nan, np.inf, -1.0])
+def test_experiment_spec_rejects_bad_noise_variance(variance):
+    # a NaN variance used to run the whole campaign and report every
+    # repetition as an error
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ExperimentSpec(kind="sparse_noise", noise_variance=variance)
+
+
 def test_run_experiment_basic():
     spec = ExperimentSpec(kind="noise_free", m=16, n=4, repeats=3, seed=5,
                           methods=("L1-RES", "L1-HP"))
