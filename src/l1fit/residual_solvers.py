@@ -782,9 +782,9 @@ def fit_via_residual(
     from ``reduced.w``.  A ``reduced`` of other shapes, with Q1 R v off A v
     for the probe v = (1, ..., n) (distinct entries, so permuted columns
     show), or with D (A v) off zero, does not fit the problem and raises
-    ValueError.  When
-    |w| <= m eps |D| |b| holds in every row (no constraints, or w is
-    rounding noise), r = 0 is optimal and no solver runs.
+    ValueError.  When |w| <= m eps |D| |b| holds in every row (no
+    constraints, or w is rounding noise), r = 0 is optimal and no solver
+    runs.
     """
     if method not in RESIDUAL_METHODS:
         raise ValueError(
