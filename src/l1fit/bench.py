@@ -132,6 +132,11 @@ class ExperimentSpec:
             raise ValueError("redundancy levels must be at least 1")
         if not self.methods:
             raise ValueError("at least one method is required")
+        unknown = [m for m in self.methods if str(m).upper() not in _methods.ALL_METHODS]
+        if unknown:
+            raise ValueError(
+                f"unknown methods {unknown}; valid methods: " + ", ".join(_methods.ALL_METHODS)
+            )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,27 @@ def bp_enumerate(D, w, singular_tol=1e-10):
     return best, best_cost
 
 
+def oracle_loop(problem):
+    """``oracle_solve`` as one Python pass per n-row subset: the reference for the block form.
+
+    Skips a subset whose |det| is at most 1e-12 times its Hadamard bound;
+    returns (x, cost, number of subsets evaluated), ties keeping the first
+    subset in lexicographic order.
+    """
+    A, b = problem.A, problem.b
+    best_x, best_cost, evaluated = None, np.inf, 0
+    for subset in itertools.combinations(range(problem.m), problem.n):
+        sub = A[list(subset)]
+        if abs(np.linalg.det(sub)) <= 1e-12 * np.prod(np.linalg.norm(sub, axis=1)):
+            continue
+        evaluated += 1
+        x = np.linalg.solve(sub, b[list(subset)])
+        cost = float(np.sum(np.abs(A @ x - b)))
+        if cost < best_cost:
+            best_x, best_cost = x, cost
+    return best_x, best_cost, evaluated
+
+
 def paper_pair(problem):
     """The paper's pair D = [-C I], w = C b(1:n) - b(n+1:m), with C = A2 A1^-1.
 

@@ -242,6 +242,16 @@ def test_cli_bench_rejects_zero_repeats(capsys):
     assert "repeats" in capsys.readouterr().err
 
 
+def test_cli_bench_rejects_unknown_method(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--experiment", "noise-free", "--m", "8", "--n", "2", "--repeats", "1",
+                 "--methods", "L1-LP,L1-FOO", "--csv", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("l1fit bench: error: unknown methods ['L1-FOO']")
+    assert "ORACLE" in err
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--maxiter", "0", "maxiter"),
     ("--tau", "0", "tau"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from l1fit import ALL_METHODS, MlmProblem, oracle_solve, solve
-from support import random_problem
+from l1fit import ALL_METHODS, MlmProblem, oracle, oracle_solve, solve
+from support import oracle_loop, random_problem
 
 
 def test_square_system_exact():
@@ -60,3 +60,65 @@ def test_tie_breaks_lexicographically():
     second = oracle_solve(MlmProblem(A, b))
     assert first.x == pytest.approx(second.x)
     assert first.x == pytest.approx([0.0])  # subset {0} precedes {2}
+
+
+def assert_matches_loop(problem, **guard):
+    report = oracle_solve(problem, **guard)
+    x, cost, evaluated = oracle_loop(problem)
+    assert report.iterations == evaluated
+    assert report.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert np.allclose(report.x, x, rtol=0.0, atol=1e-9)
+    return report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", range(6, 15))
+def test_blocks_match_the_subset_loop(m, n):
+    rng = np.random.default_rng(1000 * m + n)
+    assert_matches_loop(random_problem(rng, m, n))
+
+
+def test_duplicate_rows_are_skipped():
+    rng = np.random.default_rng(63)
+    A = rng.standard_normal((8, 3))
+    A[1:3] = A[0]
+    report = assert_matches_loop(MlmProblem(A, rng.standard_normal(8)))
+    # C(8,3) = 56 subsets, less the 16 holding at least two copies of row 0
+    assert report.iterations == 40
+
+
+@pytest.mark.parametrize("b", [
+    [-5.0, 7.0, 0.0, 2.0, -5.0, 7.0],  # tied rows 2 | 3 straddle the first boundary
+    [-5.0, 7.0, 2.0, 0.0, -5.0, 7.0],  # the later block holds the smaller x
+    [-5.0, 0.0, 2.0, 7.0, -5.0, 7.0],  # both in the first block
+    [-5.0, 7.0, -5.0, 2.0, 0.0, 7.0],  # both in the second block
+])
+def test_ties_keep_the_first_subset_across_blocks(monkeypatch, b):
+    # x = 0 and x = 2 both cost exactly 26; blocks of 3 are {0,1,2}, {3,4,5}
+    monkeypatch.setattr(oracle, "_BLOCK", 3)
+    first = min(i for i, v in enumerate(b) if v in (0.0, 2.0))
+    report = oracle_solve(MlmProblem(np.ones((6, 1)), np.array(b)))
+    assert report.cost == 26.0
+    assert report.x[0] == b[first]
+    assert report.iterations == 6
+
+
+def test_raised_guard_spans_several_blocks():
+    rng = np.random.default_rng(64)
+    assert 4368 > oracle._BLOCK  # C(16, 5) subsets
+    report = assert_matches_loop(random_problem(rng, 16, 5), max_m=16, max_n=5)
+    assert report.iterations == 4368
+
+
+def test_singular_blocks_do_not_end_the_search(monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", 3)
+    rng = np.random.default_rng(65)
+    A = rng.standard_normal((6, 2))
+    A[1:4] = A[0] * np.array([[2.0], [-1.0], [3.0]])
+    # the first block, (0,1) (0,2) (0,3), is all singular
+    report = assert_matches_loop(MlmProblem(A, rng.standard_normal(6)))
+    assert report.iterations == 15 - 6
+    # a rank-one matrix spreads 40 singular blocks and still raises
+    rank_one = np.outer(rng.standard_normal(10), rng.standard_normal(3))
+    with pytest.raises(RuntimeError, match="singular"):
+        oracle_solve(MlmProblem(rank_one, rng.standard_normal(10)))

@@ -101,6 +101,14 @@ def test_experiment_spec_validation():
             ExperimentSpec(kind="sparse_noise", noise_variance=variance)
 
 
+def test_experiment_spec_rejects_unknown_method():
+    # an unknown label used to run the campaign and report it as a row of solver errors
+    with pytest.raises(ValueError, match="unknown methods \\['L1-FOO'\\]; valid methods: L1-LP,"):
+        ExperimentSpec(kind="noise_free", methods=("L1-LP", "L1-FOO"))
+    # labels match case-insensitively, as ``solve`` matches them
+    assert ExperimentSpec(kind="noise_free", methods=("l1-res", "oracle")).methods == ("l1-res", "oracle")
+
+
 def test_run_experiment_basic():
     spec = ExperimentSpec(kind="noise_free", m=16, n=4, repeats=3, seed=5,
                           methods=("L1-RES", "L1-HP"))
