@@ -73,7 +73,8 @@ _LEVEL_TOL = 1e-4
 _POB_W_NORM = 500.0
 # relaxation factor of the alternating-directions multiplier update
 _ADM_ZETA = 1.618
-# the first-order solvers name vertex rows every this many iterations
+# the first-order solvers name vertex rows after iterations 1, 2, 4 and 8,
+# then every this many iterations (``_tries_at``)
 _TRY_EVERY = 10
 # a QR pivot of D^T at most this share of the largest marks dependent rows
 _RANK_TOL = float(np.sqrt(np.finfo(float).eps))
@@ -249,14 +250,23 @@ class _Crossover:
         return ResidualSolution(r=r, iterations=it, converged=False, objective=norm1(r))
 
 
+def _tries_at(it) -> bool:
+    """Whether a first-order solver names vertex rows after iteration ``it``.
+
+    Early and doubling (1, 2, 4, 8), so a run already at its vertex crosses
+    over at iteration 2, then every ``_TRY_EVERY``.
+    """
+    return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
+
+
 def _continuation(D, w, p, state, step, stationarity, attempt):
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
     returns the next state; ``first`` marks a level's first step.
     ``stationarity(state, lam)`` measures the state against the level, and
-    a level ends at its target.  Every ``_TRY_EVERY`` steps ``attempt(r)``
-    is called, and the run ends when it returns True.  Returns the state the
+    a level ends at its target.  After the steps ``_tries_at`` names,
+    ``attempt(r)`` is called, and the run ends when it returns True.  Returns the state the
     run stopped on (the last level's target, the attempt that ran the
     crossover or the spent budget) and the iteration count; ``_Crossover``
     finishes from it.
@@ -269,7 +279,7 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
                 return state, it
             state = step(state, lam, it == start)
             it += 1
-            if it % _TRY_EVERY == 0 and attempt(state[0]):
+            if _tries_at(it) and attempt(state[0]):
                 return state, it
     return state, it
 
@@ -309,8 +319,9 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     line search, step lengths clipped to [1e-30, 1e30], run on the
     row-orthonormal pair from one QR inside ``_continuation``; each level is
     left once the stationarity residual drops below _LEVEL_TOL times the
-    level, the last level being ``lam``.  Every 10 steps the iterate names
-    its vertex rows, and a repeat of the previous rows ends the run.  The
+    level, the last level being ``lam``.  After steps 1, 2, 4 and 8, then
+    every 10, the iterate names its vertex rows, and a repeat of the
+    previous rows ends the run.  The
     run ends through ``_Crossover`` (one warm-started simplex crossover),
     and ``converged`` means certified.
     """
@@ -591,8 +602,9 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     like the gradient-projection solver; within a level each shrinkage step
     must not increase the penalized objective (the curvature estimate is
     doubled until it does not), which keeps the non-monotone
-    Barzilai-Borwein choice from blowing up.  Every 10 steps the iterate
-    names its vertex rows, and a repeat of the previous rows ends the run.
+    Barzilai-Borwein choice from blowing up.  After steps 1, 2, 4 and 8,
+    then every 10, the iterate names its vertex rows, and a repeat of the
+    previous rows ends the run.
     The run ends through ``_Crossover`` (one warm-started simplex
     crossover), and ``converged`` means certified.
     """
@@ -643,11 +655,12 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     step is the exact subproblem minimizer (the published step-size formula
     ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
     inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio is measured on the orthonormal pair.  Every 10
-    iterations the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover), and ``converged`` means certified.  A
-    zero w is answered immediately with r = 0, which is exactly optimal.
+    stopping ratio is measured on the orthonormal pair.  After iterations
+    1, 2, 4 and 8, then every 10, the iterate names its vertex rows, and a
+    repeat of the previous rows ends the run.  The run ends through
+    ``_Crossover`` (one warm-started simplex crossover), and ``converged``
+    means certified.  A zero w is answered immediately with r = 0, which
+    is exactly optimal.
     """
     return _adm(*_orthonormal_pair(D, w), params)
 
@@ -680,7 +693,7 @@ def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         # moving; also require the update itself to have settled
         if norm2(D @ r - w) <= p.epsilon * wnorm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
-        if it % _TRY_EVERY == 0 and crossover.attempt(r):
+        if _tries_at(it) and crossover.attempt(r):
             break
     return crossover.finish(r, it)
 
@@ -694,11 +707,12 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     problem is positively homogeneous), which puts the data on the scale
     the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
     internal stop only counts once the unscaled constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; every 10
-    iterations the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover, on the rescaled pair), and
-    ``converged`` means certified; a zero w returns r = 0 directly.
+    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; after
+    iterations 1, 2, 4 and 8, then every 10, the iterate names its vertex
+    rows, and a repeat of the previous rows ends the run.  The run ends
+    through ``_Crossover`` (one warm-started simplex crossover, on the
+    rescaled pair), and ``converged`` means certified; a zero w returns
+    r = 0 directly.
     """
     return _pob(*_orthonormal_pair(D, w), params)
 
@@ -730,7 +744,7 @@ def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D @ (r / scale) - w0) <= feas_gate:
             break
-        if it % _TRY_EVERY == 0 and crossover.attempt(r):
+        if _tries_at(it) and crossover.attempt(r):
             break
         zdual = y
         t = D @ r + zdual - w

@@ -18,6 +18,15 @@ residual of the same basis.  Ties in the line search go to the lowest
 row index.  After ``_STALL_LIMIT`` zero-length steps in a row the
 lowest-index leaving row is taken (Bland's rule) until a step moves
 again.
+
+Before either phase the start vertex is tested on its tied rows T, the
+residuals within the tie tolerance of zero, when there are more than n:
+a degenerate optimum, which the n-row test cannot prove (the simplex
+would walk many zero-cost steps).  With S the other rows, the vertex is
+optimal when some u_T in [-1, 1]^|T| has A_T^T u_T = -A_S^T sign(r_S),
+the subgradient condition 0 in A^T d||r||_1; u_T is sought by
+alternating projections (``_tied_optimal``).  A vertex certified so takes
+no step.
 """
 
 from __future__ import annotations
@@ -42,11 +51,19 @@ _PERTURB = 1e-7
 _TIE_TOL = 1e-9
 # the vertex is certified when ||s||_inf <= 1 + _CERT_TOL
 _CERT_TOL = 1e-10
+# the tied-row test clips u_T to +-_TIED_CLIP and projects it back at most
+# _TIED_PROJECTIONS times; A_T^T u_T = c must hold to _TIED_TOL (1 + ||c||_inf)
+_TIED_CLIP = 0.999
+_TIED_PROJECTIONS = 50
+_TIED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class L1Vertex:
-    """x = A_Z^-1 b_Z for the basis rows Z; ``certified`` is ||s||_inf <= 1 + 1e-10 on b."""
+    """x = A_Z^-1 b_Z for the basis rows Z; ``certified`` is ||s||_inf <= 1 + 1e-10 on b.
+
+    A start vertex that passes the tied-row test is certified with ``steps`` 0.
+    """
 
     x: np.ndarray
     rows: np.ndarray
@@ -87,17 +104,43 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
-def _descend(A, b, b_pert, rows, budget):
+def _tied_optimal(A, b, x) -> bool:
+    """Whether x passes the tied-row test; False when at most n rows are tied.
+
+    T is the rows with |r_i| <= _TIE_TOL (1 + ||b||_inf) for r = A x - b.
+    u_T starts at the minimum-norm solution Q R^-T c of A_T^T u_T = c
+    (one thin QR A_T = Q R) and is clipped into the box and projected back
+    until it lies in [-1, 1]^|T|.
+    """
+    n = A.shape[1]
+    r = A @ x - b
+    tied = np.abs(r) <= _TIE_TOL * (1.0 + norm_inf(b))
+    if np.count_nonzero(tied) <= n:
+        return False
+    A_T = A[tied]
+    c = -(np.sign(r[~tied]) @ A[~tied])
+    Q, R = np.linalg.qr(A_T)
+    g = np.linalg.solve(R.T, c)  # A_T^T u = c is Q^T u = g
+    u = Q @ g
+    for _ in range(_TIED_PROJECTIONS):
+        if norm_inf(u) <= 1.0:
+            break
+        u = np.clip(u, -_TIED_CLIP, _TIED_CLIP)
+        u -= Q @ (Q.T @ u - g)
+    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= _TIED_TOL * (1.0 + norm_inf(c))
+
+
+def _descend(A, b, b_pert, rows, inv, budget):
     """Both phases from the start ``rows``; returns (rows, A_Z^-1, steps, ||s||_inf).
 
-    The first phase steps on ``b_pert``.  When it is certified or out of
-    budget the second starts from its rows on ``b``, with ties at zero
-    broken by the residuals on ``b_pert``.  Every verdict is taken again on
-    a fresh factorization, and only a verdict on ``b`` ends the descent.
+    ``inv`` is A_Z^-1 at the start rows.  The first phase steps on
+    ``b_pert``.  When it is certified or out of budget the second starts
+    from its rows on ``b``, with ties at zero broken by the residuals on
+    ``b_pert``.  Every verdict is taken again on a fresh factorization, and
+    only a verdict on ``b`` ends the descent.
     """
     tol = _TIE_TOL * (1.0 + norm_inf(b))
     target = b_pert
-    inv = np.linalg.inv(A[rows])
     steps = stall = since = 0  # since: steps since inv was factored
     r = None
     while True:
@@ -151,7 +194,8 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     descent starts from the first n independent rows.  Indices of another
     count or out of range raise ValueError.  The step budget is 50 (m + n)
     over both phases; a run that spends it returns its last vertex with
-    ``certified`` False.
+    ``certified`` False.  A start vertex that passes the tied-row test (see
+    the module docstring) is returned certified, with ``steps`` 0.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -169,8 +213,12 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
             raise ValueError(f"rows must be {n} row indices in [0, {m}), got {rows!r}")
     if rows is None or not _independent(A, rows, default_rank_tol(A)):
         rows = _start_rows(A)
+    inv = np.linalg.inv(A[rows])
+    x = inv @ b[rows]
+    if _tied_optimal(A, b, x):
+        return L1Vertex(x=x, rows=rows, steps=0, certified=True)
     budget = _STEPS_PER_DIM * (m + n)
     b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
-    rows, inv, steps, s_max = _descend(A, b, b_pert, rows, budget)
+    rows, inv, steps, s_max = _descend(A, b, b_pert, rows, inv, budget)
     x = inv @ b[rows]
     return L1Vertex(x=x, rows=rows, steps=steps, certified=s_max <= 1.0 + _CERT_TOL)

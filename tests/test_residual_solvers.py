@@ -14,6 +14,7 @@ from l1fit.residual_solvers import (
     _lambda_levels,
     _newton_direction,
     _orthonormal_pair,
+    _tries_at,
     _vertex_rows,
     fit_via_residual,
     residual_adm,
@@ -149,6 +150,28 @@ def test_named_instances_end_certified_at_the_optimum(method, name):
     report = fit_via_residual(problem, method)
     assert report.converged
     assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["tnipm", "homotopy", "adm", "pob"])
+def test_tall_crossover_certifies_its_tied_start(monkeypatch, method):
+    # the tall optimum vanishes on about 384 of the 512 rows; the vertex
+    # through the rows these iterates name is already optimal, and the
+    # tied-row test proves it where the simplex walked 300-600 steps
+    calls = _counting_simplex(monkeypatch)
+    report = fit_via_residual(_tall_problem(), method)
+    assert [(vertex.steps, vertex.certified) for vertex in calls] == [(0, True)]
+    assert report.converged
+
+
+@pytest.mark.parametrize("method", ["gpsr", "ist", "pob"])
+def test_small_instance_crosses_over_at_the_second_iteration(method):
+    # an 8 x 4 small-batch instance whose first two iterates name the same
+    # rows: the first tries after iterations 1 and 2 end the run, where
+    # tries every 10 iterations took at least 20
+    problem = bench_problem(8, 4, 0.25, 100002)
+    report = fit_via_residual(problem, method)
+    assert report.converged and report.iterations <= 2
+    assert report.cost == pytest.approx(fit_via_residual(problem, "linprog").cost, rel=1e-9)
 
 
 def _counting_simplex(monkeypatch, certified=None):
@@ -628,9 +651,15 @@ def test_continuation_middle_level_ends_at_first_certified_attempt():
         return len(tried) == 3
 
     it, tag = fake.run(attempt=attempt)
-    assert tried == [_TRY_EVERY, 2 * _TRY_EVERY, 3 * _TRY_EVERY]
-    assert it == 3 * _TRY_EVERY and tag == it
+    first_tries = [i for i in range(1, 4 * _TRY_EVERY) if _tries_at(i)][:3]
+    assert tried == first_tries
+    assert it == first_tries[2] and tag == it
     assert fake.depths() == [0] + [1] * (it - 1)
+
+
+def test_tries_start_early_then_keep_the_cadence():
+    assert [i for i in range(1, 3 * _TRY_EVERY + 1) if _tries_at(i)] == [
+        1, 2, 4, 8, _TRY_EVERY, 2 * _TRY_EVERY, 3 * _TRY_EVERY]
 
 
 def test_continuation_out_of_budget_returns_the_last_state():

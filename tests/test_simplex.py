@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog
-from l1fit.simplex import _start_rows, l1_vertex
+from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
 from support import bench_problem, dependent_top_rows_problem, highs_cost, vertex_certificate
 
 
@@ -284,3 +284,61 @@ def test_warm_start_rows_validated(rows):
     rng = np.random.default_rng(19)
     with pytest.raises(ValueError, match="rows"):
         l1_vertex(rng.standard_normal((6, 3)), rng.standard_normal(6), rows=rows)
+
+
+@pytest.mark.parametrize("seed", [100000, 100100, 100200, 700000, 700100, 700200])
+def test_consistent_square_input_certified_at_its_start(seed):
+    # b = A p (the square benchmark's g0.0 inputs): the first n rows already
+    # interpolate every row, and L1-LP walked 192-252 steps to prove it
+    problem = bench_problem(256, 128, 0.0, seed)
+    report = fit_linprog(problem)
+    assert report.converged and report.iterations == 0
+    p = np.linalg.lstsq(problem.A, problem.b, rcond=None)[0]
+    assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
+
+
+def _one_column(outliers):
+    """a = (1, .5, .5, .5, 1, ...), b = a except ``outliers`` rows of a = 1, b = 2.
+
+    The start vertex x = 1 ties the first four rows, so u_T solves
+    (1, .5, .5, .5) . u_T = c = ``outliers``; it is optimal when c <= 2.5.
+    """
+    a = np.array([1.0, 0.5, 0.5, 0.5] + [1.0] * outliers)
+    return a[:, None], np.concatenate([a[:4], np.full(outliers, 2.0)])
+
+
+def test_tied_start_certified_by_projections(monkeypatch):
+    # c = 2: the minimum-norm u_T = a_T c / ||a_T||^2 has u_0 = 8/7 > 1, and
+    # the projections move it into the box, e.g. to (1, 2/3, 2/3, 2/3)
+    A, b = _one_column(2)
+    a_T = A[:4, 0]
+    assert np.max(np.abs(a_T * 2.0 / (a_T @ a_T))) > 1.0
+    vertex = l1_vertex(A, b)
+    assert (vertex.steps, vertex.certified) == (0, True)
+    assert vertex.x == pytest.approx([1.0], abs=1e-15)
+    monkeypatch.setattr("l1fit.simplex._TIED_PROJECTIONS", 0)
+    assert not _tied_optimal(A, b, vertex.x)
+
+
+def _not_optimal_tied_start():
+    """40 x 5: the first 16 rows are exact, the other 24 shifted up by 1 to 3."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 5))
+    b = A @ rng.standard_normal(5)
+    b[16:] += rng.uniform(1.0, 3.0, 24)
+    return A, b
+
+
+@pytest.mark.parametrize("build", [lambda: _one_column(4), _not_optimal_tied_start],
+                         ids=["one-column", "40x5"])
+def test_tied_start_that_is_not_optimal_runs_the_simplex(monkeypatch, build):
+    # the start vertex ties more than n rows but no u_T in the box exists
+    # (c = 4 > 2.5 on the one-column case); the simplex runs as without the test
+    A, b = build()
+    vertex = l1_vertex(A, b)
+    assert vertex.certified and vertex.steps > 0
+    assert np.sum(np.abs(A @ vertex.x - b)) == pytest.approx(highs_cost(A, b), rel=1e-9)
+    monkeypatch.setattr("l1fit.simplex._tied_optimal", lambda A, b, x: False)
+    untested = l1_vertex(A, b)
+    assert (untested.steps, untested.certified) == (vertex.steps, vertex.certified)
+    assert np.array_equal(untested.rows, vertex.rows) and np.array_equal(untested.x, vertex.x)
