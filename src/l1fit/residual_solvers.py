@@ -253,8 +253,8 @@ class _Crossover:
 def _tries_at(it) -> bool:
     """Whether a first-order solver names vertex rows after iteration ``it``.
 
-    Early and doubling (1, 2, 4, 8), so a run already at its vertex crosses
-    over at iteration 2, then every ``_TRY_EVERY``.
+    After iterations 1, 2, 4 and 8, so that a run already at its vertex
+    crosses over at iteration 2, then every ``_TRY_EVERY``.
     """
     return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
 
@@ -266,10 +266,10 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
     returns the next state; ``first`` marks a level's first step.
     ``stationarity(state, lam)`` measures the state against the level, and
     a level ends at its target.  After the steps ``_tries_at`` names,
-    ``attempt(r)`` is called, and the run ends when it returns True.  Returns the state the
-    run stopped on (the last level's target, the attempt that ran the
-    crossover or the spent budget) and the iteration count; ``_Crossover``
-    finishes from it.
+    ``attempt(r)`` is called, and the run ends when it returns True.
+    Returns the state the run stopped on (the last level's target, the
+    attempt that ran the crossover or the spent budget) and the iteration
+    count; ``_Crossover`` finishes from it.
     """
     it = 0
     for lam in _lambda_levels(D, w, p.lam):
@@ -321,9 +321,8 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     left once the stationarity residual drops below _LEVEL_TOL times the
     level, the last level being ``lam``.  After steps 1, 2, 4 and 8, then
     every 10, the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.  The
-    run ends through ``_Crossover`` (one warm-started simplex crossover),
-    and ``converged`` means certified.
+    previous rows ends the run.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover), and ``converged`` means certified.
     """
     return _gpsr(*_orthonormal_pair(D, w), params)
 
@@ -604,9 +603,8 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     doubled until it does not), which keeps the non-monotone
     Barzilai-Borwein choice from blowing up.  After steps 1, 2, 4 and 8,
     then every 10, the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.
-    The run ends through ``_Crossover`` (one warm-started simplex
-    crossover), and ``converged`` means certified.
+    previous rows ends the run.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover), and ``converged`` means certified.
     """
     return _ist(*_orthonormal_pair(D, w), params)
 
