@@ -8,18 +8,16 @@ harness with a pinned, bit-reproducible random-instance generator.
 
 from .bench import BenchRecord, ExperimentSpec, add_sparse_noise, gen_instance, run_experiment, write_csv
 from .direct import fit_linprog, fit_perturbation
-from .linalg import nullspace_basis, pcg, pinv, soft
+from .linalg import nullspace_basis, pinv, soft
 from .methods import ALL_METHODS, solve
 from .oracle import oracle_solve
 from .reduction import (
     MlmProblem,
     ReducedSystem,
-    ResidualSplit,
     SolveReport,
     cost1,
     recover,
     reduce_problem,
-    split_by_residual,
 )
 from .residual_solvers import (
     ResidualSolution,
@@ -44,7 +42,6 @@ __all__ = [
     "MlmProblem",
     "ReducedSystem",
     "ResidualSolution",
-    "ResidualSplit",
     "SolveReport",
     "SolverParams",
     "add_sparse_noise",
@@ -56,7 +53,6 @@ __all__ = [
     "l1_vertex",
     "nullspace_basis",
     "oracle_solve",
-    "pcg",
     "pinv",
     "recover",
     "reduce_problem",
@@ -70,6 +66,5 @@ __all__ = [
     "run_experiment",
     "soft",
     "solve",
-    "split_by_residual",
     "write_csv",
 ]

@@ -71,16 +71,12 @@ def gen_instance(m: int, n: int, seed: int) -> tuple[MlmProblem, np.ndarray]:
     return MlmProblem(A, A @ p), p
 
 
-def add_sparse_noise(
-    b, ratio: float, variance: float, seed: int, as_std: bool = False
-) -> np.ndarray:
+def add_sparse_noise(b, ratio: float, variance: float, seed: int) -> np.ndarray:
     """Perturb exactly floor(ratio*m + 0.5) entries with centered Gaussians.
 
     Positions come from a partial Fisher-Yates shuffle driven by stream
-    (seed, SALT_NOISE_POSITIONS); values are std * normals from stream
-    (seed, SALT_NOISE_VALUES), assigned in ascending position order.
-    ``variance`` is a variance unless ``as_std`` reinterprets it as the
-    standard deviation.
+    (seed, SALT_NOISE_POSITIONS); values are sqrt(variance) * normals from
+    stream (seed, SALT_NOISE_VALUES), assigned in ascending position order.
     """
     b = np.asarray(b, dtype=float)
     if not 0.0 <= ratio <= 1.0:
@@ -98,8 +94,7 @@ def add_sparse_noise(
         j = i + int(words[i] % np.uint64(m - i))
         idx[i], idx[j] = idx[j], idx[i]
     positions = np.sort(idx[:k])
-    std = float(variance) if as_std else math.sqrt(variance)
-    out[positions] += std * normals(seed, k, salt=SALT_NOISE_VALUES)
+    out[positions] += math.sqrt(variance) * normals(seed, k, salt=SALT_NOISE_VALUES)
     return out
 
 
@@ -120,8 +115,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if not self.m > self.n:
-            raise ValueError("need m > n")
+        if not self.m > self.n >= 2:
+            raise ValueError(f"need m > n >= 2, got m={self.m}, n={self.n}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if any(not 0.0 <= g <= 1.0 for g in self.sparsity_ratios):
@@ -130,6 +125,10 @@ class ExperimentSpec:
             raise ValueError("noise variance must be finite and nonnegative")
         if any(v < 1.0 for v in self.drl_values):
             raise ValueError("redundancy levels must be at least 1")
+        if self.kind == "drl_sweep":
+            for v, (m, n, _) in zip(self.drl_values, _configurations(self)):
+                if not m > n:
+                    raise ValueError(f"redundancy level {v} gives m = {m}, not above n = {n}")
         if not self.methods:
             raise ValueError("at least one method is required")
         unknown = [m for m in self.methods if str(m).upper() not in _methods.ALL_METHODS]

@@ -17,7 +17,6 @@ __all__ = [
     "default_rank_tol",
     "pinv",
     "nullspace_basis",
-    "pcg",
 ]
 
 
@@ -80,55 +79,3 @@ def nullspace_basis(A) -> np.ndarray:
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     return Vt[np.count_nonzero(s > default_rank_tol(A)):].T
 
-
-def pcg(H, g, P=None, tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradients for H x = g with SPD matrix H and SPD P.
-
-    Starts from zero, stops when ||H x - g||_2 <= tol * ||g||_2 and
-    otherwise returns the best iterate seen.  ``P`` is a callable applying
-    the inverse preconditioner to a vector and defaults to the identity.
-    """
-    g = np.asarray(g, dtype=float).ravel()
-    k = g.size
-    H = np.asarray(H, dtype=float)
-    if H.shape != (k, k):
-        raise ValueError(f"system shape mismatch: H is {H.shape}, g has length {k}")
-    scale = 1.0 + (np.max(np.abs(H)) if H.size else 0.0)
-    if np.max(np.abs(H - H.T)) > 1e-10 * scale:
-        raise ValueError("pcg requires a symmetric matrix")
-    if maxiter is None:
-        maxiter = 10 * k
-    x = np.zeros(k)
-    gnorm = norm2(g)
-    if gnorm == 0.0:
-        return x
-    apply_prec = (lambda v: v) if P is None else P
-
-    r = g
-    best_x = x.copy()
-    best_res = norm2(r)
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(maxiter):
-        if norm2(r) <= tol * gnorm:
-            return x
-        Hp = H @ p
-        denom = float(p @ Hp)
-        if denom <= 0.0:  # loss of positive definiteness; bail out
-            break
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * Hp
-        res = norm2(r)
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-        z = apply_prec(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    if norm2(g - H @ x) <= best_res:
-        return x
-    return best_x

@@ -18,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm1, norm_inf
+from .linalg import default_rank_tol, norm1
 
 __all__ = [
     "MlmProblem",
     "ReducedSystem",
-    "ResidualSplit",
     "SolveReport",
     "cost1",
     "reduce_problem",
     "recover",
-    "split_by_residual",
 ]
 
 
@@ -122,39 +120,3 @@ def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:
         raise ValueError(f"residual must have length {problem.m}, got shape {r.shape}")
     return np.linalg.solve(reduced.R, reduced.Q[:, :problem.n].T @ (problem.b + r))
 
-
-@dataclass(frozen=True)
-class ResidualSplit:
-    """Rows of (A, b, r) partitioned by whether the residual entry vanishes."""
-
-    zero_set: np.ndarray
-    nonzero_set: np.ndarray
-    A_z: np.ndarray
-    A_star: np.ndarray
-    b_z: np.ndarray
-    b_star: np.ndarray
-    r_z: np.ndarray
-    r_star: np.ndarray
-    m0: int
-
-
-def split_by_residual(problem: MlmProblem, x, zero_tol: float = 1e-8) -> ResidualSplit:
-    """Classify rows by |r_i| <= zero_tol * (1 + ||r||_inf)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(f"x must have length {problem.n}, got shape {x.shape}")
-    r = problem.A @ x - problem.b
-    thresh = zero_tol * (1.0 + norm_inf(r))
-    zero_mask = np.abs(r) <= thresh
-    idx = np.arange(problem.m)
-    return ResidualSplit(
-        zero_set=idx[zero_mask],
-        nonzero_set=idx[~zero_mask],
-        A_z=problem.A[zero_mask],
-        A_star=problem.A[~zero_mask],
-        b_z=problem.b[zero_mask],
-        b_star=problem.b[~zero_mask],
-        r_z=r[zero_mask],
-        r_star=r[~zero_mask],
-        m0=int(np.count_nonzero(zero_mask)),
-    )

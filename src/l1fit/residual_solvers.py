@@ -479,61 +479,44 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
     """Smallest positive step changing the support, per the path rules.
 
     Returns (delta, entering index, leaving index, removing?) where unused
-    indices are -1.  ``level`` is the current regularization level.
+    indices are -1.  ``level`` is the current regularization level.  Ties go
+    to a removal, then to the lower index on the (level - pvec) side, then
+    on the (level + pvec) side; delta is inf when no step changes the support.
     """
     mask = np.ones(m, dtype=bool)
     mask[support] = False
     comp = np.flatnonzero(mask)
-
-    delta_add = np.inf
-    i_add = -1
-    if comp.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand1 = (level - pvec[comp]) / (1.0 + dk[comp])
-            cand2 = (level + pvec[comp]) / (1.0 - dk[comp])
-        pos1 = np.flatnonzero(cand1 > 0.0)
-        pos2 = np.flatnonzero(cand2 > 0.0)
-        d1 = np.inf
-        d2 = np.inf
-        if pos1.size:
-            k1 = pos1[int(np.argmin(cand1[pos1]))]
-            d1 = float(cand1[k1])
-        if pos2.size:
-            k2 = pos2[int(np.argmin(cand2[pos2]))]
-            d2 = float(cand2[k2])
-        if d1 > d2:
-            delta_add, i_add = d2, int(comp[k2])
-        elif np.isfinite(d1):
-            delta_add, i_add = d1, int(comp[k1])
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand3 = -r_k[support] / v[support]
-    pos3 = np.flatnonzero(cand3 > 0.0)
-    if pos3.size:
-        k3 = pos3[int(np.argmin(cand3[pos3]))]
-        d3 = float(cand3[k3])
-        if d3 <= delta_add:
-            return d3, -1, int(support[k3]), True
-    return delta_add, i_add, -1, False
+        add = np.concatenate([(level - pvec[comp]) / (1.0 + dk[comp]),
+                              (level + pvec[comp]) / (1.0 - dk[comp])])
+        drop = -r_k[support] / v[support]
+    add = np.where(add > 0.0, add, np.inf)
+    drop = np.where(drop > 0.0, drop, np.inf)
+    delta_add = float(np.min(add, initial=np.inf))
+    delta_drop = float(np.min(drop, initial=np.inf))
+    if delta_drop <= delta_add and delta_drop < np.inf:
+        return delta_drop, -1, int(support[np.argmin(drop)]), True
+    if delta_add < np.inf:
+        return delta_add, int(comp[np.argmin(add) % comp.size]), -1, False
+    return np.inf, -1, -1, False
 
 
-def residual_homotopy(D, w, params: SolverParams | None = None, support_trace=None):
+def residual_homotopy(D, w, params: SolverParams | None = None):
     """Follow the regularization path from ||D^T w||_inf down to epsilon.
 
     Runs on the row-orthonormal pair from one QR, where the correlations keep
     the signs the path rules assume; on the paper's D = [-C I] they drift and
     the path can end off the optimum.  Maintains the active support and its
     Gram matrix, re-solving the small direction system densely at each
-    breakpoint.  ``support_trace`` (a list, if given) records the support
-    size at every step.  The path end, the budget's end or the start point
-    r = 0 when ||D^T w||_inf <= epsilon goes through ``_Crossover``, one
-    simplex crossover warm-started at the rows it names; ``converged``
-    means certified.
+    breakpoint.  The path end, the budget's end or the start point r = 0
+    when ||D^T w||_inf <= epsilon goes through ``_Crossover``, one simplex
+    crossover warm-started at the rows it names; ``converged`` means
+    certified.
     """
-    return _homotopy(*_orthonormal_pair(D, w), params, support_trace)
+    return _homotopy(*_orthonormal_pair(D, w), params)
 
 
-def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
+def _homotopy(D, w, N, params: SolverParams | None = None):
     """``residual_homotopy``'s path on an orthonormal pair with kernel basis N."""
     p = params or SolverParams()
     m = D.shape[1]
@@ -555,8 +538,6 @@ def _homotopy(D, w, N, params: SolverParams | None = None, support_trace=None):
     it = 0
     while it < p.maxiter:
         it += 1
-        if support_trace is not None:
-            support_trace.append(int(xi.size))
         gamma = xi
         v = np.zeros(m)
         try:

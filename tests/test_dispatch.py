@@ -3,13 +3,16 @@
 Also what ``import l1fit`` loads.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import l1fit
 from l1fit import ALL_METHODS, methods, residual_solvers, solve
 from l1fit.linalg import norm1
 from support import random_problem
@@ -68,3 +71,11 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+
+@pytest.mark.parametrize("module", ["l1fit"] + [f"l1fit.{m.name}" for m in pkgutil.iter_modules(l1fit.__path__)])
+def test_every_exported_name_resolves(module):
+    # an export list that names a deleted function fails only at ``import *``
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

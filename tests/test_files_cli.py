@@ -252,6 +252,15 @@ def test_cli_bench_rejects_unknown_method(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_cli_bench_rejects_a_level_that_gives_no_tall_system(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--experiment", "drl", "--m", "4", "--n", "2", "--repeats", "1",
+                 "--methods", "L1-RES", "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "l1fit bench: error: redundancy level 1.25 gives m = 2, not above n = 2\n")
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--maxiter", "0", "maxiter"),
     ("--tau", "0", "tau"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit.linalg import default_rank_tol, norm1, norm2, norm_inf, nullspace_basis, pcg, pinv, soft
+from l1fit.linalg import default_rank_tol, norm1, norm2, norm_inf, nullspace_basis, pinv, soft
 
 
 def test_matmul_contract():
@@ -83,38 +83,3 @@ def test_nullspace_orthonormal_and_annihilating():
             assert np.max(np.abs(A @ N)) <= 1e-10
             assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-10
 
-
-def test_pcg_identity_and_exact():
-    b = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(pcg(np.eye(3), b, maxiter=1), b)
-    x = pcg(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]), lambda v: v)
-    assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0])
-
-
-def test_pcg_perfect_preconditioner_one_iteration():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((6, 6))
-    H = B @ B.T + 6.0 * np.eye(6)
-    g = rng.standard_normal(6)
-    x = pcg(H, g, P=lambda v: np.linalg.solve(H, v), maxiter=1, tol=1e-12)
-    assert norm2(H @ x - g) <= 1e-12 * norm2(g)
-
-
-def test_pcg_matches_direct_solve():
-    rng = np.random.default_rng(5)
-    for dim in (5, 12, 20):
-        B = rng.standard_normal((dim, dim))
-        H = B @ B.T + dim * np.eye(dim)
-        g = rng.standard_normal(dim)
-        x = pcg(H, g, tol=1e-14)
-        assert norm2(x - np.linalg.solve(H, g)) <= 1e-8 * norm2(np.linalg.solve(H, g))
-
-
-def test_pcg_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        pcg(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-
-def test_pcg_rejects_mismatched_lengths():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        pcg(np.eye(2), np.ones(3))

@@ -11,7 +11,6 @@ from l1fit import (
     recover,
     reduce_problem,
     solve,
-    split_by_residual,
 )
 from support import dependent_top_rows_problem, paper_pair, random_problem
 
@@ -137,41 +136,6 @@ def test_recover_reduce_roundtrip_relative():
         prob = MlmProblem(A, A @ p)
         x = recover(prob, reduce_problem(prob), np.zeros(m))
         assert np.linalg.norm(x - p) <= 1e-10 * np.linalg.norm(p)
-
-
-def test_split_exact_fit():
-    rng = np.random.default_rng(25)
-    A = rng.standard_normal((5, 2))
-    x = rng.standard_normal(2)
-    prob = MlmProblem(A, A @ x)
-    split = split_by_residual(prob, x)
-    assert split.m0 == 5
-    assert split.nonzero_set.size == 0
-    with pytest.raises(ValueError, match="x must have length 2"):
-        split_by_residual(prob, np.ones(3))
-
-
-def test_split_pattern():
-    prob = MlmProblem(np.eye(4), np.zeros(4))
-    x = np.array([0.0, 1.0, 0.0, -2.0])  # r = (0, 1, 0, -2)
-    split = split_by_residual(prob, x)
-    assert list(split.zero_set) == [0, 2]
-    assert list(split.nonzero_set) == [1, 3]
-    assert np.allclose(split.r_star, [1.0, -2.0])
-    assert split.A_star.shape == (2, 4)
-    assert split.m0 == 2
-
-
-def test_split_stabilizes_for_solver_residuals():
-    rng = np.random.default_rng(26)
-    prob = random_problem(rng, 8, 3)
-    report = fit_linprog(prob)
-    tight = split_by_residual(prob, report.x, zero_tol=1e-10)
-    default = split_by_residual(prob, report.x, zero_tol=1e-8)
-    assert np.array_equal(tight.zero_set, default.zero_set)
-    assert tight.m0 >= prob.n
-    exact = split_by_residual(prob, report.x, zero_tol=0.0)
-    assert set(exact.zero_set) <= set(default.zero_set)
 
 
 def test_cost1_definition():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recover, reduce_problem
+from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recover, reduce_problem, residual_solvers
 from l1fit.linalg import norm1, norm2
 from l1fit.simplex import l1_vertex
 from l1fit.residual_solvers import (
@@ -488,14 +488,33 @@ def test_linprog_scale_equivariance():
     assert np.allclose(doubled.r, 2.0 * base.r, atol=1e-9)
 
 
-def test_homotopy_support_bounded_along_path():
+def test_homotopy_support_bounded_along_path(monkeypatch):
     rng = np.random.default_rng(35)
+    step = residual_solvers._homotopy_step
+    sizes = []
+
+    def recording_step(support, *args):
+        sizes.append(int(support.size))
+        return step(support, *args)
+
+    monkeypatch.setattr(residual_solvers, "_homotopy_step", recording_step)
     for _ in range(5):
         D, w = paper_pair(random_problem(rng, 12, 4))
-        trace = []
-        residual_homotopy(D, w, support_trace=trace)
-        assert trace, "path never iterated"
-        assert max(trace) <= D.shape[0]
+        sizes.clear()
+        residual_homotopy(D, w)
+        assert sizes, "path never iterated"
+        assert max(sizes) <= D.shape[0]
+
+
+def test_homotopy_step_tie_order():
+    step = residual_solvers._homotopy_step
+    # support {0}; both add candidates and the drop candidate reach 0.5
+    support, v, pvec, dk = np.array([0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, -0.5, 0.5]), np.zeros(3)
+    assert step(support, np.array([-0.5, 0.0, 0.0]), v, pvec, dk, 1.0, 3) == (0.5, -1, 0, True)
+    # without the drop, the (level - pvec) side wins over a lower index on the (level + pvec) side
+    assert step(support, np.array([-2.0, 0.0, 0.0]), v, pvec, dk, 1.0, 3) == (0.5, 2, -1, False)
+    # no positive candidate: no step changes the support
+    assert step(support, np.array([0.5, 0.0, 0.0]), v, np.zeros(3), dk, 0.0, 3)[:3] == (np.inf, -1, -1)
 
 
 def test_homotopy_degenerate_support_raises():

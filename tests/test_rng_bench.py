@@ -65,11 +65,10 @@ def test_sparse_noise_counts():
 
 
 def test_sparse_noise_scale_and_flag():
+    # ``variance`` is a variance: 0.25 gives a standard deviation of 0.5
     b = np.zeros(4096)
     q_var = add_sparse_noise(b, 1.0, 0.25, seed=1)
-    q_std = add_sparse_noise(b, 1.0, 0.25, seed=1, as_std=True)
     assert np.std(q_var) == pytest.approx(0.5, rel=0.05)
-    assert np.std(q_std) == pytest.approx(0.25, rel=0.05)
     assert np.array_equal(add_sparse_noise(b, 0.5, 0.25, seed=1),
                           add_sparse_noise(b, 0.5, 0.25, seed=1))
 
@@ -93,6 +92,12 @@ def test_experiment_spec_validation():
         ExperimentSpec(kind="sparse_noise", sparsity_ratios=(1.5,))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="drl_sweep", drl_values=(0.5,))
+    # grids gen_instance cannot build used to run, every repetition an error
+    with pytest.raises(ValueError, match="need m > n >= 2, got m=20, n=1"):
+        ExperimentSpec(kind="noise_free", m=20, n=1)
+    with pytest.raises(ValueError, match="redundancy level 1.25 gives m = 2, not above n = 2"):
+        ExperimentSpec(kind="drl_sweep", m=4, n=2)
+    ExperimentSpec(kind="noise_free", m=4, n=2)  # the levels set m only in a redundancy sweep
     with pytest.raises(ValueError):
         ExperimentSpec(kind="noise_free", methods=())
     # a NaN variance used to run the whole campaign, every repetition an error
