@@ -73,7 +73,6 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-
 @pytest.mark.parametrize("module", ["l1fit"] + [f"l1fit.{m.name}" for m in pkgutil.iter_modules(l1fit.__path__)])
 def test_every_exported_name_resolves(module):
     # an export list that names a deleted function fails only at ``import *``
