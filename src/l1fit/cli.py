@@ -62,11 +62,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if not (args.m > args.n >= 2):
-        print(f"l1fit gen: error: need m > n >= 2, got m={args.m}, n={args.n}", file=sys.stderr)
-        return 1
-    problem, p = gen_instance(args.m, args.n, args.seed)
     try:
+        problem, p = gen_instance(args.m, args.n, args.seed)
         b = add_sparse_noise(problem.b, args.sparsity, args.noise_var, args.seed)
     except ValueError as exc:
         print(f"l1fit gen: error: {exc}", file=sys.stderr)

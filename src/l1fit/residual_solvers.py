@@ -6,17 +6,21 @@ whose exact Newton steps take one n x n solve on the kernel basis,
 homotopy path following, iterative shrinkage, alternating directions, and
 a proximity-operator scheme).
 
-Each method is a core solver ``(D, w, N, params)`` on a pair with
-orthonormal rows and a kernel basis N of D; ``RESIDUAL_METHODS`` maps the
-method names to these cores.  ``fit_via_residual`` wires them into the
-reduce -> solve -> recover pipeline: it hands every core the pair
-D = Q2^T, w = -D b that ``reduce_problem`` builds and N = Q1 from the same
-complete QR A = Q [R; 0], so nothing else is factored per fit, and it
-answers a consistent system (w at rounding level) with r = 0 directly.
-The public ``residual_*`` functions accept any pair (D, w): the six
-iterative ones orthonormalize it with one QR of D^T
-(``_orthonormal_pair``), the vertex simplex with one SVD of D, and then
-run the core, whose stop rules all measure the orthonormal pair.
+Each method is a core solver ``(N, r0, params)`` on the kernel pair of the
+constraint set {r : D r = w} = r0 + range(N): N is an orthonormal basis of
+null(D) and r0 the set's minimum-norm point.  No core touches D or w.  With
+P v = v - N (N^T v), the projection onto the complement of range(N), every
+step the methods take on an orthonormal-row pair reads D^T (D r - w) =
+P r - r0, ||D r - w|| = ||P r - r0||, and restoring feasibility maps r to
+r0 + N (N^T r); the multipliers D^T y of the dual methods live in range(P).
+``RESIDUAL_METHODS`` maps the method names to these cores.
+``fit_via_residual`` wires them into the reduce -> solve -> recover
+pipeline: from the complete QR A = Q [R; 0] that ``reduce_problem`` builds
+it hands every core N = Q1 and r0 = D^T w with D = Q2^T, w = -D b, so
+nothing else is factored per fit, and it answers a consistent system (w at
+rounding level) with r = 0 directly.  The public ``residual_*`` functions
+accept any pair (D, w) and take (N, r0) from one SVD of D
+(``_kernel_pair``), so dependent rows are accepted when w agrees with them.
 
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
@@ -76,8 +80,6 @@ _ADM_ZETA = 1.618
 # the first-order solvers name vertex rows after iterations 1, 2, 4 and 8,
 # then every this many iterations (``_tries_at``)
 _TRY_EVERY = 10
-# a QR pivot of D^T at most this share of the largest marks dependent rows
-_RANK_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,9 @@ class SolverParams:
              point is certified
     tau, mu  proximity-operator parameters; mu=None derives the default
              0.999 * tau / ||D||_2^2 (the alternating-directions method
-             instead defaults mu to mean|w_i|)
+             instead defaults mu to ||r0||_2 / sqrt(rank D), the RMS of w on
+             any orthonormal-row pair, so it does not depend on which basis
+             of D's rows is given)
     """
 
     epsilon: float = 1e-8
@@ -123,42 +127,35 @@ class ResidualSolution:
     objective: float
 
 
-def _check_dw(D, w):
+def _kernel_pair(D, w):
+    """The kernel pair (N, r0) of {r : D r = w} = r0 + range(N), from one SVD of D.
+
+    N = V2 is an orthonormal basis of null(D) and r0 = V1 S^-1 U1^T w the
+    minimum-norm point, with the rank from ``default_rank_tol``, so
+    dependent consistent rows are accepted; a w outside the range of D
+    raises ValueError.
+    """
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     if D.ndim != 2 or w.ndim != 1 or D.shape[0] != w.size:
         raise ValueError(f"constraint shapes do not match: D {D.shape}, w {w.shape}")
-    return D, w
+    U, sv, Vt = np.linalg.svd(D, full_matrices=True)
+    rank = int(np.count_nonzero(sv > default_rank_tol(D)))
+    r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
+    if norm2(D @ r0 - w) > 1e-9 * (1.0 + norm2(w)):
+        raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
+    return Vt[rank:].T, r0
 
 
-def _orthonormal_pair(D, w):
-    """Equivalent constraint pair with orthonormal rows, and a kernel basis.
-
-    First-order, path-following and alternating-direction iterations behave
-    far better when the row Gram matrix is the identity (the published
-    step-size recipes assume it).  One complete QR D^T = Q R gives the pair
-    R1^-T [D | w] (R1 the top k x k block of R; {r : D r = w} is unchanged)
-    and the kernel basis N = Q[:, k:] of D.  Not Q1^T D: R1^-T D is the
-    Cholesky pair L^-1 D up to row signs and keeps equal columns of D
-    bitwise equal (a tie the homotopy must see).  Dependent rows raise
-    LinAlgError (a pivot of R1 at most sqrt(eps) of the largest, about where
-    that Cholesky fails), the callers' only rank check: an orthonormal basis
-    of D's row space would silently drop a constraint.
-    """
-    D, w = _check_dw(D, w)
-    k = D.shape[0]
-    Q, R = np.linalg.qr(D.T, mode="complete")
-    pivots = np.abs(R.diagonal())
-    if pivots.size and pivots.min() <= _RANK_TOL * pivots.max():
-        raise np.linalg.LinAlgError("the rows of D are linearly dependent")
-    Dw = np.linalg.solve(R[:k].T, np.concatenate((D, w[:, None]), axis=1))
-    return Dw[:, :-1], Dw[:, -1], Q[:, k:]
+def _project(N, v):
+    """P v = v - N (N^T v): v without its part in range(N)."""
+    return v - N @ (N.T @ v)
 
 
-def _lambda_levels(D, w, lam_target):
-    """Geometric penalty schedule from 0.1 * ||D^T w||_inf down to the target."""
+def _lambda_levels(r0, lam_target):
+    """Geometric penalty schedule from 0.1 * ||r0||_inf down to the target."""
     levels = []
-    lam = _LEVEL_START * norm_inf(D.T @ w)
+    lam = _LEVEL_START * norm_inf(r0)
     while lam > lam_target:
         levels.append(lam)
         lam *= _LEVEL_FACTOR
@@ -169,7 +166,7 @@ def _lambda_levels(D, w, lam_target):
 def _qp_stationarity(r, grad, lam, support_tol):
     """Max violation of the penalized problem's optimality conditions.
 
-    ``grad`` is D^T(D r - w); optimality requires grad_i = -lam * sign(r_i)
+    ``grad`` is P r - r0; optimality requires grad_i = -lam * sign(r_i)
     where r_i is nonzero and |grad_i| <= lam elsewhere.
     """
     on = np.abs(r) > support_tol
@@ -181,31 +178,29 @@ def _qp_stationarity(r, grad, lam, support_tol):
     return worst
 
 
-def _restore_feasibility(r, D, w):
-    """l2-minimal correction onto {r : D r = w} for orthonormal-row D."""
-    return r - D.T @ (D @ r - w)
+def _restore_feasibility(N, r0, r):
+    """l2-minimal correction of r onto r0 + range(N): r0 + N (N^T r)."""
+    return r0 + N @ (N.T @ r)
 
 
-def _vertex_rows(D, w, N, r):
+def _vertex_rows(N, r0, r):
     """The rows Z an iterate names: the k = dim(null D) smallest |r_f|, sorted.
 
-    For an orthonormal-row pair (D, w) and the kernel basis N of D from
-    ``_orthonormal_pair``; r_f is r restored onto {r : D r = w}.  An optimal
-    residual vanishes on k rows (the equivalence theorem), so Z is where
-    the vertex simplex starts.
+    r_f is r restored onto r0 + range(N).  An optimal residual vanishes on
+    k rows (the equivalence theorem), so Z is where the vertex simplex
+    starts.
     """
-    rf = _restore_feasibility(r, D, w)
+    rf = _restore_feasibility(N, r0, r)
     k = N.shape[1]
     return np.sort(np.argpartition(np.abs(rf), k - 1)[:k])
 
 
-def _simplex_residual(D, w, N, rows=None):
-    """The vertex simplex on an orthonormal pair: (r = N z + D^T w, the L1Vertex of z).
+def _simplex_residual(N, r0, rows=None):
+    """The vertex simplex on the kernel pair: (r = N z + r0, the L1Vertex of z).
 
-    z comes from ``l1_vertex(N, -D^T w, rows)``, started from the basis
+    z comes from ``l1_vertex(N, -r0, rows)``, started from the basis
     ``rows`` when given.
     """
-    r0 = D.T @ w
     vertex = l1_vertex(N, -r0, rows=rows)
     return N @ vertex.x + r0, vertex
 
@@ -224,29 +219,29 @@ class _Crossover:
     with an l2-minimal feasibility restoration and converged=False.
     """
 
-    def __init__(self, D, w, N):
-        self.D, self.w, self.N = D, w, N
+    def __init__(self, N, r0):
+        self.N, self.r0 = N, r0
         self.rows = None  # Z of the last try
         self.result = None  # the crossover's (r, L1Vertex), once run
 
     def attempt(self, r) -> bool:
         """Whether the iterate r named the previous try's rows, so the crossover ran."""
-        rows = _vertex_rows(self.D, self.w, self.N, r)
+        rows = _vertex_rows(self.N, self.r0, r)
         if np.array_equal(rows, self.rows):
-            self.result = _simplex_residual(self.D, self.w, self.N, rows)
+            self.result = _simplex_residual(self.N, self.r0, rows)
         self.rows = rows
         return self.result is not None
 
     def finish(self, r, it) -> ResidualSolution:
         """The solve's answer when the run stops at r after ``it`` iterations."""
         if self.result is None:
-            rows = _vertex_rows(self.D, self.w, self.N, r)
-            self.result = _simplex_residual(self.D, self.w, self.N, rows)
+            rows = _vertex_rows(self.N, self.r0, r)
+            self.result = _simplex_residual(self.N, self.r0, rows)
         vertex_r, vertex = self.result
         if vertex.certified:
             return ResidualSolution(r=vertex_r, iterations=it, converged=True,
                                     objective=norm1(vertex_r))
-        r = _restore_feasibility(r, self.D, self.w)
+        r = _restore_feasibility(self.N, self.r0, r)
         return ResidualSolution(r=r, iterations=it, converged=False, objective=norm1(r))
 
 
@@ -259,7 +254,7 @@ def _tries_at(it) -> bool:
     return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
 
 
-def _continuation(D, w, p, state, step, stationarity, attempt):
+def _continuation(r0, p, state, step, stationarity, attempt):
     """Warm-started continuation over the penalty weight (the SpaRSA scheme).
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
@@ -272,7 +267,7 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
     count; ``_Crossover`` finishes from it.
     """
     it = 0
-    for lam in _lambda_levels(D, w, p.lam):
+    for lam in _lambda_levels(r0, p.lam):
         start = it
         while stationarity(state, lam) > _LEVEL_TOL * lam:
             if it >= p.maxiter:
@@ -284,9 +279,9 @@ def _continuation(D, w, p, state, step, stationarity, attempt):
     return state, it
 
 
-def _linprog(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """The vertex simplex on an orthonormal pair: r = N z + D^T w, z from l1_vertex(N, -D^T w)."""
-    r, vertex = _simplex_residual(D, w, N)
+def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """The vertex simplex on the kernel pair: r = N z + r0, z from l1_vertex(N, -r0)."""
+    r, vertex = _simplex_residual(N, r0)
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))
 
@@ -294,51 +289,41 @@ def _linprog(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Exact minimum-l1 residual by the vertex simplex on a basis of {r : D r = w}.
 
-    One SVD of D gives the orthonormal pair (V1^T, S^-1 U1^T w), whose
-    minimum-norm point is r0 = V1 S^-1 U1^T w, and the kernel basis N = V2
-    (rank from ``default_rank_tol``, so dependent consistent rows are
-    accepted); a w outside the range of D raises ValueError.  The answer
-    r = N z + r0 takes z from ``l1_vertex(N, -r0)``, so at least
+    The kernel pair (N, r0) comes from one SVD of D (``_kernel_pair``).  The
+    answer r = N z + r0 takes z from ``l1_vertex(N, -r0)``, so at least
     dim(null D) entries of r vanish.  ``iterations`` counts basis changes;
     ``converged`` is the vertex's optimality certificate, False when the
     step budget ran out.
     """
-    D, w = _check_dw(D, w)
-    U, sv, Vt = np.linalg.svd(D, full_matrices=True)
-    rank = int(np.count_nonzero(sv > default_rank_tol(D)))
-    wt = (U[:, :rank].T @ w) / sv[:rank]
-    if norm2(D @ (Vt[:rank].T @ wt) - w) > 1e-9 * (1.0 + norm2(w)):
-        raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
-    return _linprog(Vt[:rank], wt, Vt[rank:].T, params)
+    return _linprog(*_kernel_pair(D, w), params)
 
 
 def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Gradient projection on the split-variable quadratic program.
 
     Projected Barzilai-Borwein steps on r = u - v (u, v >= 0) with an exact
-    line search, step lengths clipped to [1e-30, 1e30], run on the
-    row-orthonormal pair from one QR inside ``_continuation``; each level is
-    left once the stationarity residual drops below _LEVEL_TOL times the
-    level, the last level being ``lam``.  After steps 1, 2, 4 and 8, then
-    every 10, the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover), and ``converged`` means certified.
+    line search, step lengths clipped to [1e-30, 1e30], run on the kernel
+    pair inside ``_continuation``; each level is left once the stationarity
+    residual drops below _LEVEL_TOL times the level, the last level being
+    ``lam``.  After steps 1, 2, 4 and 8, then every 10, the iterate names
+    its vertex rows, and a repeat of the previous rows ends the run.  The
+    run ends through ``_Crossover`` (one warm-started simplex crossover),
+    and ``converged`` means certified.
     """
-    return _gpsr(*_orthonormal_pair(D, w), params)
+    return _gpsr(*_kernel_pair(D, w), params)
 
 
-def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_gpsr``'s iteration on an orthonormal pair with kernel basis N."""
+def _gpsr(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_gpsr``'s iteration on the kernel pair (N, r0)."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("gradient projection requires lam > 0")
-    r = np.zeros(D.shape[1])
-    Dr = D @ r
+    r = np.zeros(N.shape[0])
 
     def step(state, lam, first):
         # shifting u and v by min(u, v) after each step leaves exactly
         # u = max(r, 0) and v = max(-r, 0), so r alone carries the split
-        r, Dr, grad0, alpha = state
+        r, Pr, grad0, alpha = state
         if first:
             alpha = 1.0  # stale step estimates from the previous level stall
         u = np.maximum(r, 0.0)
@@ -347,8 +332,8 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
         grad_v = -grad_u + 2.0 * lam
         du = np.maximum(u - alpha * grad_u, 0.0) - u
         dv = np.maximum(v - alpha * grad_v, 0.0) - v
-        Ddr = D @ (du - dv)
-        gamma = float(Ddr @ Ddr)
+        Pdr = _project(N, du - dv)
+        gamma = float(Pdr @ Pdr)
         if np.isfinite(gamma) and gamma > 0.0:
             beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
         elif gamma <= 0.0:
@@ -361,16 +346,16 @@ def _gpsr(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             alpha = _ALPHA_MAX
         elif np.isfinite(delta / gamma):
             alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
-        Dr = Dr + beta * Ddr
-        return r, Dr, D.T @ (Dr - w), alpha
+        Pr = Pr + beta * Pdr
+        return r, Pr, Pr - r0, alpha
 
     def stationarity(state, lam):
         r, _, grad0, _ = state
         return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
 
-    crossover = _Crossover(D, w, N)
+    crossover = _Crossover(N, r0)
     with np.errstate(over="ignore", invalid="ignore"):
-        state, it = _continuation(D, w, p, (r, Dr, D.T @ (Dr - w), 1.0), step, stationarity,
+        state, it = _continuation(r0, p, (r, np.zeros_like(r), -r0, 1.0), step, stationarity,
                                   crossover.attempt)
     return crossover.finish(state[0], it)
 
@@ -379,8 +364,8 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     """Primal log-barrier interior point (the truncated-Newton model) with exact Newton steps.
 
     Each Newton system of the log-barrier formulation is solved exactly by
-    one n x n solve on the kernel basis N (``_newton_direction``); on the
-    row-orthonormal pair from one QR, D^T D = I - N N^T.  The duality gap is
+    one n x n solve on the kernel basis N (``_newton_direction``), where
+    D^T D = I - N N^T on an orthonormal-row pair.  The duality gap is
     tested relative to the dual objective (only once that is positive).
     After every accepted step the iterate names its vertex rows, and a
     repeat of the previous rows ends the run.  The run also ends when the
@@ -388,16 +373,16 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     point or the budget runs out.  The run ends through ``_Crossover`` (one
     warm-started simplex crossover), and ``converged`` means certified.
     """
-    return _tnipm(*_orthonormal_pair(D, w), params)
+    return _tnipm(*_kernel_pair(D, w), params)
 
 
 def _newton_direction(N, grad, q1, q2, t):
     """The exact Newton step (dr, du), stacked, of ``_tnipm``'s barrier problem.
 
-    The Hessian [[D^T D + diag(b1), diag(b2)], [diag(b2), diag(b1)]] is
-    M - U U^T, with M its 2 x 2-block diagonal at D^T D = I and U = [N; 0],
-    since D^T D = I - N N^T.  Woodbury takes y = M^-1(-grad) and corrects it
-    by one n x n solve with the Schur complement N^T diag(e) N, where
+    The Hessian [[P + diag(b1), diag(b2)], [diag(b2), diag(b1)]], with
+    P = I - N N^T, is M - U U^T, with M its 2 x 2-block diagonal at P = I
+    and U = [N; 0].  Woodbury takes y = M^-1(-grad) and corrects it by one
+    n x n solve with the Schur complement N^T diag(e) N, where
     e = 1 - b1/det = 4 q1^2 q2^2 / (t^2 det) is formed without cancellation.
     """
     m = N.shape[0]
@@ -410,32 +395,32 @@ def _newton_direction(N, grad, q1, q2, t):
     return np.concatenate([y_top + b1 / det * c, y_bot - b2 / det * c])
 
 
-def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_tnipm``'s iteration on an orthonormal pair with kernel basis N."""
+def _tnipm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_tnipm``'s iteration on the kernel pair (N, r0)."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
-    m = D.shape[1]
+    m = N.shape[0]
 
     mu_t, ls_alpha, ls_beta = 2.0, 0.01, 0.5
     r = np.zeros(m)
     u = np.ones(m)
     f = np.concatenate([u - r, u + r])
+    g = -r0  # P r - r0 = D^T (D r - w)
     step = np.inf
     dobj = -np.inf
     t = min(max(1.0, 1.0 / p.lam), 2.0 * m / p.epsilon)
 
-    crossover = _Crossover(D, w, N)
+    crossover = _Crossover(N, r0)
     it = 0
     while it < p.maxiter:
         it += 1
-        z = D @ r - w
-        nu = z.copy()
-        dual_scale = norm_inf(D.T @ nu)
+        nu = g.copy()  # D^T of the dual point
+        dual_scale = norm_inf(nu)
         if dual_scale > p.lam:
             nu *= p.lam / dual_scale
-        pobj = 0.5 * float(z @ z) + p.lam * norm1(r)
-        dobj = max(-0.5 * float(nu @ nu) - float(nu @ w), dobj)
+        pobj = 0.5 * float(g @ g) + p.lam * norm1(r)
+        dobj = max(-0.5 * float(nu @ nu) - float(nu @ r0), dobj)
         eta = pobj - dobj
         if eta <= 0.0 or (dobj > 0.0 and eta / dobj < p.epsilon):
             break
@@ -444,11 +429,12 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
 
         q1 = 1.0 / (u + r)
         q2 = 1.0 / (u - r)
-        grad = np.concatenate([D.T @ z - (q1 - q2) / t, p.lam - (q1 + q2) / t])
+        grad = np.concatenate([g - (q1 - q2) / t, p.lam - (q1 + q2) / t])
         df = _newton_direction(N, grad, q1, q2, t)
         dr, du = df[:m], df[m:]
+        Pdr = _project(N, dr)
 
-        fval = 0.5 * float(z @ z) + p.lam * float(np.sum(u)) - float(np.sum(np.log(f))) / t
+        fval = 0.5 * float(g @ g) + p.lam * float(np.sum(u)) - float(np.sum(np.log(f))) / t
         gtd = float(grad @ df)
         step = 1.0
         for _ in range(100):
@@ -456,9 +442,9 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             u_new = u + step * du
             f_new = np.concatenate([u_new - r_new, u_new + r_new])
             if np.min(f_new) > 0.0:
-                z_new = D @ r_new - w
+                g_new = g + step * Pdr
                 f_cand = (
-                    0.5 * float(z_new @ z_new)
+                    0.5 * float(g_new @ g_new)
                     + p.lam * float(np.sum(u_new))
                     - float(np.sum(np.log(f_new))) / t
                 )
@@ -469,7 +455,7 @@ def _tnipm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
             break  # backtracking found no acceptable step
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
-        r, u, f = r_new, u_new, f_new
+        r, u, f, g = r_new, u_new, f_new, g_new
         if crossover.attempt(r):
             break
     return crossover.finish(r, it)
@@ -502,30 +488,31 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
 
 
 def residual_homotopy(D, w, params: SolverParams | None = None):
-    """Follow the regularization path from ||D^T w||_inf down to epsilon.
+    """Follow the regularization path from ||r0||_inf down to epsilon.
 
-    Runs on the row-orthonormal pair from one QR, where the correlations keep
-    the signs the path rules assume; on the paper's D = [-C I] they drift and
-    the path can end off the optimum.  Maintains the active support and its
-    Gram matrix, re-solving the small direction system densely at each
-    breakpoint.  The path end, the budget's end or the start point r = 0
-    when ||D^T w||_inf <= epsilon goes through ``_Crossover``, one simplex
+    Runs on the kernel pair, which is the path on an orthonormal-row pair,
+    where the correlations keep the signs the path rules assume; on the
+    paper's D = [-C I] they drift and the path can end off the optimum.
+    Maintains the active support S and its Gram matrix I - N_S N_S^T,
+    re-solving the small direction system densely at each breakpoint.  The
+    path end, the budget's end or the start point r = 0 when
+    ||r0||_inf <= epsilon goes through ``_Crossover``, one simplex
     crossover warm-started at the rows it names; ``converged`` means
     certified.
     """
-    return _homotopy(*_orthonormal_pair(D, w), params)
+    return _homotopy(*_kernel_pair(D, w), params)
 
 
-def _homotopy(D, w, N, params: SolverParams | None = None):
-    """``residual_homotopy``'s path on an orthonormal pair with kernel basis N."""
+def _homotopy(N, r0, params: SolverParams | None = None):
+    """``residual_homotopy``'s path on the kernel pair (N, r0)."""
     p = params or SolverParams()
-    m = D.shape[1]
+    m = N.shape[0]
     lam = p.epsilon  # terminal level of the path
 
     r = np.zeros(m)
-    pvec = -(D.T @ w)
+    pvec = -r0
     pmax = norm_inf(pvec)
-    crossover = _Crossover(D, w, N)
+    crossover = _Crossover(N, r0)
     if pmax <= lam:
         return crossover.finish(r, 0)
 
@@ -533,7 +520,7 @@ def _homotopy(D, w, N, params: SolverParams | None = None):
     z = np.zeros(m)
     z[xi] = -np.sign(pvec[xi])
     pvec[xi] = pmax * np.sign(pvec[xi])
-    B = D[:, xi].T @ D[:, xi]
+    B = np.eye(xi.size) - N[xi] @ N[xi].T
 
     it = 0
     while it < p.maxiter:
@@ -546,7 +533,7 @@ def _homotopy(D, w, N, params: SolverParams | None = None):
             raise RuntimeError(
                 f"degenerate support system for indices {sorted(int(i) for i in gamma)}"
             ) from exc
-        dk = D.T @ (D @ v)
+        dk = _project(N, v)
         delta, i_add, i_del, removing = _homotopy_step(gamma, r, v, pvec, dk, pmax, m)
 
         if pmax - delta <= lam:
@@ -563,8 +550,8 @@ def _homotopy(D, w, N, params: SolverParams | None = None):
             r[i_del] = 0.0
             pin = gamma  # the leaving index stays pinned this once
         else:
-            cvec = D[:, gamma].T @ D[:, i_add]
-            dd = float(D[:, i_add] @ D[:, i_add])
+            cvec = -(N[gamma] @ N[i_add])
+            dd = 1.0 - float(N[i_add] @ N[i_add])
             B = np.block([[B, cvec[:, None]], [cvec[None, :], np.array([[dd]])]])
             r[i_add] = 0.0
             xi = np.append(gamma, i_add)
@@ -578,99 +565,98 @@ def _homotopy(D, w, N, params: SolverParams | None = None):
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Iterative shrinkage-thresholding with Barzilai-Borwein curvature.
 
-    Runs on the row-orthonormal pair from one QR inside ``_continuation``,
-    like the gradient-projection solver; within a level each shrinkage step
-    must not increase the penalized objective (the curvature estimate is
-    doubled until it does not), which keeps the non-monotone
-    Barzilai-Borwein choice from blowing up.  After steps 1, 2, 4 and 8,
-    then every 10, the iterate names its vertex rows, and a repeat of the
-    previous rows ends the run.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover), and ``converged`` means certified.
+    Runs on the kernel pair inside ``_continuation``, like the
+    gradient-projection solver; within a level each shrinkage step must not
+    increase the penalized objective (the curvature estimate is doubled
+    until it does not), which keeps the non-monotone Barzilai-Borwein
+    choice from blowing up.  After steps 1, 2, 4 and 8, then every 10, the
+    iterate names its vertex rows, and a repeat of the previous rows ends
+    the run.  The run ends through ``_Crossover`` (one warm-started simplex
+    crossover), and ``converged`` means certified.
     """
-    return _ist(*_orthonormal_pair(D, w), params)
+    return _ist(*_kernel_pair(D, w), params)
 
 
-def _ist(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_ist``'s iteration on an orthonormal pair with kernel basis N."""
+def _ist(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_ist``'s iteration on the kernel pair (N, r0)."""
     p = params or SolverParams()
     if not p.lam > 0:
         raise ValueError("iterative shrinkage requires lam > 0")
-    r = np.zeros(D.shape[1])
-    s = D @ r - w
 
     def step(state, lam, first):
-        # f, the penalized objective at (r, s), is carried within a level
-        r_prev, s_prev, grad, alpha, f_prev = state
+        # g = P r - r0 is both the gradient and, in norm, the constraint
+        # violation; f, the penalized objective at r, is carried within a level
+        r_prev, g_prev, alpha, f_prev = state
         if first:
-            f_prev = 0.5 * float(s_prev @ s_prev) + lam * norm1(r_prev)
+            f_prev = 0.5 * float(g_prev @ g_prev) + lam * norm1(r_prev)
         for _ in range(200):
-            r = soft(r_prev - grad / alpha, lam / alpha)
+            r = soft(r_prev - g_prev / alpha, lam / alpha)
             dr = r - r_prev
-            z = D @ dr
-            s = s_prev + z
-            f = 0.5 * float(s @ s) + lam * norm1(r)
+            Pdr = _project(N, dr)
+            g = g_prev + Pdr
+            f = 0.5 * float(g @ g) + lam * norm1(r)
             if f <= f_prev + 1e-12 * abs(f_prev):
                 break
             alpha = min(2.0 * alpha, _ALPHA_MAX)
         delta = float(dr @ dr)
-        gamma = float(z @ z)
+        gamma = float(Pdr @ Pdr)
         if delta > 0.0 and gamma > 0.0:
             alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
-        return r, s, D.T @ s, alpha, f
+        return r, g, alpha, f
 
     def stationarity(state, lam):
-        return _qp_stationarity(state[0], state[2], lam, 0.0)
+        return _qp_stationarity(state[0], state[1], lam, 0.0)
 
-    crossover = _Crossover(D, w, N)
-    state, it = _continuation(D, w, p, (r, s, D.T @ s, 1.0, None), step, stationarity,
-                              crossover.attempt)
+    crossover = _Crossover(N, r0)
+    state, it = _continuation(r0, p, (np.zeros(N.shape[0]), -r0, 1.0, None), step,
+                              stationarity, crossover.attempt)
     return crossover.finish(state[0], it)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Alternating-directions method on the dual of the residual problem.
 
-    Runs on the row-orthonormal pair from one QR, where the unit dual gradient
-    step is the exact subproblem minimizer (the published step-size formula
-    ||s||^2 / ||D^T s||^2 is 1 there) and the 1.618 relaxation factor is
-    inside its convergence range.  Penalty mu defaults to mean|w_i|; the
-    stopping ratio is measured on the orthonormal pair.  After iterations
-    1, 2, 4 and 8, then every 10, the iterate names its vertex rows, and a
-    repeat of the previous rows ends the run.  The run ends through
-    ``_Crossover`` (one warm-started simplex crossover), and ``converged``
-    means certified.  A zero w is answered immediately with r = 0, which
-    is exactly optimal.
+    Runs on the kernel pair, which is the method on an orthonormal-row
+    pair, where the unit dual gradient step is the exact subproblem
+    minimizer (the published step-size formula ||s||^2 / ||D^T s||^2 is 1
+    there) and the 1.618 relaxation factor is inside its convergence range.
+    The multiplier is carried as g = D^T y in range(P).  Penalty mu
+    defaults to ||r0||_2 / sqrt(rank D), the same for every basis of D's
+    rows.  After iterations 1, 2, 4 and 8, then every 10, the iterate names
+    its vertex rows, and a repeat of the previous rows ends the run.  The
+    run ends through ``_Crossover`` (one warm-started simplex crossover),
+    and ``converged`` means certified.  A zero r0 is answered immediately
+    with r = 0, which is exactly optimal.
     """
-    return _adm(*_orthonormal_pair(D, w), params)
+    return _adm(*_kernel_pair(D, w), params)
 
 
-def _adm(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_adm``'s iteration on an orthonormal pair with kernel basis N."""
+def _adm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_adm``'s iteration on the kernel pair (N, r0)."""
     p = params or SolverParams()
-    wnorm = norm2(w)
-    mn, m = D.shape
-    if wnorm == 0.0:
+    m, n = N.shape
+    r0norm = norm2(r0)
+    if r0norm == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    mu = p.mu if p.mu is not None else float(np.mean(np.abs(w)))
+    mu = p.mu if p.mu is not None else r0norm / float(np.sqrt(m - n))
 
-    r = D.T @ w
-    z = np.zeros(m)
-    y = np.zeros(mn)
-    g = np.zeros(m)
+    # P r0 = r0, so r and P r start equal; z and P z start at zero
+    r = Pr = r0
+    z = Pz = np.zeros(m)
 
-    crossover = _Crossover(D, w, N)
+    crossover = _Crossover(N, r0)
     it = 0
     while it < p.maxiter:
         it += 1
-        s = D @ (g - z + r / mu) - w / mu
-        y = y - s
-        g = D.T @ y
+        g = Pz - (Pr - r0) / mu  # the multiplier after its dual step
         z = np.clip(g + r / mu, -1.0, 1.0)
+        Pz = _project(N, z)
         dr = _ADM_ZETA * mu * (g - z)
         r = r + dr
+        Pr = Pr + _ADM_ZETA * mu * (g - Pz)
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
-        if norm2(D @ r - w) <= p.epsilon * wnorm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
+        if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
         if _tries_at(it) and crossover.attempt(r):
             break
@@ -681,55 +667,57 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Proximity-operator scheme: shrinkage step plus a ball projection.
 
     Requires tau > mu * ||D||_2^2 > 0; by default mu = 0.999 tau / ||D||_2^2.
-    The iteration runs on the row-orthonormal pair from one QR, w rescaled to
-    a fixed working norm (the solution is scaled back afterwards; the
-    problem is positively homogeneous), which puts the data on the scale
-    the fixed shrinkage threshold 1/tau was tuned for.  The 1e-6 relative
-    internal stop only counts once the unscaled constraint is met to
-    max(epsilon, 1e-6 * (1 + ||w||_2)) on the orthonormal pair; after
+    The iteration runs on the kernel pair, which is the scheme on an
+    orthonormal-row pair (||D||_2 = 1), r0 rescaled to a fixed working norm
+    (the solution is scaled back afterwards; the problem is positively
+    homogeneous), which puts the data on the scale the fixed shrinkage
+    threshold 1/tau was tuned for.  The multipliers are carried as D^T y in
+    range(P).  The 1e-6 relative internal stop only counts once the
+    unscaled constraint is met to max(epsilon, 1e-6 * (1 + ||r0||_2)); after
     iterations 1, 2, 4 and 8, then every 10, the iterate names its vertex
     rows, and a repeat of the previous rows ends the run.  The run ends
     through ``_Crossover`` (one warm-started simplex crossover, on the
-    rescaled pair), and ``converged`` means certified; a zero w returns
+    rescaled pair), and ``converged`` means certified; a zero r0 returns
     r = 0 directly.
     """
-    return _pob(*_orthonormal_pair(D, w), params)
+    return _pob(*_kernel_pair(D, w), params)
 
 
-def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_pob``'s iteration on an orthonormal pair with kernel basis N."""
+def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
+    """``residual_pob``'s iteration on the kernel pair (N, r0)."""
     p = params or SolverParams()
-    mn, m = D.shape
-    wnorm = norm2(w)
-    if mn == 0 or wnorm == 0.0:
+    m = N.shape[0]
+    r0norm = norm2(r0)
+    if r0norm == 0.0:
         return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    scale = _POB_W_NORM / wnorm
-    w0, w = w, scale * w
-    # the rows are orthonormal, so ||D||_2 = 1
+    scale = _POB_W_NORM / r0norm
+    scaled = scale * r0
     mu = p.mu if p.mu is not None else 0.999 * p.tau
     if not p.tau > mu > 0.0:
         raise ValueError(f"need tau > mu * ||D||_2^2 > 0, got tau={p.tau}, mu*||D||^2={mu}")
-    feas_gate = max(p.epsilon, 1e-6 * (1.0 + wnorm))
+    feas_gate = max(p.epsilon, 1e-6 * (1.0 + r0norm))
 
-    y = np.zeros(mn)
+    # y and zdual are carried as D^T y and D^T zdual; at r = 0, zdual = w
+    y = np.zeros(m)
     r = np.zeros(m)
-    zdual = y - (D @ r - w)
-    crossover = _Crossover(D, w, N)
+    zdual = scaled
+    crossover = _Crossover(N, scaled)
     it = 0
     while it < p.maxiter:
         it += 1
         s = r
-        r = soft(s - (mu / p.tau) * (D.T @ (2.0 * y - zdual)), 1.0 / p.tau)
+        r = soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
+        Pr = _project(N, r)
         ns = norm2(s)
-        if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(D @ (r / scale) - w0) <= feas_gate:
+        if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             break
         if _tries_at(it) and crossover.attempt(r):
             break
         zdual = y
-        t = D @ r + zdual - w
+        t = Pr + zdual - scaled
         nt = norm2(t)
         if nt <= p.epsilon:
-            y = np.zeros(mn)
+            y = np.zeros(m)
         else:
             y = (1.0 - p.epsilon / nt) * t
     res = crossover.finish(r, it)
@@ -737,7 +725,7 @@ def _pob(D, w, N, params: SolverParams | None = None) -> ResidualSolution:
     return ResidualSolution(r=r, iterations=it, converged=res.converged, objective=norm1(r))
 
 
-# the core solvers (D, w, N, params) on an orthonormal pair, by method name
+# the core solvers (N, r0, params) on the kernel pair, by method name
 RESIDUAL_METHODS = {
     "linprog": _linprog,
     "gpsr": _gpsr,
@@ -769,13 +757,13 @@ def fit_via_residual(
 
     ``method`` picks the residual solver; a precomputed ``reduced`` system
     of A (from ``reduce_problem``) may be passed to amortize the reduction
-    over several right-hand sides.  The solver runs on the reduction's
-    orthonormal pair D = Q2^T, w = -D b and the kernel basis Q1; w is taken
-    from ``problem.b`` (every residual A x - b satisfies D r = -D b), not
-    from ``reduced.w``.  A ``reduced`` of other shapes, with Q1 R v off A v
-    for the probe v = (1, ..., n) (distinct entries, so permuted columns
-    show), or with D (A v) off zero, does not fit the problem and raises
-    ValueError.  When |w| <= m eps |D| |b| holds in every row (no
+    over several right-hand sides.  The solver runs on the kernel pair
+    (N, r0) = (Q1, D^T w) of the reduction's orthonormal pair D = Q2^T,
+    w = -D b; w is taken from ``problem.b`` (every residual A x - b
+    satisfies D r = -D b), not from ``reduced.w``.  A ``reduced`` of other
+    shapes, with Q1 R v off A v for the probe v = (1, ..., n) (distinct
+    entries, so permuted columns show), or with D (A v) off zero, does not
+    fit the problem and raises ValueError.  When |w| <= m eps |D| |b| holds in every row (no
     constraints, or w is rounding noise), r = 0 is optimal and no solver
     runs.
     """
@@ -805,7 +793,7 @@ def fit_via_residual(
         # r = 0 is optimal
         res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     else:
-        res = RESIDUAL_METHODS[method](rs.D, w, rs.Q[:, :n], params)
+        res = RESIDUAL_METHODS[method](rs.Q[:, :n], rs.D.T @ w, params)
     x = recover(problem, rs, res.r)
     residual = problem.A @ x - problem.b
     elapsed = time.perf_counter() - t0

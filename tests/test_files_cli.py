@@ -82,7 +82,7 @@ def test_cli_gen_consistent_when_noise_free(tmp_path):
 
 def test_cli_gen_rejects_square(capsys):
     assert main(["gen", "--m", "3", "--n", "3"]) == 1
-    assert "m > n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "l1fit gen: error: need m > n >= 2, got m=3, n=3\n"
 
 
 def test_cli_gen_rejects_bad_sparsity(tmp_path):
@@ -178,21 +178,28 @@ def test_cli_solve_exit_two_when_budget_exhausted(tmp_path, capsys):
 
 
 def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, capsys):
-    # L1-HP's support Gram matrix turns singular on this instance, where the
-    # other methods reach cost 3.5; the CLI printed a traceback
-    write_matrix(tmp_path / "A.txt", np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, 2.0], [0.0, 2.0]]))
-    write_vector(tmp_path / "b.txt", np.array([-1.0, 0.0, -1.0, -3.0]))
+    # a rank-1 A leaves the exhaustive search no nonsingular n-row subset
+    write_matrix(tmp_path / "A.txt", np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]))
+    write_vector(tmp_path / "b.txt", np.array([1.0, 2.0, 3.0, 4.0]))
     out = tmp_path / "x.txt"
-    code = main(["solve", "--method", "l1-hp", "--matrix", str(tmp_path / "A.txt"),
+    code = main(["solve", "--method", "oracle", "--matrix", str(tmp_path / "A.txt"),
                  "--rhs", str(tmp_path / "b.txt"), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("l1fit solve: error: degenerate support system")
+    assert captured.err.startswith("l1fit solve: error: every n-row subset is numerically singular")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
-    assert main(["solve", "--method", "l1-lp", "--matrix", str(tmp_path / "A.txt"),
-                 "--rhs", str(tmp_path / "b.txt")]) == 0
-    assert float(capsys.readouterr().err.split("cost: ")[1].splitlines()[0]) == pytest.approx(3.5)
+
+
+def test_cli_solve_homotopy_reaches_the_optimum_on_tied_columns(tmp_path, capsys):
+    # L1-HP's support Gram matrix used to turn singular on this instance and
+    # the solve failed; on the kernel pair it reaches the optimum 3.5
+    write_matrix(tmp_path / "A.txt", np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, 2.0], [0.0, 2.0]]))
+    write_vector(tmp_path / "b.txt", np.array([-1.0, 0.0, -1.0, -3.0]))
+    for method in ("l1-hp", "l1-lp"):
+        assert main(["solve", "--method", method, "--matrix", str(tmp_path / "A.txt"),
+                     "--rhs", str(tmp_path / "b.txt")]) == 0
+        assert float(capsys.readouterr().err.split("cost: ")[1].splitlines()[0]) == pytest.approx(3.5)
 
 
 def test_cli_solve_writes_out_file(tmp_path, capsys):

@@ -12,8 +12,8 @@ from l1fit.residual_solvers import (
     SolverParams,
     _continuation,
     _lambda_levels,
+    _kernel_pair,
     _newton_direction,
-    _orthonormal_pair,
     _tries_at,
     _vertex_rows,
     fit_via_residual,
@@ -220,25 +220,27 @@ def test_homotopy_early_return_meets_the_constraint():
 
 
 def _reduced_pair(problem):
+    """The kernel pair (N, r0) that ``fit_via_residual`` hands the cores."""
     rs = reduce_problem(problem)
-    return rs.D, rs.Q[:, :problem.n]
+    return rs.Q[:, :problem.n], rs.D.T @ rs.w
 
 
 def _paper_orthonormal_pair(problem):
-    D, _, N = _orthonormal_pair(*paper_pair(problem))
-    return D, N
+    """The kernel pair (N, r0) of the paper's D, N with orthonormal columns."""
+    return _kernel_pair(*paper_pair(problem))
 
 
 @pytest.mark.parametrize("pair", [_reduced_pair, _paper_orthonormal_pair])
 def test_newton_direction_solves_the_assembled_hessian(pair):
-    # the Woodbury step on D^T D = I - N N^T against a dense solve of
-    # [[D^T D + diag(b1), diag(b2)], [diag(b2), diag(b1)]] d = -grad, at a
+    # the Woodbury step against a dense solve of
+    # [[P + diag(b1), diag(b2)], [diag(b2), diag(b1)]] d = -grad, with
+    # P = I - N N^T (D^T D on an orthonormal-row pair), at a
     # strictly interior (r, u) shaped like a late iterate: 12 rows near
     # r = 0 (more than n, so the kernel keeps its curvature and the dense
     # solve its accuracy) and the rest close to their bound u = |r|
     rng = np.random.default_rng(47)
-    D, N = pair(random_problem(rng, 40, 8))
-    m = D.shape[1]
+    N, _ = pair(random_problem(rng, 40, 8))
+    m = N.shape[0]
     r = rng.standard_normal(m)
     r[:12] *= 1e-4
     u = np.abs(r) + 10.0 ** rng.uniform(-4.0, -2.0, m)
@@ -248,7 +250,7 @@ def test_newton_direction_solves_the_assembled_hessian(pair):
     grad = rng.standard_normal(2 * m)
     b1 = (q1 * q1 + q2 * q2) / t
     b2 = (q1 * q1 - q2 * q2) / t
-    H = np.block([[D.T @ D + np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b1)]])
+    H = np.block([[np.eye(m) - N @ N.T + np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b1)]])
     direct = np.linalg.solve(H, -grad)
     step = _newton_direction(N, grad, q1, q2, t)
     assert norm2(step - direct) <= 1e-10 * norm2(direct)
@@ -257,7 +259,7 @@ def test_newton_direction_solves_the_assembled_hessian(pair):
 def test_vertex_rows_restore_feasibility_and_sort():
     # the kernel of D = [[1, 0, 0]] is spanned by e_1 and e_2, so k = 2 rows
     # are named; restoring D r = 1 sets r_0 = 1 before the rows are ranked
-    pair = _orthonormal_pair([[1.0, 0.0, 0.0]], [1.0])
+    pair = _kernel_pair([[1.0, 0.0, 0.0]], [1.0])
     assert list(_vertex_rows(*pair, np.array([1.0, 0.5, 3.0]))) == [0, 1]
     assert list(_vertex_rows(*pair, np.array([0.1, 0.5, 0.2]))) == [1, 2]
     assert list(_vertex_rows(*pair, np.array([0.1, 0.2, 0.5]))) == [1, 2]
@@ -282,9 +284,9 @@ def test_uncertified_crossover_ends_the_run_at_its_try(monkeypatch, method):
     problem = bench_problem(256, 128, 0.25, 100001)
     rs = reduce_problem(problem)
     D, w, N = rs.D, -(rs.D @ problem.b), rs.Q[:, :problem.n]
-    certified = RESIDUAL_METHODS[method](D, w, N)
+    certified = RESIDUAL_METHODS[method](N, D.T @ w)
     calls = _counting_simplex(monkeypatch, certified=False)
-    res = RESIDUAL_METHODS[method](D, w, N)
+    res = RESIDUAL_METHODS[method](N, D.T @ w)
     assert len(calls) == 1
     assert certified.converged and not res.converged
     assert res.iterations == certified.iterations
@@ -347,14 +349,17 @@ def test_orthonormalizing_solvers_restore_feasibility(solver):
         assert norm2(D @ res.r - w) <= 1e-12 * (1.0 + norm2(w))
 
 
-@pytest.mark.parametrize("solver", ITERATIVE)
-def test_orthonormalizing_solvers_reject_dependent_rows(solver):
-    # the second row doubles the first; an orthonormal basis of D's row
-    # space drops one constraint, and GPSR and ADM then claim convergence at
-    # cost 1.22, where r = (1, 0, 0) with cost 1 is optimal
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_solvers_answer_dependent_rows(solver):
+    # the second row doubles the first: with w = (1, 2) it repeats the first
+    # constraint, whose optimum is r = (1, 0, 0); with w = (1, 3) the rows
+    # contradict each other
     D = np.array([[1.0, 0.5, 0.2], [2.0, 1.0, 0.4]])
-    with pytest.raises(np.linalg.LinAlgError):
-        solver(D, np.array([1.0, 2.0]))
+    res = solver(D, np.array([1.0, 2.0]))
+    assert res.converged
+    assert np.allclose(res.r, [1.0, 0.0, 0.0], atol=1e-12)
+    with pytest.raises(ValueError, match="range"):
+        solver(D, np.array([1.0, 3.0]))
 
 
 @pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(42), 12, 4),
@@ -363,20 +368,24 @@ def test_orthonormal_pair_keeps_the_constraint_set(problem):
     # the paper's [-C I], and reduce_problem's orthonormal left null basis of
     # A for a singular top block, where [-C I] does not exist
     rs = reduce_problem(problem)
+    # where [-C I] does not exist: the kernel pair (N, r0) of either, N with
+    # orthonormal columns, cuts out the same set r0 + range(N)
     D, w = paper_pair(problem) or (rs.D, rs.w)
-    Dt, wt, N = _orthonormal_pair(D, w)
+    N, r0 = _kernel_pair(D, w)
     k, m = D.shape
-    assert Dt.shape == (k, m) and N.shape == (m, m - k)
-    assert np.allclose(Dt @ Dt.T, np.eye(k), rtol=0.0, atol=1e-12)
+    scale = np.linalg.norm(D)
+    assert N.shape == (m, m - k) and r0.shape == (m,)
     assert np.allclose(N.T @ N, np.eye(m - k), rtol=0.0, atol=1e-12)
-    assert np.allclose(Dt @ N, 0.0, rtol=0.0, atol=1e-12)
-    # every residual A x - b is feasible, for the lstsq x and for random x
+    assert np.allclose(D @ N, 0.0, rtol=0.0, atol=1e-12 * scale)
+    assert norm2(D @ r0 - w) <= 1e-12 * scale * norm2(r0)
+    assert norm2(N.T @ r0) <= 1e-12 * norm2(r0)  # the minimum-norm point
+    # every residual A x - b is in r0 + range(N), for the lstsq x and for random x
     rng = np.random.default_rng(43)
     xs = [np.linalg.lstsq(problem.A, problem.b, rcond=None)[0]]
     xs += [rng.standard_normal(problem.n) for _ in range(3)]
     for x in xs:
-        r = problem.A @ x - problem.b
-        assert norm2(Dt @ r - wt) <= 1e-12 * (1.0 + norm2(wt))
+        d = problem.A @ x - problem.b - r0
+        assert norm2(d - N @ (N.T @ d)) <= 1e-12 * (1.0 + norm2(d))
 
 
 @pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(45), 12, 4),
@@ -451,14 +460,6 @@ def test_driver_takes_w_from_the_problem():
         assert report.cost == pytest.approx(fit_linprog(prob).cost, rel=1e-9)
 
 
-def test_orthonormal_pair_keeps_equal_columns_equal():
-    rng = np.random.default_rng(44)
-    D = rng.standard_normal((3, 6))
-    D[:, 4] = D[:, 1]
-    Dt, _, _ = _orthonormal_pair(D, rng.standard_normal(3))
-    assert np.array_equal(Dt[:, 4], Dt[:, 1])
-
-
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_deterministic(solver):
     rng = np.random.default_rng(33)
@@ -517,13 +518,28 @@ def test_homotopy_step_tie_order():
     assert step(support, np.array([0.5, 0.0, 0.0]), v, np.zeros(3), dk, 0.0, 3)[:3] == (np.inf, -1, -1)
 
 
-def test_homotopy_degenerate_support_raises():
-    # duplicated columns tie at the first breakpoint and make the support
-    # Gram matrix singular
+def test_homotopy_ties_at_the_first_breakpoint_reach_the_optimum():
+    # duplicated columns tie at the first breakpoint; on a row-orthonormal
+    # pair whose equal columns stayed bitwise equal, the support Gram
+    # matrix turned singular and the path raised
     D = np.array([[1.0, 1.0, 0.2]])
-    w = np.array([1.0])
-    with pytest.raises(RuntimeError, match="support"):
-        residual_homotopy(D, w)
+    res = residual_homotopy(D, np.array([1.0]))
+    assert res.converged
+    assert res.objective == pytest.approx(1.0, rel=1e-12)
+    assert norm2(D @ res.r - 1.0) <= 1e-12
+
+
+def test_adm_does_not_depend_on_the_basis_of_the_rows():
+    # (M D, M w) cuts out the same set as (D, w); the default penalty was
+    # mean|w_i| on the orthonormalized rows, which M rotates, and the two
+    # runs took 30 and 10 iterations
+    D, w = paper_pair(bench_problem(30, 6, 0.25, 50))
+    M = np.random.default_rng(50).standard_normal((24, 24))
+    base = residual_adm(D, w)
+    mixed = residual_adm(M @ D, M @ w)
+    assert base.converged and mixed.converged
+    assert mixed.iterations == base.iterations
+    assert norm2(mixed.r - base.r) <= 1e-9 * norm2(base.r)
 
 
 def test_ist_objective_not_increased():
@@ -623,13 +639,12 @@ class _ScriptedSolver:
     penalty 0.03 gives three levels: 0.1, 0.05 and 0.03.
     """
 
-    D = np.array([[1.0, 0.0]])
-    w = np.array([1.0])
+    r0 = np.array([1.0, 0.0])
     lam = 0.03
 
     def __init__(self, stat):
         self.stat = stat
-        self.levels = _lambda_levels(self.D, self.w, self.lam)
+        self.levels = _lambda_levels(self.r0, self.lam)
         self.steps = []  # (depth, tag stepped from, first step of the level?)
 
     def step(self, state, lam, first):
@@ -642,7 +657,7 @@ class _ScriptedSolver:
     def run(self, maxiter=10000, attempt=lambda r: False):
         """The loop's raw end: (iterations, tag of the end state)."""
         params = SolverParams(lam=self.lam, maxiter=maxiter)
-        state, it = _continuation(self.D, self.w, params, (np.zeros(2),), self.step,
+        state, it = _continuation(self.r0, params, (np.zeros(2),), self.step,
                                   self.stationarity, attempt)
         return it, int(state[0][1])
 
