@@ -366,10 +366,10 @@ def test_solvers_answer_dependent_rows(solver):
                                      dependent_top_rows_problem()])
 def test_orthonormal_pair_keeps_the_constraint_set(problem):
     # the paper's [-C I], and reduce_problem's orthonormal left null basis of
-    # A for a singular top block, where [-C I] does not exist
+    # A for a singular top block, where [-C I] does not exist: the kernel
+    # pair (N, r0) of either, N with orthonormal columns, cuts out the same
+    # set r0 + range(N)
     rs = reduce_problem(problem)
-    # where [-C I] does not exist: the kernel pair (N, r0) of either, N with
-    # orthonormal columns, cuts out the same set r0 + range(N)
     D, w = paper_pair(problem) or (rs.D, rs.w)
     N, r0 = _kernel_pair(D, w)
     k, m = D.shape
