@@ -1,13 +1,14 @@
 """The reduction that powers the solver family, step by step.
 
-One complete QR factorization A = Q [R; 0], Q = [Q1 Q2], gives the
-constraint operator D = Q2^T: its rows are orthonormal (D D^T = I) and
-annihilate A (D A = 0), so every residual r = A x - b satisfies D r = w
-with w = -D b.  Minimizing ||r||_1 under that single linear constraint and
-then applying x = R^-1 Q1^T (b + r) solves the fitting problem without
-ever optimizing over x directly.  The paper writes the same constraint as
-D = [-A2 A1^+  I] from the top square block A1; both have null space
-range(A).
+One thin QR factorization A = Q R (Q of size m x n with orthonormal
+columns) is all a fit factors.  Completing Q to an orthonormal basis
+[Q Q2] gives the constraint operator D = Q2^T: its rows are orthonormal
+(D D^T = I) and annihilate A (D A = 0), so every residual r = A x - b
+satisfies D r = w with w = -D b.  Minimizing ||r||_1 under that single
+linear constraint and then applying x = R^-1 Q^T (b + r) solves the
+fitting problem without ever optimizing over x directly.  The paper
+writes the same constraint as D = [-A2 A1^+  I] from the top square
+block A1; both have null space range(A).
 """
 
 import numpy as np
@@ -20,11 +21,12 @@ m, n = 9, 3
 problem = l1fit.MlmProblem(rng.standard_normal((m, n)), rng.standard_normal(m))
 
 reduced = l1fit.reduce_problem(problem)
-D, w = reduced.D, reduced.w
-print("D shape:", D.shape, " w shape:", w.shape)
+D = reduced.D  # built on request from Q; the fit path never forms it
+w = -(D @ problem.b)
+print("Q shape:", reduced.Q.shape, " D shape:", D.shape, " w shape:", w.shape)
 print("||D D^T - I|| =", np.linalg.norm(D @ D.T - np.eye(m - n)))
 print("||D A||       =", np.linalg.norm(D @ problem.A))
-print("||w + D b||   =", np.linalg.norm(w + D @ problem.b))
+print("||D Q||       =", np.linalg.norm(D @ reduced.Q))
 
 # the constraint identity: any parameter vector produces a feasible residual
 for _ in range(3):

@@ -7,14 +7,17 @@ conversely the minimum-l1 residual r* recovers the optimal parameters.
 The paper writes D = [-A2 A1^+  I], w = A2 A1^+ b(1:n) - b(n+1:m), with A1
 the top n x n block of A and A2 the remaining rows; any D with that null
 space will do, and the paper's loses it when A1 is singular.  The
-reduction takes one complete QR factorization A = Q [R; 0], Q = [Q1 Q2]
-with Q1 of n columns, and builds D = Q2^T, whose rows are orthonormal,
-with w = -D b.  Q1 is a kernel basis of that D, and x* = R^-1 Q1^T (b + r*).
+reduction takes one thin QR factorization A = Q R, Q of size m x n with
+orthonormal columns: Q is a kernel basis of any such D, the constraint
+set is r0 + range(Q) with r0 = Q (Q^T b) - b, and x* = R^-1 Q^T (b + r*).
+An orthonormal D itself, D = Q2^T from a complete basis [Q Q2], is built
+only on request (``ReducedSystem.D``); the fit path never forms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,39 +87,41 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The pair D = Q2^T, w = -D b and the complete QR factors of A.
+    """The thin QR factors A = Q R of A, Q of size m x n, R of size n x n.
 
-    A = Q[:, :n] R with Q of size m x m and R of size n x n; D = Q[:, n:]^T
-    is (m - n) x m with orthonormal rows and D A = 0.
+    ``D`` is the paper's constraint operator on request: Q2^T, with Q2 an
+    orthonormal basis of the complement of range(Q), so D is (m - n) x m
+    with orthonormal rows and D A = 0.
     """
 
-    D: np.ndarray
-    w: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    # read by nothing in l1fit; it goes once the tall benchmark workload
+    # passes ``reduced`` as reduce_problem returns it
+    w: np.ndarray | None = None
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Q2^T, from one complete QR factorization of Q."""
+        basis = np.linalg.qr(self.Q, mode="complete")[0]
+        return np.ascontiguousarray(basis[:, self.Q.shape[1]:].T)
 
 
 def reduce_problem(problem: MlmProblem) -> ReducedSystem:
-    """Build the reduced system for ``problem`` from one complete QR of A.
+    """Factor A = Q R by one thin QR for the reduce -> solve -> recover pipeline.
 
-    D = Q2^T is an orthonormal basis of the left null space of A (D A = 0)
-    and w = -D b, so D r = w holds for every residual r = A x - b.  Raises
-    ValueError when A has column rank below n, judged on the singular
-    values of R against ``default_rank_tol(A)``.
+    Raises ValueError when A has column rank below n, judged on the
+    singular values of R against ``default_rank_tol(A)``.
     """
-    n = problem.n
-    Q, R = np.linalg.qr(problem.A, mode="complete")
-    R = R[:n]
+    Q, R = np.linalg.qr(problem.A)
     if np.linalg.svd(R, compute_uv=False)[-1] <= default_rank_tol(problem.A):
         raise ValueError("A has column rank below n; the l1 fit is not unique")
-    D = np.ascontiguousarray(Q[:, n:].T)
-    return ReducedSystem(D=D, w=-(D @ problem.b), Q=Q, R=R)
+    return ReducedSystem(Q=Q, R=R)
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:
-    """Map an optimal residual back to parameters: x = R^-1 Q1^T (b + r)."""
+    """Map an optimal residual back to parameters: x = R^-1 Q^T (b + r)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (problem.m,):
         raise ValueError(f"residual must have length {problem.m}, got shape {r.shape}")
-    return np.linalg.solve(reduced.R, reduced.Q[:, :problem.n].T @ (problem.b + r))
-
+    return np.linalg.solve(reduced.R, reduced.Q.T @ (problem.b + r))

@@ -15,12 +15,13 @@ P r - r0, ||D r - w|| = ||P r - r0||, and restoring feasibility maps r to
 r0 + N (N^T r); the multipliers D^T y of the dual methods live in range(P).
 ``RESIDUAL_METHODS`` maps the method names to these cores.
 ``fit_via_residual`` wires them into the reduce -> solve -> recover
-pipeline: from the complete QR A = Q [R; 0] that ``reduce_problem`` builds
-it hands every core N = Q1 and r0 = D^T w with D = Q2^T, w = -D b, so
-nothing else is factored per fit, and it answers a consistent system (w at
-rounding level) with r = 0 directly.  The public ``residual_*`` functions
-accept any pair (D, w) and take (N, r0) from one SVD of D
-(``_kernel_pair``), so dependent rows are accepted when w agrees with them.
+pipeline: from the thin QR A = Q R that ``reduce_problem`` builds it hands
+every core N = Q and r0 = Q (Q^T b) - b, the projection of -b off
+range(A), so nothing else is factored per fit and no D is formed, and it
+answers a consistent system (r0 at rounding level) with r = 0 directly.
+The public ``residual_*`` functions accept any pair (D, w) and take
+(N, r0) from one SVD of D (``_kernel_pair``), so dependent rows are
+accepted when w agrees with them.
 
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
@@ -758,14 +759,15 @@ def fit_via_residual(
     ``method`` picks the residual solver; a precomputed ``reduced`` system
     of A (from ``reduce_problem``) may be passed to amortize the reduction
     over several right-hand sides.  The solver runs on the kernel pair
-    (N, r0) = (Q1, D^T w) of the reduction's orthonormal pair D = Q2^T,
-    w = -D b; w is taken from ``problem.b`` (every residual A x - b
-    satisfies D r = -D b), not from ``reduced.w``.  A ``reduced`` of other
-    shapes, with Q1 R v off A v for the probe v = (1, ..., n) (distinct
-    entries, so permuted columns show), or with D (A v) off zero, does not
-    fit the problem and raises ValueError.  When |w| <= m eps |D| |b|
-    holds in every row (no constraints, or w is rounding noise), r = 0 is
-    optimal and no solver runs.
+    (N, r0) = (Q, Q (Q^T b) - b) of the thin factors A = Q R, with b taken
+    from ``problem``; nothing reads ``reduced.w`` or ``reduced.D``.  A
+    ``reduced`` of other shapes, with Q R v off A v for the probe
+    v = (1, ..., n) (distinct entries, so permuted columns show), or with
+    Q^T (Q v) off v (a Q whose columns are not orthonormal), does not fit
+    the problem and raises ValueError.  When
+    |r0| <= m eps (|b| + |Q| |Q|^T |b|) holds in every row (no
+    constraints, or r0 is rounding noise), r = 0 is optimal and no solver
+    runs.
     """
     if method not in RESIDUAL_METHODS:
         raise ValueError(
@@ -774,26 +776,28 @@ def fit_via_residual(
         )
     params = params or SolverParams()
     m, n = problem.m, problem.n
+    b = problem.b
     t0 = time.perf_counter()
     rs = reduced if reduced is not None else reduce_problem(problem)
-    if rs.D.shape != (m - n, m) or rs.Q.shape != (m, m) or rs.R.shape != (n, n):
-        raise ValueError(f"reduced system has D {rs.D.shape}, Q {rs.Q.shape} and R {rs.R.shape}; "
-                         f"the problem needs ({m - n}, {m}), ({m}, {m}) and ({n}, {n})")
+    Q = rs.Q
+    if Q.shape != (m, n) or rs.R.shape != (n, n):
+        raise ValueError(f"reduced system has Q {Q.shape} and R {rs.R.shape}; "
+                         f"the problem needs ({m}, {n}) and ({n}, {n})")
     if reduced is not None:
         v = np.arange(1.0, n + 1.0)
-        Av, scale = problem.A @ v, 1e-8 * np.linalg.norm(problem.A) * norm2(v)
-        if norm2(rs.Q[:, :n] @ (rs.R @ v) - Av) > scale:
+        if norm2(Q @ (rs.R @ v) - problem.A @ v) > 1e-8 * np.linalg.norm(problem.A) * norm2(v):
             raise ValueError("reduced system is not a QR factorization of the problem's A")
-        if norm2(rs.D @ Av) > scale:
-            raise ValueError("reduced system's D does not annihilate the problem's A")
-    w = -(rs.D @ problem.b)
-    rounding = m * np.finfo(float).eps * (np.abs(rs.D) @ np.abs(problem.b))
-    if np.all(np.abs(w) <= rounding):
-        # consistent system (w is rounding noise, or no constraints remain):
+        if norm2(Q.T @ (Q @ v) - v) > 1e-8 * norm2(v):
+            raise ValueError("reduced system's Q does not have orthonormal columns")
+    r0 = Q @ (Q.T @ b) - b
+    absQ, absb = np.abs(Q), np.abs(b)
+    rounding = m * np.finfo(float).eps * (absb + absQ @ (absQ.T @ absb))
+    if np.all(np.abs(r0) <= rounding):
+        # consistent system (r0 is rounding noise, or no constraints remain):
         # r = 0 is optimal
         res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
     else:
-        res = RESIDUAL_METHODS[method](rs.Q[:, :n], rs.D.T @ w, params)
+        res = RESIDUAL_METHODS[method](Q, r0, params)
     x = recover(problem, rs, res.r)
     residual = problem.A @ x - problem.b
     elapsed = time.perf_counter() - t0

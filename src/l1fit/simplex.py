@@ -108,9 +108,10 @@ def _tied_optimal(A, b, x) -> bool:
     """Whether x passes the tied-row test; False when at most n rows are tied.
 
     T is the rows with |r_i| <= _TIE_TOL (1 + ||b||_inf) for r = A x - b.
-    u_T starts at the minimum-norm solution Q R^-T c of A_T^T u_T = c
-    (one thin QR A_T = Q R) and is clipped into the box and projected back
-    until it lies in [-1, 1]^|T|.
+    When c = -A_S^T sign(r_S) is zero, u_T = 0 passes with no factorization.
+    Otherwise u_T starts at the minimum-norm solution Q R^-T c of
+    A_T^T u_T = c (one thin QR A_T = Q R) and is clipped into the box and
+    projected back until it lies in [-1, 1]^|T|.
     """
     n = A.shape[1]
     r = A @ x - b
@@ -119,6 +120,8 @@ def _tied_optimal(A, b, x) -> bool:
         return False
     A_T = A[tied]
     c = -(np.sign(r[~tied]) @ A[~tied])
+    if not c.any():
+        return True  # u_T = 0 certifies; every row is tied on a consistent system
     Q, R = np.linalg.qr(A_T)
     g = np.linalg.solve(R.T, c)  # A_T^T u = c is Q^T u = g
     u = Q @ g

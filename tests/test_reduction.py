@@ -39,7 +39,7 @@ def test_reduce_identity_top_block():
     rs = reduce_problem(prob)
     sign = np.sign(rs.D[0, 2])
     assert np.allclose(sign * rs.D, D / np.sqrt(3.0))
-    assert np.allclose(sign * rs.w, w / np.sqrt(3.0))
+    assert np.allclose(sign * -(rs.D @ b), w / np.sqrt(3.0))
 
 
 def test_reduce_zero_bottom_block():
@@ -47,18 +47,19 @@ def test_reduce_zero_bottom_block():
     b = np.array([1.0, 2.0, 3.0, 4.0])
     rs = reduce_problem(MlmProblem(A, b))
     assert np.allclose(rs.D, np.hstack([np.zeros((2, 2)), np.eye(2)]))
-    assert np.allclose(rs.w, -b[2:])
+    assert np.allclose(-(rs.D @ b), -b[2:])
 
 
 def test_residuals_satisfy_reduced_constraint():
     rng = np.random.default_rng(20)
     prob = random_problem(rng, 6, 3)
     rs = reduce_problem(prob)
+    w = -(rs.D @ prob.b)
     for _ in range(10):
         x = rng.standard_normal(3)
         r = prob.A @ x - prob.b
-        gap = np.max(np.abs(rs.D @ r - rs.w))
-        assert gap <= 1e-9 * (1.0 + np.max(np.abs(rs.w)))
+        gap = np.max(np.abs(rs.D @ r - w))
+        assert gap <= 1e-9 * (1.0 + np.max(np.abs(w)))
 
 
 def test_rank_deficient_top_block_matches_lp():
@@ -75,7 +76,8 @@ def test_rank_deficient_top_block_matches_lp():
         warnings.simplefilter("error")
         rs = reduce_problem(prob)
     r = A @ rng.standard_normal(4) - b
-    assert np.max(np.abs(rs.D @ r - rs.w)) <= 1e-9 * (1.0 + np.max(np.abs(rs.w)))
+    w = -(rs.D @ b)
+    assert np.max(np.abs(rs.D @ r - w)) <= 1e-9 * (1.0 + np.max(np.abs(w)))
     report = solve(prob, "L1-RES")
     exact = fit_linprog(prob)
     assert report.converged
@@ -87,11 +89,16 @@ def test_rank_deficient_top_block_matches_lp():
     pytest.param(dependent_top_rows_problem(), id="singular-top-block"),
 ])
 def test_reduction_gives_orthonormal_left_null_basis(prob):
+    # thin factors A = Q R; the derived D = Q2^T completes Q to an orthonormal basis
     rs = reduce_problem(prob)
-    assert rs.D.shape == (prob.m - prob.n, prob.m)
-    assert np.max(np.abs(rs.D @ rs.D.T - np.eye(prob.m - prob.n))) <= 1e-12
+    m, n = prob.m, prob.n
+    assert rs.Q.shape == (m, n) and rs.R.shape == (n, n)
+    assert np.max(np.abs(rs.Q.T @ rs.Q - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(rs.Q @ rs.R - prob.A)) <= 1e-12 * np.max(np.abs(prob.A))
+    assert rs.D.shape == (m - n, m)
+    assert np.max(np.abs(rs.D @ rs.D.T - np.eye(m - n))) <= 1e-12
+    assert np.max(np.abs(rs.D @ rs.Q)) <= 1e-12
     assert np.max(np.abs(rs.D @ prob.A)) <= 1e-12 * np.max(np.abs(prob.A))
-    assert np.array_equal(rs.w, -(rs.D @ prob.b))
 
 
 def test_rank_deficient_matrix_raises():

@@ -3,7 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, add_sparse_noise, fit_linprog, gen_instance, recover, reduce_problem, residual_solvers
+from l1fit import (
+    MlmProblem,
+    ReducedSystem,
+    add_sparse_noise,
+    fit_linprog,
+    gen_instance,
+    recover,
+    reduce_problem,
+    residual_solvers,
+)
 from l1fit.linalg import norm1, norm2
 from l1fit.simplex import l1_vertex
 from l1fit.residual_solvers import (
@@ -84,7 +93,7 @@ def test_linprog_on_left_null_basis_of_singular_top_block():
     prob = dependent_top_rows_problem()
     rs = reduce_problem(prob)
     assert np.allclose(rs.D @ rs.D.T, np.eye(rs.D.shape[0]))
-    res = residual_linprog(rs.D, rs.w)
+    res = residual_linprog(rs.D, -(rs.D @ prob.b))
     assert res.converged
     assert res.objective == pytest.approx(fit_linprog(prob).cost, rel=1e-9)
 
@@ -222,7 +231,7 @@ def test_homotopy_early_return_meets_the_constraint():
 def _reduced_pair(problem):
     """The kernel pair (N, r0) that ``fit_via_residual`` hands the cores."""
     rs = reduce_problem(problem)
-    return rs.Q[:, :problem.n], rs.D.T @ rs.w
+    return rs.Q, rs.Q @ (rs.Q.T @ problem.b) - problem.b
 
 
 def _paper_orthonormal_pair(problem):
@@ -282,11 +291,12 @@ def test_uncertified_crossover_ends_the_run_at_its_try(monkeypatch, method):
     # ran: the same iteration as a certified one, with converged=False and
     # the iterate restored onto D r = w
     problem = bench_problem(256, 128, 0.25, 100001)
-    rs = reduce_problem(problem)
-    D, w, N = rs.D, -(rs.D @ problem.b), rs.Q[:, :problem.n]
-    certified = RESIDUAL_METHODS[method](N, D.T @ w)
+    N, r0 = _reduced_pair(problem)
+    D = reduce_problem(problem).D
+    w = -(D @ problem.b)
+    certified = RESIDUAL_METHODS[method](N, r0)
     calls = _counting_simplex(monkeypatch, certified=False)
-    res = RESIDUAL_METHODS[method](N, D.T @ w)
+    res = RESIDUAL_METHODS[method](N, r0)
     assert len(calls) == 1
     assert certified.converged and not res.converged
     assert res.iterations == certified.iterations
@@ -370,7 +380,7 @@ def test_orthonormal_pair_keeps_the_constraint_set(problem):
     # pair (N, r0) of either, N with orthonormal columns, cuts out the same
     # set r0 + range(N)
     rs = reduce_problem(problem)
-    D, w = paper_pair(problem) or (rs.D, rs.w)
+    D, w = paper_pair(problem) or (rs.D, -(rs.D @ problem.b))
     N, r0 = _kernel_pair(D, w)
     k, m = D.shape
     scale = np.linalg.norm(D)
@@ -391,19 +401,20 @@ def test_orthonormal_pair_keeps_the_constraint_set(problem):
 @pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(45), 12, 4),
                                      dependent_top_rows_problem()])
 def test_qr_route_matches_the_paper_route(problem):
-    # the pipeline solves on D = Q2^T with kernel Q1; the paper's D (the
-    # [-C I] of a nonsingular top block, Q2^T of a singular one) must cut
-    # out the same residuals: null(D) = range(A), and equal optima
+    # the pipeline solves on the kernel basis Q of the thin factors A = Q R;
+    # the paper's D (the [-C I] of a nonsingular top block, the derived
+    # Q2^T of a singular one) must cut out the same residuals:
+    # null(D) = range(A), and equal optima
     rs = reduce_problem(problem)
-    D, w = paper_pair(problem) or (rs.D, rs.w)
+    D, w = paper_pair(problem) or (rs.D, -(rs.D @ problem.b))
     m, n = problem.m, problem.n
     Q, R = rs.Q, rs.R
     scale = np.max(np.abs(problem.A))
-    assert Q.shape == (m, m) and R.shape == (n, n)
-    assert np.allclose(Q.T @ Q, np.eye(m), rtol=0.0, atol=1e-12)
-    assert np.allclose(Q[:, :n] @ R, problem.A, rtol=0.0, atol=1e-12 * scale)
-    assert np.allclose(Q[:, n:].T @ problem.A, 0.0, rtol=0.0, atol=1e-12 * scale)
-    assert np.allclose(D @ Q[:, :n], 0.0, rtol=0.0, atol=1e-12 * np.max(np.abs(D)))
+    assert Q.shape == (m, n) and R.shape == (n, n)
+    assert np.allclose(Q.T @ Q, np.eye(n), rtol=0.0, atol=1e-12)
+    assert np.allclose(Q @ R, problem.A, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(rs.D @ problem.A, 0.0, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(D @ Q, 0.0, rtol=0.0, atol=1e-12 * np.max(np.abs(D)))
     pipeline = fit_via_residual(problem, "linprog").cost
     paper = norm1(problem.A @ recover(problem, rs, residual_linprog(D, w).r) - problem.b)
     direct = fit_linprog(problem).cost
@@ -420,7 +431,11 @@ def test_driver_rejects_a_reduction_of_another_shape():
         fit_via_residual(prob, "adm", reduced=reduce_problem(random_problem(rng, 10, 4)))
     rs = reduce_problem(prob)
     with pytest.raises(ValueError, match="reduced system"):
-        fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, D=rs.D[1:]))
+        fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, Q=rs.Q[:, 1:]))
+    # the complete Q of A = Q [R; 0] is not the thin factor
+    complete = np.linalg.qr(prob.A, mode="complete")[0]
+    with pytest.raises(ValueError, match="reduced system"):
+        fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, Q=complete))
 
 
 def test_driver_rejects_a_reduction_of_another_matrix():
@@ -433,10 +448,21 @@ def test_driver_rejects_a_reduction_of_another_matrix():
     swapped = MlmProblem(prob.A[:, [1, 0, 2, 3]], prob.b)
     with pytest.raises(ValueError, match="not a QR factorization"):
         fit_via_residual(prob, "linprog", reduced=reduce_problem(swapped))
-    # Q and R factor A but D is the other's: L1-RES, L1-ADM, L1-TNIPM and
-    # L1-GPSR reported converged=True at cost 24.252, the optimum being 23.684
-    with pytest.raises(ValueError, match="does not annihilate"):
-        fit_via_residual(prob, "tnipm", reduced=dataclasses.replace(reduce_problem(prob), D=other.D))
+
+
+@pytest.mark.parametrize("method", RESIDUAL_METHODS)
+def test_driver_rejects_a_rescaled_factorization(method):
+    # (Q / 2) (2 R) still multiplies out to A, but Q's columns are not
+    # orthonormal: every residual method reported converged=True at cost
+    # 39.57 on it, the optimum being 6.61
+    rng = np.random.default_rng(49)
+    A = rng.standard_normal((30, 4))
+    b = A @ rng.standard_normal(4)
+    b[:6] += rng.standard_normal(6)
+    prob = MlmProblem(A, b)
+    rs = reduce_problem(prob)
+    with pytest.raises(ValueError, match="orthonormal"):
+        fit_via_residual(prob, method, reduced=dataclasses.replace(rs, Q=rs.Q / 2, R=2 * rs.R))
 
 
 @pytest.mark.parametrize("method", RESIDUAL_METHODS)
@@ -446,6 +472,34 @@ def test_driver_takes_a_precomputed_reduction_bit_for_bit(method):
     reused = fit_via_residual(prob, method, reduced=reduce_problem(prob))
     assert np.array_equal(reused.x, plain.x)
     assert (reused.iterations, reused.converged) == (plain.iterations, plain.converged)
+
+
+@pytest.mark.parametrize("method", RESIDUAL_METHODS)
+def test_driver_never_reads_the_derived_D(monkeypatch, method):
+    # the fit path runs on the thin factors alone; D = Q2^T is built only on request
+    def refuse(self):
+        raise AssertionError("ReducedSystem.D was read")
+
+    prob = bench_problem(40, 8, 0.25, 100001)
+    rs = reduce_problem(prob)
+    monkeypatch.setattr(ReducedSystem, "D", property(refuse))
+    plain = fit_via_residual(prob, method)
+    assert plain.converged
+    assert np.array_equal(fit_via_residual(prob, method, reduced=rs).x, plain.x)
+
+
+@pytest.mark.parametrize("method", RESIDUAL_METHODS)
+def test_driver_takes_a_reduction_with_a_stale_w(method):
+    # the tall benchmark workload's call: one reduction of A, its w replaced
+    # per right-hand side through the derived D, gives the unreduced fit
+    matrix, _ = gen_instance(60, 12, 100000)
+    rs = reduce_problem(matrix)
+    for seed in (1, 2):
+        p = MlmProblem(matrix.A, add_sparse_noise(matrix.b, 0.25, 0.25, seed))
+        plain = fit_via_residual(p, method)
+        reused = fit_via_residual(p, method, reduced=dataclasses.replace(rs, w=-(rs.D @ p.b)))
+        assert np.array_equal(reused.x, plain.x)
+        assert (reused.iterations, reused.converged) == (plain.iterations, plain.converged)
 
 
 def test_driver_takes_w_from_the_problem():

@@ -297,6 +297,23 @@ def test_consistent_square_input_certified_at_its_start(seed):
     assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
 
 
+def test_consistent_input_certified_without_the_tied_row_qr(monkeypatch):
+    # every row is tied, so c = -A_S^T sign(r_S) is zero and u_T = 0
+    # certifies: the only QR left is the start rows' independence test
+    problem = bench_problem(64, 16, 0.0, 100000)
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    vertex = l1_vertex(problem.A, problem.b)
+    assert (vertex.steps, vertex.certified) == (0, True)
+    assert shapes == [(16, 16)]
+
+
 def _one_column(outliers):
     """a = (1, .5, .5, .5, 1, ...), b = a except ``outliers`` rows of a = 1, b = 2.
 
