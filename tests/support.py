@@ -59,8 +59,8 @@ def oracle_loop(problem):
 def paper_pair(problem):
     """The paper's pair D = [-C I], w = C b(1:n) - b(n+1:m), with C = A2 A1^-1.
 
-    A reference form of the reduction: ``reduce_problem`` builds D = Q2^T,
-    with the same null space range(A) and orthonormal rows, so the public
+    A reference form of the reduction: ``ReducedSystem.D`` is Q2^T, with
+    the same null space range(A) and orthonormal rows, so the public
     residual solvers are fed this pair to keep testing one whose rows are
     not orthonormal.  None when the top block A1 has a singular value at
     most ``default_rank_tol(A)``, where [-C I] loses range(A).
