@@ -12,6 +12,12 @@ orthonormal columns: Q is a kernel basis of any such D, the constraint
 set is r0 + range(Q) with r0 = Q (Q^T b) - b, and x* = R^-1 Q^T (b + r*).
 An orthonormal D itself, D = Q2^T from a complete basis [Q Q2], is built
 only on request (``ReducedSystem.D``); the fit path never forms it.
+
+A has full column rank when sigma_min(R) exceeds ``default_rank_tol(A)``.
+A Cholesky factorization of R^T R - mu I that succeeds proves that, for a
+shift mu chosen above the rounding errors of forming and factoring the
+Gram matrix (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, ch. 10); only when it fails does an SVD of R decide.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import default_rank_tol, norm1
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# the shift mu = tol^2 + _GRAM_SHIFT n^2 eps trace(R^T R); see _certified_full_rank
+_GRAM_SHIFT = 3.0
 
 __all__ = [
     "MlmProblem",
@@ -107,14 +118,55 @@ class ReducedSystem:
         return np.ascontiguousarray(basis[:, self.Q.shape[1]:].T)
 
 
+def _certified_full_rank(R: np.ndarray, tol: float) -> bool:
+    """Whether a Cholesky factorization of R^T R - mu I proves sigma_min(R) > tol.
+
+    False means only that the certificate is inconclusive.
+    """
+    # With u = eps/2 and gamma_k = k u / (1 - k u), the computed Gram matrix
+    # is G = R^T R + E1, |E1| <= gamma_n |R|^T |R|, so ||E1||_2 <= gamma_n
+    # ||R||_F^2; lowering its diagonal by mu adds E2, ||E2||_2 <= u (max G_ii
+    # + mu).  A Cholesky factorization that runs to completion gives
+    # L L^T = G - mu I + E2 + E3 with |E3| <= gamma_{n+1} |L| |L|^T
+    # (Higham, Thm 10.3), and ||L||_F^2 = trace(L L^T) <= trace(G) / (1 -
+    # gamma_{n+1}), so ||E3||_2 <= gamma_{n+1} trace(G) (1 + O(n u)).  As
+    # L L^T is positive definite, sigma_min(R)^2 >= mu - ||E1 + E2 + E3||_2
+    # >= (1 - u) mu - (n + 1) eps trace(G) (1 + O(n u)).  With mu = tol^2 +
+    # 3 n^2 eps trace(G) (c = 3 covers n + 1 <= 2 n^2 from n = 1 on) that
+    # leaves sigma_min(R)^2 - tol^2 >= n^2 eps ||R||_F^2, up to O(u), so
+    # sigma_min(R) - tol >= (n^2 / 2) eps ||R||_2: beyond the rounding error
+    # of a backward-stable SVD of R, whose test then passes as well.  When
+    # eps trace(G) exceeds the smallest normal number, underflow in tol^2,
+    # G or the factorization (absolute errors of order eps * tiny per
+    # operation) stays far inside that margin; a nonfinite mu means
+    # overflow, and both cases are left to the SVD.
+    n = R.shape[0]
+    with np.errstate(over="ignore"):  # an overflow shows as a nonfinite mu
+        G = R.T @ R
+    trace = float(np.trace(G))
+    mu = tol * tol + _GRAM_SHIFT * n * n * _EPS * trace
+    if not (np.isfinite(mu) and _EPS * trace > _TINY):
+        return False
+    G.flat[:: n + 1] -= mu
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """Factor A = Q R by one thin QR for the reduce -> solve -> recover pipeline.
 
-    Raises ValueError when A has column rank below n, judged on the
-    singular values of R against ``default_rank_tol(A)``.
+    Raises ValueError when A has column rank below n: sigma_min(R) at most
+    ``default_rank_tol(A)``.  A Cholesky certificate on R^T R proves full
+    rank first (``_certified_full_rank``); when it is inconclusive the
+    smallest singular value of R decides, so the verdict is the SVD's on
+    every input.
     """
     Q, R = np.linalg.qr(problem.A)
-    if np.linalg.svd(R, compute_uv=False)[-1] <= default_rank_tol(problem.A):
+    tol = default_rank_tol(problem.A)
+    if not _certified_full_rank(R, tol) and np.linalg.svd(R, compute_uv=False)[-1] <= tol:
         raise ValueError("A has column rank below n; the l1 fit is not unique")
     return ReducedSystem(Q=Q, R=R)
 

@@ -191,9 +191,12 @@ def _vertex_rows(N, r0, r):
     k rows (the equivalence theorem), so Z is where the vertex simplex
     starts.
     """
-    rf = _restore_feasibility(N, r0, r)
-    k = N.shape[1]
-    return np.sort(np.argpartition(np.abs(rf), k - 1)[:k])
+    return _smallest_rows(_restore_feasibility(N, r0, r), N.shape[1])
+
+
+def _smallest_rows(r, k):
+    """The k rows of smallest |r|, sorted."""
+    return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
 
 
 def _simplex_residual(N, r0, rows=None):
@@ -281,8 +284,13 @@ def _continuation(r0, p, state, step, stationarity, attempt):
 
 
 def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """The vertex simplex on the kernel pair: r = N z + r0, z from l1_vertex(N, -r0)."""
-    r, vertex = _simplex_residual(N, r0)
+    """The vertex simplex on the kernel pair: r = N z + r0, z from l1_vertex(N, -r0).
+
+    The simplex starts at the k = dim(null D) rows of smallest |r0|
+    (``_vertex_rows`` of r = 0): r0 is the least-squares residual, whose
+    small entries name most of the rows an l1 optimum interpolates.
+    """
+    r, vertex = _simplex_residual(N, r0, _smallest_rows(r0, N.shape[1]))
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))
 
@@ -291,10 +299,10 @@ def residual_linprog(D, w, params: SolverParams | None = None) -> ResidualSoluti
     """Exact minimum-l1 residual by the vertex simplex on a basis of {r : D r = w}.
 
     The kernel pair (N, r0) comes from one SVD of D (``_kernel_pair``).  The
-    answer r = N z + r0 takes z from ``l1_vertex(N, -r0)``, so at least
-    dim(null D) entries of r vanish.  ``iterations`` counts basis changes;
-    ``converged`` is the vertex's optimality certificate, False when the
-    step budget ran out.
+    answer r = N z + r0 takes z from ``l1_vertex(N, -r0)``, started at the
+    dim(null D) rows of smallest |r0|, so at least that many entries of r
+    vanish.  ``iterations`` counts basis changes; ``converged`` is the
+    vertex's optimality certificate, False when the step budget ran out.
     """
     return _linprog(*_kernel_pair(D, w), params)
 

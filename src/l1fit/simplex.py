@@ -9,7 +9,8 @@ leaves: x moves along d = -sign(s_k) A_Z^-1 e_k, on which the cost falls
 at rate |s_k| - 1, and the entering row is the weighted median of the
 breakpoints -r_i / (A d)_i, where the slope has risen to zero.  A_Z^-1
 follows each row swap by a rank-1 update and is refactored every
-``_REFACTOR_EVERY`` steps and before a verdict.
+``_REFACTOR_EVERY`` steps and before a verdict, unless no step was taken
+since it was last factored.
 
 The first phase runs on a graded perturbation of b, on which no residual
 off Z vanishes.  The second starts from its rows on the original b: a
@@ -158,8 +159,9 @@ def _descend(A, b, b_pert, rows, inv, budget):
         if over.size == 0 or steps >= budget:
             if since == 0 and target is b:
                 return rows, inv, steps, float(np.max(size, initial=0.0))
-            target = b
-            inv, since, r = np.linalg.inv(A[rows]), 0, None
+            target, r = b, None
+            if since > 0:  # at since == 0, inv is already a fresh factorization
+                inv, since = np.linalg.inv(A[rows]), 0
             continue
         k = int(over[np.argmin(rows[over])]) if stall >= _STALL_LIMIT else int(np.argmax(size))
         Ad = -np.sign(s[k]) * (A @ inv[:, k])

@@ -12,6 +12,8 @@ from l1fit import (
     reduce_problem,
     solve,
 )
+from l1fit.bench import gen_instance
+from l1fit.linalg import default_rank_tol
 from support import dependent_top_rows_problem, paper_pair, random_problem
 
 
@@ -105,6 +107,74 @@ def test_rank_deficient_matrix_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
     with pytest.raises(ValueError, match="column rank"):
         reduce_problem(MlmProblem(A, np.ones(3)))
+
+
+SHAPES = [(12, 3), (40, 8), (64, 16), (256, 128)]
+
+
+def _svd_rejects(A):
+    """The plain rank test: sigma_min of A's QR factor R at most default_rank_tol(A)."""
+    return np.linalg.svd(np.linalg.qr(A)[1], compute_uv=False)[-1] <= default_rank_tol(A)
+
+
+def _reduction_rejects(A):
+    try:
+        reduce_problem(MlmProblem(A, np.zeros(A.shape[0])))
+    except ValueError:
+        return True
+    return False
+
+
+def _kahan(n, theta=1.2):
+    """Kahan's upper-triangular matrix: no small diagonal entry, sigma_min tiny for large n."""
+    sin, cos = np.sin(theta), np.cos(theta)
+    return np.sin(theta) ** np.arange(n)[:, None] * (np.eye(n) + np.triu(-cos * np.ones((n, n)), 1))
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_rank_decision_is_the_svd_decision(m, n):
+    rng = np.random.default_rng(m + n)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = np.geomspace(1.0, 1e-3, n)
+    tol = default_rank_tol((U * s) @ V.T)
+    cases = []
+    for factor in [0.5, 0.99, 1.01, 2.0, 1e3, 1e8]:  # sigma_min around factor * tol
+        s[-1] = factor * tol
+        cases.append((U * s) @ V.T)
+    cases.append(U @ _kahan(n))
+    for _ in range(2):  # columns scaled over 16 decades
+        cases.append(rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 8.0, n))
+    # far out of range: R^T R underflows or overflows, and the SVD decides
+    cases += [1e-160 * rng.standard_normal((m, n)), 1e160 * rng.standard_normal((m, n))]
+    decisions = [_reduction_rejects(A) for A in cases]
+    assert decisions == [_svd_rejects(A) for A in cases]
+    assert decisions[0] and not decisions[5]
+
+
+def test_kahan_matrix_rejected_despite_its_diagonal():
+    # no diagonal entry of R is near the rank tolerance, but sigma_min is
+    A = np.linalg.qr(np.random.default_rng(3).standard_normal((256, 128)))[0] @ _kahan(128)
+    R = np.linalg.qr(A)[1]
+    assert np.min(np.abs(np.diag(R))) > 1e6 * default_rank_tol(A)
+    with pytest.raises(ValueError, match="column rank"):
+        reduce_problem(MlmProblem(A, np.zeros(256)))
+
+
+@pytest.mark.parametrize("seed", [100000, 100001, 700202])
+def test_well_conditioned_reduction_takes_no_svd(monkeypatch, seed):
+    problem, _ = gen_instance(256, 128, seed)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rs = reduce_problem(problem)
+    assert calls == []
+    assert np.allclose(rs.Q @ rs.R, problem.A)
 
 
 def test_recover_consistent_system():

@@ -183,6 +183,21 @@ def test_small_instance_crosses_over_at_the_second_iteration(method):
     assert report.cost == pytest.approx(fit_via_residual(problem, "linprog").cost, rel=1e-9)
 
 
+@pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
+def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
+    # the rows of smallest |r0| are most of an optimal basis: the warm
+    # start reaches the cold start's optimum in fewer basis changes
+    problem = bench_problem(256, 128, sparsity, seed)
+    rs = reduce_problem(problem)
+    r0 = rs.Q @ (rs.Q.T @ problem.b) - problem.b
+    cold = l1_vertex(rs.Q, -r0)
+    report = fit_via_residual(problem, "linprog")
+    assert report.converged and cold.certified
+    assert report.iterations < cold.steps
+    assert report.cost == pytest.approx(norm1(rs.Q @ cold.x + r0), rel=1e-12)
+    assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-12)
+
+
 def _counting_simplex(monkeypatch, certified=None):
     """Record the residual solvers' l1_vertex calls; a given ``certified`` overrides the verdict."""
     calls = []
@@ -303,16 +318,20 @@ def test_uncertified_crossover_ends_the_run_at_its_try(monkeypatch, method):
     assert norm2(D @ res.r - w) <= 1e-9 * norm2(w)
 
 
-def test_consistent_system_short_circuits():
+def test_consistent_system_short_circuits(monkeypatch):
     # w = -D b is rounding noise, so r = 0 is optimal without iterating
     problem, p = gen_instance(256, 128, 100000)
     for method in RESIDUAL_METHODS:
         report = fit_via_residual(problem, method)
         assert report.converged and report.iterations == 0
         assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
+    # one perturbed entry is past the short circuit: the simplex runs (from
+    # the least-squares rows it certifies its start, so with 0 steps)
     b = problem.b.copy()
     b[5] += 1e-6
-    assert fit_via_residual(MlmProblem(problem.A, b), "linprog").iterations > 0
+    calls = _counting_simplex(monkeypatch)
+    assert fit_via_residual(MlmProblem(problem.A, b), "linprog").converged
+    assert len(calls) >= 1 and all(vertex.certified for vertex in calls)
 
 
 @pytest.mark.parametrize("solver", ITERATIVE)

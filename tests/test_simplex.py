@@ -224,10 +224,15 @@ def test_degenerate_small_instances_match_oracle():
 
 def test_step_budget_reports_not_certified(monkeypatch):
     problem = bench_problem(64, 16, 0.25, 17)
+    # L1-RES starts at the least-squares rows, which are optimal on the
+    # instance above; on this one they are not, and the simplex has to step
+    walked = bench_problem(64, 16, 0.25, 18)
+    assert fit_via_residual(walked, "linprog").iterations > 0
     monkeypatch.setattr("l1fit.simplex._STEPS_PER_DIM", 0)
     report = fit_linprog(problem)
     assert not report.converged and report.iterations == 0
-    assert not fit_via_residual(problem, "linprog").converged
+    report = fit_via_residual(walked, "linprog")
+    assert not report.converged and report.iterations == 0
 
 
 def test_matches_scipy_reference():
@@ -256,6 +261,28 @@ def test_warm_start_at_the_cold_basis_takes_no_steps():
     assert cold.certified and warm.certified and warm.steps == 0
     assert np.array_equal(warm.x, cold.x)
     assert np.array_equal(start, cold.rows)  # the caller's rows are not edited
+
+
+def test_certified_start_is_factored_once(monkeypatch):
+    # the warm start at the cold optimum certifies in the first phase with
+    # no step taken, so its A_Z^-1 serves the second phase unrefactored
+    rng = np.random.default_rng(23)
+    A, b = rng.standard_normal((64, 16)), rng.standard_normal(64)
+    cold = l1_vertex(A, b)
+    assert cold.certified and cold.steps > 0
+    assert not _tied_optimal(A, b, cold.x)
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    warm = l1_vertex(A, b, rows=cold.rows)
+    assert warm.certified and warm.steps == 0
+    assert np.array_equal(warm.x, cold.x)
+    assert len(inverses) == 1
 
 
 def test_warm_start_at_the_cold_basis_on_s200101():
