@@ -25,8 +25,11 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     """Exact l1 fit by the vertex simplex on (A, b).
 
     The answer interpolates n rows of A x = b, so the residual carries at
-    least n zeros.  ``iterations`` counts basis changes; ``converged`` is
-    the vertex's optimality certificate, False when the step budget ran out.
+    least n zeros.  The simplex starts cold: at the first n independent
+    rows when their vertex is already optimal by the tied-row test, else at
+    the n rows of smallest least-squares residual.  ``iterations`` counts
+    basis changes; ``converged`` is the vertex's optimality certificate,
+    False when the step budget ran out.
     """
     t0 = time.perf_counter()
     vertex = l1_vertex(problem.A, problem.b)

@@ -686,8 +686,9 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     iterations 1, 2, 4 and 8, then every 10, the iterate names its vertex
     rows, and a repeat of the previous rows ends the run.  The run ends
     through ``_Crossover`` (one warm-started simplex crossover, on the
-    rescaled pair), and ``converged`` means certified; a zero r0 returns
-    r = 0 directly.
+    unscaled pair, whose tie tolerance the rescaling would put below the
+    rounding of the scaled data), and ``converged`` means certified; a zero
+    r0 returns r = 0 directly.
     """
     return _pob(*_kernel_pair(D, w), params)
 
@@ -710,7 +711,7 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(m)
     r = np.zeros(m)
     zdual = scaled
-    crossover = _Crossover(N, scaled)
+    crossover = _Crossover(N, r0)
     it = 0
     while it < p.maxiter:
         it += 1
@@ -720,7 +721,7 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             break
-        if _tries_at(it) and crossover.attempt(r):
+        if _tries_at(it) and crossover.attempt(r / scale):
             break
         zdual = y
         t = Pr + zdual - scaled
@@ -729,9 +730,7 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
             y = np.zeros(m)
         else:
             y = (1.0 - p.epsilon / nt) * t
-    res = crossover.finish(r, it)
-    r = res.r / scale
-    return ResidualSolution(r=r, iterations=it, converged=res.converged, objective=norm1(r))
+    return crossover.finish(r / scale, it)
 
 
 # the core solvers (N, r0, params) on the kernel pair, by method name

@@ -66,11 +66,20 @@ def test_solve_looks_up_entry_points_at_call_time(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy only serves as a test reference
-    code = "import sys, l1fit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # numpy is the only runtime dependency; scipy only serves as a test
+    # reference.  With scipy blocked, every method still fits a noisy
+    # instance, so no fit path imports it lazily
+    code = "\n".join([
+        "import sys, l1fit",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "sys.modules['scipy'] = None  # a later import of scipy raises ImportError",
+        "problem, _ = l1fit.gen_instance(12, 3, 5)",
+        "problem = l1fit.MlmProblem(problem.A, l1fit.add_sparse_noise(problem.b, 0.25, 0.25, 5))",
+        "print(','.join(l1fit.solve(problem, method).method for method in l1fit.ALL_METHODS))",
+    ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", ",".join(ALL_METHODS)]
 
 
 @pytest.mark.parametrize("module", ["l1fit"] + [f"l1fit.{m.name}" for m in pkgutil.iter_modules(l1fit.__path__)])

@@ -14,7 +14,7 @@ from l1fit import (
     residual_solvers,
 )
 from l1fit.linalg import norm1, norm2
-from l1fit.simplex import l1_vertex
+from l1fit.simplex import _start_rows, l1_vertex
 from l1fit.residual_solvers import (
     _TRY_EVERY,
     RESIDUAL_METHODS,
@@ -186,11 +186,13 @@ def test_small_instance_crosses_over_at_the_second_iteration(method):
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
 def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
     # the rows of smallest |r0| are most of an optimal basis: the warm
-    # start reaches the cold start's optimum in fewer basis changes
+    # start reaches the optimum from the first independent rows in fewer
+    # basis changes (passed explicitly: l1_vertex's cold start would itself
+    # move to the least-squares rows)
     problem = bench_problem(256, 128, sparsity, seed)
     rs = reduce_problem(problem)
     r0 = rs.Q @ (rs.Q.T @ problem.b) - problem.b
-    cold = l1_vertex(rs.Q, -r0)
+    cold = l1_vertex(rs.Q, -r0, rows=_start_rows(rs.Q))
     report = fit_via_residual(problem, "linprog")
     assert report.converged and cold.certified
     assert report.iterations < cold.steps
@@ -231,6 +233,25 @@ def test_near_consistent_fit_claims_no_false_optimum(monkeypatch, method, seed):
     assert len(calls) <= 1
     if report.converged:
         assert report.cost == pytest.approx(highs_cost(problem.A, problem.b), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_pob_crosses_over_on_the_unscaled_pair(seed):
+    # one row of a consistent system is off by 3e-8; L1-POB rescales r0 by
+    # about 1.7e10, which lifts the rounding noise of the tied rows above
+    # the simplex's tie tolerance, and crossing over on that pair ended
+    # converged=False on seeds 5 and 8.  The optimum is 3e-8, so costs agree
+    # to rounding relative to 1 + cost; HiGHS's 1e-7 feasibility tolerance
+    # puts its cost 5.8e-7 on seed 3, so L1-LP's certified vertex is the
+    # reference
+    problem, _ = gen_instance(40, 5, seed)
+    b = problem.b.copy()
+    b[7] += 3e-8
+    problem = MlmProblem(problem.A, b)
+    report = fit_via_residual(problem, "pob")
+    reference = fit_linprog(problem)
+    assert report.converged and reference.converged
+    assert report.cost == pytest.approx(reference.cost, rel=1e-9, abs=1e-12)
 
 
 def test_homotopy_early_return_meets_the_constraint():

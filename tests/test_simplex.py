@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog
+from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog, simplex
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
 from support import bench_problem, dependent_top_rows_problem, highs_cost, vertex_certificate
 
@@ -223,13 +223,14 @@ def test_degenerate_small_instances_match_oracle():
 
 
 def test_step_budget_reports_not_certified(monkeypatch):
-    problem = bench_problem(64, 16, 0.25, 17)
-    # L1-RES starts at the least-squares rows, which are optimal on the
-    # instance above; on this one they are not, and the simplex has to step
+    # both exact routes start at the least-squares rows, which are optimal
+    # on bench_problem(64, 16, 0.25, 17); on this instance they are not,
+    # and the simplex has to step
     walked = bench_problem(64, 16, 0.25, 18)
     assert fit_via_residual(walked, "linprog").iterations > 0
+    assert fit_linprog(walked).iterations > 0
     monkeypatch.setattr("l1fit.simplex._STEPS_PER_DIM", 0)
-    report = fit_linprog(problem)
+    report = fit_linprog(walked)
     assert not report.converged and report.iterations == 0
     report = fit_via_residual(walked, "linprog")
     assert not report.converged and report.iterations == 0
@@ -378,11 +379,92 @@ def _not_optimal_tied_start():
 def test_tied_start_that_is_not_optimal_runs_the_simplex(monkeypatch, build):
     # the start vertex ties more than n rows but no u_T in the box exists
     # (c = 4 > 2.5 on the one-column case); the simplex runs as without the test
+    # (a cold start would restart at the least-squares rows, so the first
+    # rows are passed explicitly)
     A, b = build()
-    vertex = l1_vertex(A, b)
+    vertex = l1_vertex(A, b, rows=_start_rows(A))
     assert vertex.certified and vertex.steps > 0
     assert np.sum(np.abs(A @ vertex.x - b)) == pytest.approx(highs_cost(A, b), rel=1e-9)
     monkeypatch.setattr("l1fit.simplex._tied_optimal", lambda A, b, x: False)
-    untested = l1_vertex(A, b)
+    untested = l1_vertex(A, b, rows=_start_rows(A))
     assert (untested.steps, untested.certified) == (vertex.steps, vertex.certified)
     assert np.array_equal(untested.rows, vertex.rows) and np.array_equal(untested.x, vertex.x)
+
+
+def test_cold_start_restarts_at_the_least_squares_rows():
+    # x = 1 through the first row is not optimal (c = 4 > 2.5 above); the
+    # row of smallest least-squares residual gives x = 2, which ties the four
+    # outlier rows and passes the tied-row test without a step
+    A, b = _one_column(4)
+    vertex = l1_vertex(A, b)
+    assert (vertex.steps, vertex.certified) == (0, True)
+    assert vertex.x == pytest.approx([2.0], abs=1e-15)
+
+
+def test_start_without_a_least_squares_ranking():
+    # A has full column rank, but A^T A is singular in floating point, so
+    # the normal equations rank no rows and the walk keeps the first rows.
+    # Of the three vertices, the one through rows 0 and 2 costs 1.5 and the
+    # other two cost 3
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10], [1.0, 1.0 + 2e-10]])
+    b = np.array([0.0, 1.0, 5.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A.T @ A, A.T @ b)
+    vertex = l1_vertex(A, b)
+    assert vertex.certified and vertex.rows.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
+def test_fit_linprog_starts_at_the_least_squares_rows(sparsity, seed):
+    # the first independent rows fail the tied-row test on these noisy
+    # inputs, and the rows of smallest least-squares residual are most of
+    # an optimal basis: the same optimum in fewer basis changes
+    problem = bench_problem(256, 128, sparsity, seed)
+    first = l1_vertex(problem.A, problem.b, rows=_start_rows(problem.A))
+    report = fit_linprog(problem)
+    assert report.converged and first.certified
+    assert report.iterations < first.steps
+    assert report.cost == pytest.approx(np.sum(np.abs(problem.A @ first.x - problem.b)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [100000, 100100, 100200, 700000, 700100, 700200])
+def test_consistent_square_input_ranks_no_least_squares_rows(monkeypatch, seed):
+    # b = A p: the first rows pass the tied-row test, so the start is not
+    # moved and the least-squares ranking is never computed
+    calls = []
+    ranking = simplex._least_squares_rows
+
+    def counting(A, b):
+        calls.append(A.shape)
+        return ranking(A, b)
+
+    monkeypatch.setattr(simplex, "_least_squares_rows", counting)
+    report = fit_linprog(bench_problem(256, 128, 0.0, seed))
+    assert report.converged and report.iterations == 0
+    assert calls == []
+
+
+def test_folded_terms_match_the_per_step_update(monkeypatch):
+    # 215 basis changes from the first rows, across the refactorization at
+    # step 200; folding after every step is the per-step Sherman-Morrison
+    # update.  Every verdict still comes from a fresh factorization: the
+    # start, step 200 and the first phase's end
+    problem = bench_problem(256, 128, 0.25, 100001)
+    A, b = problem.A, problem.b
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    folded = l1_vertex(A, b, rows=_start_rows(A))
+    assert len(inverses) == 3
+    monkeypatch.setattr(simplex, "_FOLD_EVERY", 1)
+    per_step = l1_vertex(A, b, rows=_start_rows(A))
+    assert len(inverses) == 6
+    assert folded.steps > simplex._REFACTOR_EVERY
+    assert (folded.steps, folded.certified) == (per_step.steps, per_step.certified)
+    assert np.array_equal(folded.rows, per_step.rows)
+    assert np.linalg.norm(folded.x - per_step.x) <= 1e-12 * np.linalg.norm(per_step.x)
