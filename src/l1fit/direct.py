@@ -26,8 +26,8 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
 
     The answer interpolates n rows of A x = b, so the residual carries at
     least n zeros.  The simplex starts cold: at the first n independent
-    rows when their vertex is already optimal by the tied-row test, else at
-    the n rows of smallest least-squares residual.  ``iterations`` counts
+    rows when the tied-row test proves their vertex optimal, else from the
+    n rows of smallest least-squares residual.  ``iterations`` counts
     basis changes; ``converged`` is the vertex's optimality certificate,
     False when the step budget ran out.
     """

@@ -27,11 +27,11 @@ lowest-index leaving row is taken (Bland's rule) until a step moves
 again.
 
 The default start is the first n independent rows.  When that vertex
-fails the tied-row test below, the start moves to the n rows of smallest
-least-squares residual, ranked by the normal equations, if they are
-independent, and that vertex is tested in turn: most of those rows are
-rows an l1 optimum interpolates, so the walk is shorter.  A first vertex
-that passes the test, as on a consistent system, ranks nothing.
+fails the tied-row test below, the descent starts instead from the n rows
+of smallest least-squares residual, ranked by the normal equations, if
+they are independent: most of them are rows an l1 optimum interpolates,
+so the walk is shorter.  A first vertex that passes the test, as on a
+consistent system, ranks nothing.
 
 Before either phase the start vertex is tested on its tied rows T, the
 residuals within the tie tolerance of zero, when there are more than n:
@@ -124,9 +124,9 @@ def _least_squares_rows(A, b):
     """The n rows of smallest least-squares residual |A x - b|, sorted.
 
     Only the order of |r| matters, so x comes from the normal equations:
-    0.45 ms at 256 x 128, against 2.2 ms for a reduced QR.  None when A^T A
-    is singular in floating point, which a full-rank but ill-conditioned A
-    can make it.
+    0.44 ms at 256 x 128 against 2.3 ms for a reduced QR (one x86_64 core,
+    one BLAS thread).  None when A^T A is singular in floating point, which
+    a full-rank but ill-conditioned A can make it.
     """
     n = A.shape[1]
     try:
@@ -134,13 +134,6 @@ def _least_squares_rows(A, b):
     except np.linalg.LinAlgError:
         return None
     return np.sort(np.argpartition(np.abs(A @ x - b), n - 1)[:n])
-
-
-def _factored_start(A, b, rows):
-    """(A_Z^-T, x = A_Z^-1 b_Z, whether x passes the tied-row test) at Z = ``rows``."""
-    inv_T = _inverse_T(A, rows)
-    x = b[rows] @ inv_T
-    return inv_T, x, _tied_optimal(A, b, x)
 
 
 def _inverse_T(A, rows):
@@ -255,9 +248,9 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     A must be m x n with m >= n and column rank n (ValueError otherwise).
     ``rows`` (n row indices) is the start basis, a warm start; by default,
     or when A[rows] fails the independence test of the default start, the
-    descent starts cold: from the first n independent rows when their
-    vertex passes the tied-row test (see the module docstring), else from
-    the n rows of smallest least-squares residual when those are
+    descent starts cold: from the first n independent rows, or, when
+    their vertex fails the tied-row test (see the module docstring), from
+    the n rows of smallest least-squares residual if those are
     independent.  Indices of another count or out of range raise
     ValueError.  The step budget is 50 (m + n) over both phases; a run
     that spends it returns its last vertex with ``certified`` False.  A
@@ -282,14 +275,16 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     cold = rows is None or not _independent(A, rows, tol)
     if cold:
         rows = _start_rows(A)
-    inv_T, x, tied = _factored_start(A, b, rows)
-    if cold and not tied:
+    inv_T = _inverse_T(A, rows)
+    x = b[rows] @ inv_T
+    if _tied_optimal(A, b, x):
+        return L1Vertex(x=x, rows=rows, steps=0, certified=True)
+    if cold:
+        # the new start is not put to the tied-row test: on inputs of a few
+        # rows its projections cost more than the steps they would save
         ls_rows = _least_squares_rows(A, b)
         if ls_rows is not None and _independent(A, ls_rows, tol):
-            rows = ls_rows
-            inv_T, x, tied = _factored_start(A, b, rows)
-    if tied:
-        return L1Vertex(x=x, rows=rows, steps=0, certified=True)
+            rows, inv_T = ls_rows, _inverse_T(A, ls_rows)
     budget = _STEPS_PER_DIM * (m + n)
     b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
     rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget)

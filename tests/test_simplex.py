@@ -223,14 +223,13 @@ def test_degenerate_small_instances_match_oracle():
 
 
 def test_step_budget_reports_not_certified(monkeypatch):
-    # both exact routes start at the least-squares rows, which are optimal
-    # on bench_problem(64, 16, 0.25, 17); on this instance they are not,
-    # and the simplex has to step
+    problem = bench_problem(64, 16, 0.25, 17)
+    # L1-RES starts at the least-squares rows, which are optimal on the
+    # instance above; on this one they are not, and the simplex has to step
     walked = bench_problem(64, 16, 0.25, 18)
     assert fit_via_residual(walked, "linprog").iterations > 0
-    assert fit_linprog(walked).iterations > 0
     monkeypatch.setattr("l1fit.simplex._STEPS_PER_DIM", 0)
-    report = fit_linprog(walked)
+    report = fit_linprog(problem)
     assert not report.converged and report.iterations == 0
     report = fit_via_residual(walked, "linprog")
     assert not report.converged and report.iterations == 0
@@ -379,26 +378,14 @@ def _not_optimal_tied_start():
 def test_tied_start_that_is_not_optimal_runs_the_simplex(monkeypatch, build):
     # the start vertex ties more than n rows but no u_T in the box exists
     # (c = 4 > 2.5 on the one-column case); the simplex runs as without the test
-    # (a cold start would restart at the least-squares rows, so the first
-    # rows are passed explicitly)
     A, b = build()
-    vertex = l1_vertex(A, b, rows=_start_rows(A))
+    vertex = l1_vertex(A, b)
     assert vertex.certified and vertex.steps > 0
     assert np.sum(np.abs(A @ vertex.x - b)) == pytest.approx(highs_cost(A, b), rel=1e-9)
     monkeypatch.setattr("l1fit.simplex._tied_optimal", lambda A, b, x: False)
-    untested = l1_vertex(A, b, rows=_start_rows(A))
+    untested = l1_vertex(A, b)
     assert (untested.steps, untested.certified) == (vertex.steps, vertex.certified)
     assert np.array_equal(untested.rows, vertex.rows) and np.array_equal(untested.x, vertex.x)
-
-
-def test_cold_start_restarts_at_the_least_squares_rows():
-    # x = 1 through the first row is not optimal (c = 4 > 2.5 above); the
-    # row of smallest least-squares residual gives x = 2, which ties the four
-    # outlier rows and passes the tied-row test without a step
-    A, b = _one_column(4)
-    vertex = l1_vertex(A, b)
-    assert (vertex.steps, vertex.certified) == (0, True)
-    assert vertex.x == pytest.approx([2.0], abs=1e-15)
 
 
 def test_start_without_a_least_squares_ranking():
@@ -417,14 +404,17 @@ def test_start_without_a_least_squares_ranking():
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
 def test_fit_linprog_starts_at_the_least_squares_rows(sparsity, seed):
     # the first independent rows fail the tied-row test on these noisy
-    # inputs, and the rows of smallest least-squares residual are most of
-    # an optimal basis: the same optimum in fewer basis changes
+    # inputs, so the walk starts at the rows of smallest least-squares
+    # residual, most of an optimal basis: the same optimum in fewer steps
     problem = bench_problem(256, 128, sparsity, seed)
-    first = l1_vertex(problem.A, problem.b, rows=_start_rows(problem.A))
+    A, b = problem.A, problem.b
+    first = l1_vertex(A, b, rows=_start_rows(A))
+    warm = l1_vertex(A, b, rows=simplex._least_squares_rows(A, b))
     report = fit_linprog(problem)
+    assert report.iterations == warm.steps and np.array_equal(report.x, warm.x)
     assert report.converged and first.certified
     assert report.iterations < first.steps
-    assert report.cost == pytest.approx(np.sum(np.abs(problem.A @ first.x - problem.b)), rel=1e-12)
+    assert report.cost == pytest.approx(np.sum(np.abs(A @ first.x - b)), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [100000, 100100, 100200, 700000, 700100, 700200])
