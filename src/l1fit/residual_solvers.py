@@ -3,8 +3,9 @@
 Seven interchangeable routines are provided: an exact vertex simplex and
 six iterative methods (gradient projection, a log-barrier interior point
 whose exact Newton steps take one n x n solve on the kernel basis,
-homotopy path following, iterative shrinkage, alternating directions, and
-a proximity-operator scheme).
+homotopy path following on an n x n inverse kept by rank-one updates,
+iterative shrinkage, alternating directions, and a proximity-operator
+scheme).
 
 Each method is a core solver ``(N, r0, params)`` on the kernel pair of the
 constraint set {r : D r = w} = r0 + range(N): N is an orthonormal basis of
@@ -81,6 +82,8 @@ _ADM_ZETA = 1.618
 # the first-order solvers name vertex rows after iterations 1, 2, 4 and 8,
 # then every this many iterations (``_tries_at``)
 _TRY_EVERY = 10
+# the homotopy refactors its n x n inverse after this many rank-one updates
+_HP_REFACTOR_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -502,8 +505,11 @@ def residual_homotopy(D, w, params: SolverParams | None = None):
     Runs on the kernel pair, which is the path on an orthonormal-row pair,
     where the correlations keep the signs the path rules assume; on the
     paper's D = [-C I] they drift and the path can end off the optimum.
-    Maintains the active support S and its Gram matrix I - N_S N_S^T,
-    re-solving the small direction system densely at each breakpoint.  The
+    Maintains the active support S and the inverse of the n x n complement
+    Gram G = I - N_S^T N_S by a rank-one update per breakpoint (refactored
+    every ``_HP_REFACTOR_EVERY`` updates); the direction on S is Woodbury's
+    z_S + N_S G^-1 N_S^T z_S.  An entering row that would make G singular
+    (S outgrowing rank D) ends the path there, at the vertex S names.  The
     path end, the budget's end or the start point r = 0 when
     ||r0||_inf <= epsilon goes through ``_Crossover``, one simplex
     crossover warm-started at the rows it names; ``converged`` means
@@ -515,7 +521,7 @@ def residual_homotopy(D, w, params: SolverParams | None = None):
 def _homotopy(N, r0, params: SolverParams | None = None):
     """``residual_homotopy``'s path on the kernel pair (N, r0)."""
     p = params or SolverParams()
-    m = N.shape[0]
+    m, n = N.shape
     lam = p.epsilon  # terminal level of the path
 
     r = np.zeros(m)
@@ -529,21 +535,21 @@ def _homotopy(N, r0, params: SolverParams | None = None):
     z = np.zeros(m)
     z[xi] = -np.sign(pvec[xi])
     pvec[xi] = pmax * np.sign(pvec[xi])
-    B = np.eye(xi.size) - N[xi] @ N[xi].T
+    in_support = np.zeros(m, dtype=bool)
+    in_support[xi] = True
+    updates = _HP_REFACTOR_EVERY  # G^-1 is factored at the first breakpoint
 
     it = 0
     while it < p.maxiter:
         it += 1
-        gamma = xi
-        v = np.zeros(m)
-        try:
-            v[gamma] = np.linalg.solve(B, z[gamma])
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"degenerate support system for indices {sorted(int(i) for i in gamma)}"
-            ) from exc
-        dk = _project(N, v)
-        delta, i_add, i_del, removing = _homotopy_step(gamma, r, v, pvec, dk, pmax, m)
+        if updates == _HP_REFACTOR_EVERY:
+            Ginv, updates = np.linalg.inv(np.eye(n) - N[xi].T @ N[xi]), 0
+        # B v_S = z_S with B = I - N_S N_S^T, by Woodbury on G; N^T v = y
+        y = Ginv @ (N.T @ z)
+        Ny = N @ y
+        v = np.where(in_support, z + Ny, 0.0)
+        dk = v - Ny  # P v
+        delta, i_add, i_del, removing = _homotopy_step(xi, r, v, pvec, dk, pmax, m)
 
         if pmax - delta <= lam:
             r = r + (pmax - lam) * v
@@ -552,19 +558,25 @@ def _homotopy(N, r0, params: SolverParams | None = None):
         pvec = pvec + delta * dk
         pmax = pmax - delta
 
+        # G gains a a^T when a leaves S and loses it when a enters (Sherman-Morrison)
+        a = N[i_del if removing else i_add]
+        g = Ginv @ a
+        sign = 1.0 if removing else -1.0
+        denom = 1.0 + sign * float(a @ g)
+        if denom <= 0.0:
+            break  # G would turn singular (S outgrowing rank D): r vanishes off S, a vertex
+        Ginv -= np.outer(g, (sign / denom) * g)
         if removing:
-            pos = int(np.flatnonzero(gamma == i_del)[0])
-            xi = np.delete(gamma, pos)
-            B = np.delete(np.delete(B, pos, axis=0), pos, axis=1)
+            in_support[i_del] = False
             r[i_del] = 0.0
-            pin = gamma  # the leaving index stays pinned this once
+            pin = xi  # the leaving index stays pinned this once
+            xi = xi[xi != i_del]  # in entry order, which breaks ties among leaving rows
         else:
-            cvec = -(N[gamma] @ N[i_add])
-            dd = 1.0 - float(N[i_add] @ N[i_add])
-            B = np.block([[B, cvec[:, None]], [cvec[None, :], np.array([[dd]])]])
+            in_support[i_add] = True
+            xi = np.append(xi, i_add)
             r[i_add] = 0.0
-            xi = np.append(gamma, i_add)
             pin = xi
+        updates += 1
         z = np.zeros(m)
         z[xi] = -np.sign(pvec[xi])
         pvec[pin] = pmax * np.sign(pvec[pin])

@@ -106,12 +106,18 @@ def vertex_certificate(A, b, x):
 
 
 def highs_cost(A, b):
-    """min ||A x - b||_1 by HiGHS (dual simplex) on the direct LP with free x."""
+    """min ||A x - b||_1 by HiGHS (dual simplex) on the direct LP with free x.
+
+    The feasibility tolerances are tightened from HiGHS's default 1e-7,
+    which let it report 5.8e-7 for a certified optimum of 3.0e-8.
+    """
     scipy_linprog = pytest.importorskip("scipy.optimize").linprog
     m, n = A.shape
     ref = scipy_linprog(np.concatenate([np.zeros(n), np.ones(2 * m)]),
                         A_eq=np.hstack([A, -np.eye(m), np.eye(m)]), b_eq=b,
-                        bounds=[(None, None)] * n + [(0, None)] * (2 * m), method="highs-ds")
+                        bounds=[(None, None)] * n + [(0, None)] * (2 * m), method="highs-ds",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     return float(np.sum(np.abs(A @ ref.x[:n] - b)))
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, fit_linprog, fit_perturbation, oracle_solve
+from l1fit import MlmProblem, fit_linprog, fit_perturbation, gen_instance, oracle_solve
 from l1fit.direct import _best_step, _zero_mask
-from support import dependent_top_rows_problem, random_problem
+from support import dependent_top_rows_problem, highs_cost, random_problem
 
 
 def test_linprog_consistent_system():
@@ -20,6 +20,19 @@ def test_linprog_matches_oracle():
     for _ in range(10):
         prob = random_problem(rng, 4, 2)
         assert fit_linprog(prob).cost == pytest.approx(oracle_solve(prob).cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_highs_reference_meets_the_certified_optimum(seed):
+    # one row of a consistent system is off by 3e-8; at its default 1e-7
+    # feasibility tolerance HiGHS reported 5.8e-7 on seed 3, so a fit up to
+    # 19x above the optimum would have matched the tests' reference
+    problem, _ = gen_instance(40, 5, seed)
+    b = problem.b.copy()
+    b[7] += 3e-8
+    report = fit_linprog(MlmProblem(problem.A, b))
+    assert report.converged
+    assert highs_cost(problem.A, b) == pytest.approx(report.cost, rel=1e-9, abs=1e-12)
 
 
 def test_one_extra_row_leaves_one_nonzero():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -621,6 +622,45 @@ def test_homotopy_ties_at_the_first_breakpoint_reach_the_optimum():
     assert res.converged
     assert res.objective == pytest.approx(1.0, rel=1e-12)
     assert norm2(D @ res.r - 1.0) <= 1e-12
+
+
+def test_homotopy_rank_one_updates_match_refactoring(monkeypatch):
+    # 158 breakpoints, so the default run crosses three refactors of G^-1;
+    # refactoring at every breakpoint must walk the same path.  The s x s
+    # support system (np.linalg.solve on a Gram rebuilt by np.block) must
+    # not come back inside the path
+    N, r0 = _reduced_pair(bench_problem(256, 128, 0.25, 100001))
+    path = residual_solvers._homotopy
+
+    def forbidden(real):
+        def call(*args, **kwargs):
+            assert sys._getframe(1).f_code is not path.__code__, real.__name__
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden(np.linalg.solve))
+    monkeypatch.setattr(np, "block", forbidden(np.block))
+    default = path(N, r0)
+    monkeypatch.setattr(residual_solvers, "_HP_REFACTOR_EVERY", 1)
+    refactored = path(N, r0)
+    assert default.iterations == refactored.iterations == 158
+    assert default.converged and refactored.converged
+    assert norm2(default.r - refactored.r) <= 1e-12 * norm2(refactored.r)
+
+
+@pytest.mark.parametrize("m,n,seed", [(12, 3, 5), (40, 8, 17), (40, 8, 18),
+                                      (64, 16, 10), (64, 16, 17), (64, 16, 19)])
+def test_homotopy_ends_its_path_where_the_support_outgrows_rank_d(m, n, seed):
+    # at scale 1e8 the path runs down to 1e-16 of its start and an entering
+    # row would leave G = I - N_S^T N_S singular; the dense s x s solve
+    # raised "degenerate support system" here.  The path now ends at that
+    # breakpoint and the crossover certifies from it
+    problem = bench_problem(m, n, 0.25, seed)
+    problem = MlmProblem(1e8 * problem.A, 1e8 * problem.b)
+    report = fit_via_residual(problem, "homotopy")
+    reference = fit_linprog(problem)
+    assert report.converged and reference.converged
+    assert report.cost == pytest.approx(reference.cost, rel=1e-11)
 
 
 def test_adm_does_not_depend_on_the_basis_of_the_rows():
