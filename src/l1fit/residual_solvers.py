@@ -506,8 +506,9 @@ def residual_homotopy(D, w, params: SolverParams | None = None):
     where the correlations keep the signs the path rules assume; on the
     paper's D = [-C I] they drift and the path can end off the optimum.
     Maintains the active support S and the inverse of the n x n complement
-    Gram G = I - N_S^T N_S by a rank-one update per breakpoint (refactored
-    every ``_HP_REFACTOR_EVERY`` updates); the direction on S is Woodbury's
+    Gram G = I - N_S^T N_S by a rank-one term per breakpoint, kept beside
+    the last factorization, which is redone every ``_HP_REFACTOR_EVERY``
+    updates; the direction on S is Woodbury's
     z_S + N_S G^-1 N_S^T z_S.  An entering row that would make G singular
     (S outgrowing rank D) ends the path there, at the vertex S names.  The
     path end, the budget's end or the start point r = 0 when
@@ -537,15 +538,20 @@ def _homotopy(N, r0, params: SolverParams | None = None):
     pvec[xi] = pmax * np.sign(pvec[xi])
     in_support = np.zeros(m, dtype=bool)
     in_support[xi] = True
-    updates = _HP_REFACTOR_EVERY  # G^-1 is factored at the first breakpoint
+    # G^-1 = F - U^T diag(coef) U: the last refactor F less the Sherman-Morrison
+    # terms since, kept apart so that an update costs two thin products, not n^2
+    U, coef = np.empty((_HP_REFACTOR_EVERY, n)), np.empty(_HP_REFACTOR_EVERY)
+    updates = _HP_REFACTOR_EVERY  # F is factored at the first breakpoint
 
     it = 0
     while it < p.maxiter:
         it += 1
         if updates == _HP_REFACTOR_EVERY:
-            Ginv, updates = np.linalg.inv(np.eye(n) - N[xi].T @ N[xi]), 0
+            F, updates = np.linalg.inv(np.eye(n) - N[xi].T @ N[xi]), 0
+        Uk, ck = U[:updates], coef[:updates]
         # B v_S = z_S with B = I - N_S N_S^T, by Woodbury on G; N^T v = y
-        y = Ginv @ (N.T @ z)
+        c = N.T @ z
+        y = F @ c - Uk.T @ (ck * (Uk @ c))
         Ny = N @ y
         v = np.where(in_support, z + Ny, 0.0)
         dk = v - Ny  # P v
@@ -560,12 +566,13 @@ def _homotopy(N, r0, params: SolverParams | None = None):
 
         # G gains a a^T when a leaves S and loses it when a enters (Sherman-Morrison)
         a = N[i_del if removing else i_add]
-        g = Ginv @ a
+        g = F @ a - Uk.T @ (ck * (Uk @ a))
         sign = 1.0 if removing else -1.0
         denom = 1.0 + sign * float(a @ g)
         if denom <= 0.0:
             break  # G would turn singular (S outgrowing rank D): r vanishes off S, a vertex
-        Ginv -= np.outer(g, (sign / denom) * g)
+        U[updates], coef[updates] = g, sign / denom
+        updates += 1
         if removing:
             in_support[i_del] = False
             r[i_del] = 0.0
@@ -576,7 +583,6 @@ def _homotopy(N, r0, params: SolverParams | None = None):
             xi = np.append(xi, i_add)
             r[i_add] = 0.0
             pin = xi
-        updates += 1
         z = np.zeros(m)
         z[xi] = -np.sign(pvec[xi])
         pvec[pin] = pmax * np.sign(pvec[pin])
