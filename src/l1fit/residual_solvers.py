@@ -29,8 +29,10 @@ dim(null D) rows, so every iterative answer points at a vertex that the
 simplex can finish.  All six iterative cores end through ``_Crossover``:
 exactly one crossover per solve, the vertex simplex warm-started at the
 rows the iterate names (``_vertex_rows``).  All but the homotopy name rows
-along the way, and the crossover runs when a try names the same rows as
-the previous one, or else on the point the run ends at.  ``converged`` is
+along the way (the interior-point and dual methods after every iteration,
+the continuation solvers on the sparser ``_tries_at`` schedule), and the
+crossover runs when a try names the same rows as the previous one, or else
+on the point the run ends at.  ``converged`` is
 the simplex's certificate; the solvers' own stop rules and the iteration
 budget only decide when to stop, and an uncertified run returns its end
 point, restored onto the constraints, with converged=False.
@@ -79,7 +81,7 @@ _LEVEL_TOL = 1e-4
 _POB_W_NORM = 500.0
 # relaxation factor of the alternating-directions multiplier update
 _ADM_ZETA = 1.618
-# the first-order solvers name vertex rows after iterations 1, 2, 4 and 8,
+# the continuation solvers name vertex rows after iterations 1, 2, 4 and 8,
 # then every this many iterations (``_tries_at``)
 _TRY_EVERY = 10
 # the homotopy refactors its n x n inverse after this many rank-one updates
@@ -253,10 +255,13 @@ class _Crossover:
 
 
 def _tries_at(it) -> bool:
-    """Whether a first-order solver names vertex rows after iteration ``it``.
+    """Whether a continuation solver names vertex rows after iteration ``it``.
 
     After iterations 1, 2, 4 and 8, so that a run already at its vertex
-    crosses over at iteration 2, then every ``_TRY_EVERY``.
+    crosses over at iteration 2, then every ``_TRY_EVERY``.  The sparse
+    schedule is for ``_continuation`` alone: at its high penalty levels
+    consecutive iterates often name the same rows while still off the
+    optimum, and each such repeat would start a long crossover.
     """
     return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
 
@@ -481,21 +486,20 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
     to a removal, then to the lower index on the (level - pvec) side, then
     on the (level + pvec) side; delta is inf when no step changes the support.
     """
-    mask = np.ones(m, dtype=bool)
-    mask[support] = False
-    comp = np.flatnonzero(mask)
     with np.errstate(divide="ignore", invalid="ignore"):
-        add = np.concatenate([(level - pvec[comp]) / (1.0 + dk[comp]),
-                              (level + pvec[comp]) / (1.0 - dk[comp])])
+        # both entry sides over all m rows; the support cannot enter
+        add = np.stack([(level - pvec) / (1.0 + dk), (level + pvec) / (1.0 - dk)])
         drop = -r_k[support] / v[support]
-    add = np.where(add > 0.0, add, np.inf)
+    add[:, support] = np.inf
+    add[~(add > 0.0)] = np.inf
     drop = np.where(drop > 0.0, drop, np.inf)
-    delta_add = float(np.min(add, initial=np.inf))
+    i_add = int(np.argmin(add))
+    delta_add = float(add.flat[i_add])
     delta_drop = float(np.min(drop, initial=np.inf))
     if delta_drop <= delta_add and delta_drop < np.inf:
         return delta_drop, -1, int(support[np.argmin(drop)]), True
     if delta_add < np.inf:
-        return delta_add, int(comp[np.argmin(add) % comp.size]), -1, False
+        return delta_add, i_add % m, -1, False
     return np.inf, -1, -1, False
 
 
@@ -575,16 +579,15 @@ def _homotopy(N, r0, params: SolverParams | None = None):
         updates += 1
         if removing:
             in_support[i_del] = False
-            r[i_del] = 0.0
+            r[i_del] = z[i_del] = 0.0
             pin = xi  # the leaving index stays pinned this once
             xi = xi[xi != i_del]  # in entry order, which breaks ties among leaving rows
         else:
             in_support[i_add] = True
             xi = np.append(xi, i_add)
             r[i_add] = 0.0
+            z[i_add] = -np.sign(pvec[i_add])
             pin = xi
-        z = np.zeros(m)
-        z[xi] = -np.sign(pvec[xi])
         pvec[pin] = pmax * np.sign(pvec[pin])
     return crossover.finish(r, it)
 
@@ -649,11 +652,12 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     there) and the 1.618 relaxation factor is inside its convergence range.
     The multiplier is carried as g = D^T y in range(P).  Penalty mu
     defaults to ||r0||_2 / sqrt(rank D), the same for every basis of D's
-    rows.  After iterations 1, 2, 4 and 8, then every 10, the iterate names
-    its vertex rows, and a repeat of the previous rows ends the run.  The
-    run ends through ``_Crossover`` (one warm-started simplex crossover),
-    and ``converged`` means certified.  A zero r0 is answered immediately
-    with r = 0, which is exactly optimal.
+    rows.  After every iteration the iterate names its vertex rows, and a
+    repeat of the previous iteration's rows ends the run: the dual iterates
+    settle slowly, so rows a few iterations apart keep differing long after
+    consecutive ones agree.  The run ends through ``_Crossover`` (one
+    warm-started simplex crossover), and ``converged`` means certified.  A
+    zero r0 is answered immediately with r = 0, which is exactly optimal.
     """
     return _adm(*_kernel_pair(D, w), params)
 
@@ -685,7 +689,7 @@ def _adm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         # moving; also require the update itself to have settled
         if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
-        if _tries_at(it) and crossover.attempt(r):
+        if crossover.attempt(r):
             break
     return crossover.finish(r, it)
 
@@ -701,8 +705,8 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     threshold 1/tau was tuned for.  The multipliers are carried as D^T y in
     range(P).  The 1e-6 relative internal stop only counts once the
     unscaled constraint is met to max(epsilon, 1e-6 * (1 + ||r0||_2)); after
-    iterations 1, 2, 4 and 8, then every 10, the iterate names its vertex
-    rows, and a repeat of the previous rows ends the run.  The run ends
+    every iteration the iterate names its vertex rows, and a repeat of the
+    previous iteration's rows ends the run, as in ``residual_adm``.  The run ends
     through ``_Crossover`` (one warm-started simplex crossover, on the
     unscaled pair, whose tie tolerance the rescaling would put below the
     rounding of the scaled data), and ``converged`` means certified; a zero
@@ -739,7 +743,7 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             break
-        if _tries_at(it) and crossover.attempt(r / scale):
+        if crossover.attempt(r / scale):
             break
         zdual = y
         t = Pr + zdual - scaled

@@ -173,7 +173,7 @@ def test_tall_crossover_certifies_its_tied_start(monkeypatch, method):
     assert report.converged
 
 
-@pytest.mark.parametrize("method", ["gpsr", "ist", "pob"])
+@pytest.mark.parametrize("method", ["gpsr", "ist", "adm", "pob"])
 def test_small_instance_crosses_over_at_the_second_iteration(method):
     # an 8 x 4 small-batch instance whose first two iterates name the same
     # rows: the first tries after iterations 1 and 2 end the run, where
@@ -182,6 +182,34 @@ def test_small_instance_crosses_over_at_the_second_iteration(method):
     report = fit_via_residual(problem, method)
     assert report.converged and report.iterations <= 2
     assert report.cost == pytest.approx(fit_via_residual(problem, "linprog").cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["adm", "pob"])
+def test_dual_methods_try_after_every_iteration(monkeypatch, method):
+    # the dual iterates settle slowly: rows ten iterations apart keep
+    # differing long after consecutive iterates agree, so every iterate
+    # names its rows
+    tries = []
+    attempt = residual_solvers._Crossover.attempt
+
+    def counting(self, r):
+        tries.append(len(tries) + 1)
+        return attempt(self, r)
+
+    monkeypatch.setattr(residual_solvers._Crossover, "attempt", counting)
+    report = fit_via_residual(bench_problem(8, 4, 0.25, 100001), method)
+    assert report.converged
+    assert len(tries) == report.iterations
+
+
+@pytest.mark.parametrize("method", ["adm", "pob"])
+def test_dual_methods_cross_over_once_consecutive_iterates_agree(method):
+    # with tries after iterations 1, 2, 4 and 8, then every 10, L1-ADM took
+    # 650 iterations here and L1-POB 600
+    problem = bench_problem(256, 128, 0.25, 100001)
+    report = fit_via_residual(problem, method)
+    assert report.converged and report.iterations <= 150
+    assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
 
 
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
