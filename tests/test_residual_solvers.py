@@ -193,7 +193,7 @@ def test_dual_methods_try_after_every_iteration(monkeypatch, method):
     attempt = residual_solvers._Crossover.attempt
 
     def counting(self, r):
-        tries.append(len(tries) + 1)
+        tries.append(r)
         return attempt(self, r)
 
     monkeypatch.setattr(residual_solvers._Crossover, "attempt", counting)
