@@ -28,7 +28,8 @@ By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
 simplex can finish.  All six iterative cores end through ``_Crossover``:
 exactly one crossover per solve, the vertex simplex warm-started at the
-rows the iterate names (``_vertex_rows``).  All but the homotopy name rows
+rows the iterate names (``_vertex_rows``: the k smallest entries of the
+iterate restored onto the constraints).  All but the homotopy name rows
 along the way (the interior-point and dual methods after every iteration,
 the continuation solvers on the sparser ``_tries_at`` schedule), and the
 crossover runs when a try names the same rows as the previous one, or else
@@ -217,8 +218,10 @@ def _simplex_residual(N, r0, rows=None):
 class _Crossover:
     """Ends one solve with exactly one simplex crossover from the rows its iterates name.
 
-    ``attempt(r)`` names the rows Z of an iterate (``_vertex_rows``).  When
-    they equal the previous try's rows, the iterate has settled on a vertex,
+    ``attempt(r_f)`` names the rows Z of an iterate from r_f, the iterate
+    already restored onto r0 + range(N) (the dual methods hold it without a
+    product by N), as its k smallest |r_f| (``_smallest_rows``).  When they
+    equal the previous try's rows, the iterate has settled on a vertex,
     and the crossover runs: the vertex simplex warm-started at Z
     (``_simplex_residual``).  The attempt then returns True, whether or not
     the simplex certified, since nothing later in the run can certify.
@@ -233,9 +236,9 @@ class _Crossover:
         self.rows = None  # Z of the last try
         self.result = None  # the crossover's (r, L1Vertex), once run
 
-    def attempt(self, r) -> bool:
-        """Whether the iterate r named the previous try's rows, so the crossover ran."""
-        rows = _vertex_rows(self.N, self.r0, r)
+    def attempt(self, r_f) -> bool:
+        """Whether the restored iterate r_f named the previous try's rows, so the crossover ran."""
+        rows = _smallest_rows(r_f, self.N.shape[1])
         if np.array_equal(rows, self.rows):
             self.result = _simplex_residual(self.N, self.r0, rows)
         self.rows = rows
@@ -373,7 +376,7 @@ def _gpsr(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     crossover = _Crossover(N, r0)
     with np.errstate(over="ignore", invalid="ignore"):
         state, it = _continuation(r0, p, (r, np.zeros_like(r), -r0, 1.0), step, stationarity,
-                                  crossover.attempt)
+                                  lambda r: crossover.attempt(_restore_feasibility(N, r0, r)))
     return crossover.finish(state[0], it)
 
 
@@ -473,7 +476,7 @@ def _tnipm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f, g = r_new, u_new, f_new, g_new
-        if crossover.attempt(r):
+        if crossover.attempt(_restore_feasibility(N, r0, r)):
             break
     return crossover.finish(r, it)
 
@@ -486,9 +489,10 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
     to a removal, then to the lower index on the (level - pvec) side, then
     on the (level + pvec) side; delta is inf when no step changes the support.
     """
+    add = np.empty((2, m))  # both entry sides over all m rows; the support cannot enter
     with np.errstate(divide="ignore", invalid="ignore"):
-        # both entry sides over all m rows; the support cannot enter
-        add = np.stack([(level - pvec) / (1.0 + dk), (level + pvec) / (1.0 - dk)])
+        np.divide(level - pvec, 1.0 + dk, out=add[0])
+        np.divide(level + pvec, 1.0 - dk, out=add[1])
         drop = -r_k[support] / v[support]
     add[:, support] = np.inf
     add[~(add > 0.0)] = np.inf
@@ -638,8 +642,8 @@ def _ist(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         return _qp_stationarity(state[0], state[1], lam, 0.0)
 
     crossover = _Crossover(N, r0)
-    state, it = _continuation(r0, p, (np.zeros(N.shape[0]), -r0, 1.0, None), step,
-                              stationarity, crossover.attempt)
+    state, it = _continuation(r0, p, (np.zeros(N.shape[0]), -r0, 1.0, None), step, stationarity,
+                              lambda r: crossover.attempt(_restore_feasibility(N, r0, r)))
     return crossover.finish(state[0], it)
 
 
@@ -689,7 +693,7 @@ def _adm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         # moving; also require the update itself to have settled
         if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
-        if crossover.attempt(r):
+        if crossover.attempt(r - Pr + r0):  # r restored onto r0 + range(N)
             break
     return crossover.finish(r, it)
 
@@ -743,7 +747,7 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             break
-        if crossover.attempt(r / scale):
+        if crossover.attempt((r - Pr) / scale + r0):  # r / scale, restored
             break
         zdual = y
         t = Pr + zdual - scaled

@@ -14,6 +14,7 @@ from l1fit import (
 )
 from l1fit.bench import gen_instance
 from l1fit.linalg import default_rank_tol
+from l1fit.reduction import _block_qr
 from support import dependent_top_rows_problem, paper_pair, random_problem
 
 
@@ -175,6 +176,63 @@ def test_well_conditioned_reduction_takes_no_svd(monkeypatch, seed):
     rs = reduce_problem(problem)
     assert calls == []
     assert np.allclose(rs.Q @ rs.R, problem.A)
+
+
+@pytest.mark.parametrize("m,n", [(256, 128), (1024, 128), (100, 40), (80, 33)])
+def test_block_qr_is_a_thin_qr(m, n):
+    # 100 x 40 and 80 x 33 end on a ragged panel of 8 and 1 columns
+    A = np.random.default_rng(m + n).standard_normal((m, n))
+    Q, R = _block_qr(A)
+    assert Q.shape == (m, n) and R.shape == (n, n)
+    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-13
+    assert np.max(np.abs(Q @ R - A)) <= 1e-13 * np.max(np.abs(A))
+    assert np.all(np.tril(R, -1) == 0.0)
+
+
+@pytest.mark.parametrize("m,n", [(12, 3), (40, 1), (64, 32)])
+def test_block_qr_of_one_panel_is_householder(m, n):
+    A = np.random.default_rng(m + n).standard_normal((m, n))
+    for block, householder in zip(_block_qr(A), np.linalg.qr(A)):
+        assert block.tobytes() == householder.tobytes()
+
+
+def _counting_linalg(monkeypatch):
+    """Record the argument shapes of np.linalg.qr and np.linalg.svd calls."""
+    calls = {"qr": [], "svd": []}
+
+    def counting(name):
+        f = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls[name].append(a.shape)
+            return f(a, *args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def test_certified_reduction_factors_by_panels(monkeypatch):
+    problem, _ = gen_instance(256, 128, 100001)
+    calls = _counting_linalg(monkeypatch)
+    rs = reduce_problem(problem)
+    assert calls == {"qr": [(256, 32)] * 4, "svd": []}
+    assert np.max(np.abs(rs.Q @ rs.R - problem.A)) <= 1e-13 * np.max(np.abs(problem.A))
+
+
+def test_ill_conditioned_reduction_falls_back_to_householder(monkeypatch):
+    # graded singular values down to 1e-6: full rank, far above the rank
+    # tolerance, but beyond what the Cholesky certificate can prove
+    rng = np.random.default_rng(6)
+    U = np.linalg.qr(rng.standard_normal((256, 128)))[0]
+    V = np.linalg.qr(rng.standard_normal((128, 128)))[0]
+    A = (U * np.geomspace(1.0, 1e-6, 128)) @ V.T
+    calls = _counting_linalg(monkeypatch)
+    rs = reduce_problem(MlmProblem(A, np.zeros(256)))
+    assert calls == {"qr": [(256, 128)], "svd": [(128, 128)]}
+    assert np.max(np.abs(rs.Q @ rs.R - A)) <= 1e-13 * np.max(np.abs(A))
 
 
 def test_recover_consistent_system():
