@@ -145,10 +145,13 @@ def _certified_full_rank(A: np.ndarray, tol: float) -> bool:
     # (from m = n = 1 on), and since sigma_min(A) + tol <= 2 ||A||_F,
     # sigma_min(A) - tol >= 2 m n u ||A||_F.  Householder QR computes R
     # exactly for some A + dA, ||dA||_F <= gamma~_mn ||A||_F (Higham,
-    # Thm 19.4), so sigma_min(R) >= sigma_min(A) - m n u ||A||_F to first
-    # order with its constant c = 1; that spends half the margin, and the
-    # other half, m n u ||A||_F >= n^2 u ||R||_2, covers the rounding error
-    # of a backward-stable SVD of R, whose test then passes as well.  When
+    # Thm 19.4; gamma~_k = c k u / (1 - c k u) with a small constant c), so
+    # to first order, taking c = 1, sigma_min(R) >= sigma_min(A) - m n u
+    # ||A||_F.  That spends half the margin, and the other half, m n u
+    # ||A||_F >= n^2 u ||R||_2, covers the rounding error of a backward-
+    # stable SVD of R, whose test then passes as well.  The same bound,
+    # sigma_min(A)^2 > 2 m n eps ||A||_F^2, caps kappa(A) below
+    # 1 / sqrt(2 m n eps), about 2.6e5 at 256 x 128, for ``_block_qr``.  When
     # eps T exceeds the smallest normal number, underflow in tol^2, G or the
     # factorization (absolute errors of order eps * tiny per operation)
     # stays far inside that margin; a nonfinite mu means overflow, and both
