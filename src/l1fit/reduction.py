@@ -149,13 +149,13 @@ def _certified_full_rank(A: np.ndarray, tol: float) -> bool:
     # to first order, taking c = 1, sigma_min(R) >= sigma_min(A) - m n u
     # ||A||_F.  That spends half the margin, and the other half, m n u
     # ||A||_F >= n^2 u ||R||_2, covers the rounding error of a backward-
-    # stable SVD of R, whose test then passes as well.  The same bound,
-    # sigma_min(A)^2 > 2 m n eps ||A||_F^2, caps kappa(A) below
-    # 1 / sqrt(2 m n eps), about 2.6e5 at 256 x 128, for ``_block_qr``.  When
-    # eps T exceeds the smallest normal number, underflow in tol^2, G or the
-    # factorization (absolute errors of order eps * tiny per operation)
-    # stays far inside that margin; a nonfinite mu means overflow, and both
-    # cases are left to the SVD.
+    # stable SVD of R (taken as n^2 u ||R||_2), whose test then passes as
+    # well.  The same bound, sigma_min(A)^2 > 2 m n eps ||A||_F^2, caps
+    # kappa(A) below 1 / sqrt(2 m n eps), about 2.6e5 at 256 x 128, for
+    # ``_block_qr``.  When eps T exceeds the smallest normal number,
+    # underflow in tol^2, G or the factorization (absolute errors of order
+    # eps * tiny per operation) stays far inside that margin; a nonfinite mu
+    # means overflow, and both cases are left to the SVD.
     m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows as a nonfinite mu
         G = A.T @ A
@@ -203,11 +203,11 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     Raises ValueError when A has column rank below n: sigma_min(R) of A's
     Householder factor R at most ``default_rank_tol(A)``.  A Cholesky
     certificate on A^T A (``_certified_full_rank``) proves full rank first,
-    and then the factors come from block Gram-Schmidt (``_block_qr``), which
-    the certificate's bound on kappa(A) keeps as accurate as Householder
-    QR.  When it is inconclusive, Householder QR (``np.linalg.qr``) factors
-    A and the smallest singular value of R decides, so the verdict is the
-    SVD's on every input.
+    and then the factors come from block Gram-Schmidt (``_block_qr``), whose
+    Q the certificate's bound on kappa(A) keeps orthonormal to O(eps), as
+    Householder QR's is.  When it is inconclusive, Householder QR
+    (``np.linalg.qr``) factors A and the smallest singular value of R
+    decides, so the verdict is the SVD's on every input.
     """
     A = problem.A
     tol = default_rank_tol(A)

@@ -212,6 +212,23 @@ def test_dual_methods_cross_over_once_consecutive_iterates_agree(method):
     assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
 
 
+@pytest.mark.parametrize("method", TRYING)
+def test_tries_name_rows_from_points_on_the_constraints(monkeypatch, method):
+    # each try hands the crossover its iterate already restored onto
+    # r0 + range(N); L1-ADM and L1-POB restore from the P r they carry
+    N, r0 = _reduced_pair(bench_problem(64, 16, 0.25, 100001))
+    violations = []
+    attempt = residual_solvers._Crossover.attempt
+
+    def checking(self, r_f):
+        violations.append(norm2(r_f - N @ (N.T @ r_f) - r0))
+        return attempt(self, r_f)
+
+    monkeypatch.setattr(residual_solvers._Crossover, "attempt", checking)
+    assert RESIDUAL_METHODS[method](N, r0).converged
+    assert violations and max(violations) <= 1e-12 * norm2(r0)
+
+
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
 def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
     # the rows of smallest |r0| are most of an optimal basis: the warm
