@@ -87,12 +87,6 @@ class L1Vertex:
     certified: bool
 
 
-def _independent(A: np.ndarray, rows: np.ndarray, tol: float) -> bool:
-    """Whether each row of A[rows] has a part orthogonal to the rows before it above ``tol``."""
-    # the diagonal of R in A[rows]^T = Q R holds those orthogonal parts
-    return bool(np.all(np.abs(np.diag(np.linalg.qr(A[rows].T, mode="r"))) > tol))
-
-
 def _start_rows(A: np.ndarray) -> np.ndarray:
     """The first n rows that are independent, taken in row order.
 
@@ -101,8 +95,6 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
     """
     m, n = A.shape
     tol = default_rank_tol(A)
-    if _independent(A, np.arange(n), tol):
-        return np.arange(n)
     Q = np.zeros((n, n))
     rows = []
     for i in range(m):
@@ -141,14 +133,34 @@ def _inverse_T(A, rows):
     return np.linalg.inv(A[rows].T)
 
 
+def _basis_inverse(A, rows, tol):
+    """A_Z^-T for Z = ``rows`` when A_Z passes the independence test, else None.
+
+    Row k of A_Z^-T is the w_k with a_j^T w_k = delta_jk, so 1 / ||w_k||_2 is
+    the distance from a_k to the span of the other rows of A_Z, at most the
+    |R_kk| of a QR of A_Z^T.  The test asks every such distance to exceed
+    ``tol`` through the bound ||w_k||_2 <= sqrt(n) max|w_k|, which squares
+    nothing and so cannot overflow.  A singular or non-finite inverse fails.
+    """
+    try:
+        inv_T = _inverse_T(A, rows)
+    except np.linalg.LinAlgError:
+        return None
+    size = float(np.max(np.abs(inv_T), initial=0.0))  # nan or inf fail the test
+    return inv_T if A.shape[1] ** 0.5 * size * tol < 1.0 else None
+
+
 def _tied_optimal(A, b, x) -> bool:
     """Whether x passes the tied-row test; False when at most n rows are tied.
 
     T is the rows with |r_i| <= _TIE_TOL (1 + ||b||_inf) for r = A x - b.
     When c = -A_S^T sign(r_S) is zero, u_T = 0 passes with no factorization.
-    Otherwise u_T starts at the minimum-norm solution Q R^-T c of
-    A_T^T u_T = c (one thin QR A_T = Q R) and is clipped into the box and
-    projected back until it lies in [-1, 1]^|T|.
+    Otherwise u_T starts at the minimum-norm solution A_T G^-1 c of
+    A_T^T u_T = c, with G = A_T^T A_T the n x n Gram (one inverse), and is
+    clipped into the box and projected back, u -= A_T G^-1 (A_T^T u - c),
+    until it lies in [-1, 1]^|T|.  A singular G fails the test.  Only the
+    final check certifies, so an inaccurate G^-1 can fail the test but not
+    pass a vertex that is not optimal.
     """
     n = A.shape[1]
     r = A @ x - b
@@ -159,14 +171,20 @@ def _tied_optimal(A, b, x) -> bool:
     c = -(np.sign(r[~tied]) @ A[~tied])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    Q, R = np.linalg.qr(A_T)
-    g = np.linalg.solve(R.T, c)  # A_T^T u = c is Q^T u = g
-    u = Q @ g
+    # the projections run on A_T and c scaled by a power of two to max|A_T|
+    # in [1/2, 1): u is the same to the last bit, and the Gram cannot overflow
+    shift = -np.frexp(norm_inf(A_T))[1]
+    A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
+    try:
+        G_inv = np.linalg.inv(A_s.T @ A_s)
+    except np.linalg.LinAlgError:
+        return False
+    u = A_s @ (G_inv @ c_s)
     for _ in range(_TIED_PROJECTIONS):
         if norm_inf(u) <= 1.0:
             break
         u = np.clip(u, -_TIED_CLIP, _TIED_CLIP)
-        u -= Q @ (Q.T @ u - g)
+        u -= A_s @ (G_inv @ (A_s.T @ u - c_s))
     return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= _TIED_TOL * (1.0 + norm_inf(c))
 
 
@@ -272,10 +290,14 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
                                          or rows.max() >= m)):
             raise ValueError(f"rows must be {n} row indices in [0, {m}), got {rows!r}")
     tol = default_rank_tol(A)
-    cold = rows is None or not _independent(A, rows, tol)
+    inv_T = None if rows is None else _basis_inverse(A, rows, tol)
+    cold = inv_T is None
     if cold:
-        rows = _start_rows(A)
-    inv_T = _inverse_T(A, rows)
+        rows = np.arange(n)
+        inv_T = _basis_inverse(A, rows, tol)
+        if inv_T is None:
+            rows = _start_rows(A)
+            inv_T = _inverse_T(A, rows)
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)
@@ -283,8 +305,9 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
         # the new start is not put to the tied-row test: on inputs of a few
         # rows its projections cost more than the steps they would save
         ls_rows = _least_squares_rows(A, b)
-        if ls_rows is not None and _independent(A, ls_rows, tol):
-            rows, inv_T = ls_rows, _inverse_T(A, ls_rows)
+        ls_inv_T = None if ls_rows is None else _basis_inverse(A, ls_rows, tol)
+        if ls_inv_T is not None:
+            rows, inv_T = ls_rows, ls_inv_T
     budget = _STEPS_PER_DIM * (m + n)
     b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
     rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget)

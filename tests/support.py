@@ -87,6 +87,12 @@ def dependent_top_rows_problem():
     return MlmProblem(A, b)
 
 
+def kahan(n, theta=1.2):
+    """Kahan's upper-triangular matrix: no small diagonal entry, sigma_min tiny for large n."""
+    sin, cos = np.sin(theta), np.cos(theta)
+    return sin ** np.arange(n)[:, None] * (np.eye(n) + np.triu(-cos * np.ones((n, n)), 1))
+
+
 def bench_problem(m, n, sparsity, seed):
     """The benchmark's instance: ``bench.gen_instance`` plus sparse noise of variance 0.25."""
     problem, _ = bench.gen_instance(m, n, seed)

@@ -15,7 +15,7 @@ from l1fit import (
 from l1fit.bench import gen_instance
 from l1fit.linalg import default_rank_tol
 from l1fit.reduction import _block_qr
-from support import dependent_top_rows_problem, paper_pair, random_problem
+from support import dependent_top_rows_problem, kahan, paper_pair, random_problem
 
 
 def test_problem_validation():
@@ -126,12 +126,6 @@ def _reduction_rejects(A):
     return False
 
 
-def _kahan(n, theta=1.2):
-    """Kahan's upper-triangular matrix: no small diagonal entry, sigma_min tiny for large n."""
-    sin, cos = np.sin(theta), np.cos(theta)
-    return np.sin(theta) ** np.arange(n)[:, None] * (np.eye(n) + np.triu(-cos * np.ones((n, n)), 1))
-
-
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_rank_decision_is_the_svd_decision(m, n):
     rng = np.random.default_rng(m + n)
@@ -143,7 +137,7 @@ def test_rank_decision_is_the_svd_decision(m, n):
     for factor in [0.5, 0.99, 1.01, 2.0, 1e3, 1e8]:  # sigma_min around factor * tol
         s[-1] = factor * tol
         cases.append((U * s) @ V.T)
-    cases.append(U @ _kahan(n))
+    cases.append(U @ kahan(n))
     for _ in range(2):  # columns scaled over 16 decades
         cases.append(rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 8.0, n))
     # far out of range: R^T R underflows or overflows, and the SVD decides
@@ -155,7 +149,7 @@ def test_rank_decision_is_the_svd_decision(m, n):
 
 def test_kahan_matrix_rejected_despite_its_diagonal():
     # no diagonal entry of R is near the rank tolerance, but sigma_min is
-    A = np.linalg.qr(np.random.default_rng(3).standard_normal((256, 128)))[0] @ _kahan(128)
+    A = np.linalg.qr(np.random.default_rng(3).standard_normal((256, 128)))[0] @ kahan(128)
     R = np.linalg.qr(A)[1]
     assert np.min(np.abs(np.diag(R))) > 1e6 * default_rank_tol(A)
     with pytest.raises(ValueError, match="column rank"):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog, simplex
+from l1fit.linalg import default_rank_tol
+from l1fit.residual_solvers import RESIDUAL_METHODS
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
-from support import bench_problem, dependent_top_rows_problem, highs_cost, vertex_certificate
+from support import bench_problem, dependent_top_rows_problem, highs_cost, kahan, vertex_certificate
 
 
 def test_single_variable():
@@ -326,7 +328,8 @@ def test_consistent_square_input_certified_at_its_start(seed):
 
 def test_consistent_input_certified_without_the_tied_row_qr(monkeypatch):
     # every row is tied, so c = -A_S^T sign(r_S) is zero and u_T = 0
-    # certifies: the only QR left is the start rows' independence test
+    # certifies; the start rows' independence test reads their inverse, so
+    # no QR is taken at all
     problem = bench_problem(64, 16, 0.0, 100000)
     shapes = []
     qr = np.linalg.qr
@@ -338,7 +341,7 @@ def test_consistent_input_certified_without_the_tied_row_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting)
     vertex = l1_vertex(problem.A, problem.b)
     assert (vertex.steps, vertex.certified) == (0, True)
-    assert shapes == [(16, 16)]
+    assert shapes == []
 
 
 def _one_column(outliers):
@@ -458,3 +461,70 @@ def test_folded_terms_match_the_per_step_update(monkeypatch):
     assert (folded.steps, folded.certified) == (per_step.steps, per_step.certified)
     assert np.array_equal(folded.rows, per_step.rows)
     assert np.linalg.norm(folded.x - per_step.x) <= 1e-12 * np.linalg.norm(per_step.x)
+
+
+def test_basis_inverse_of_an_independent_basis_is_the_inverse():
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((40, 8))
+    rows = np.array([3, 9, 0, 17, 25, 30, 11, 38])
+    inv_T = simplex._basis_inverse(A, rows, default_rank_tol(A))
+    assert inv_T.tobytes() == np.linalg.inv(A[rows].T).tobytes()
+
+
+def test_basis_inverse_rejects_dependent_rows():
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((40, 8))
+    rows = np.array([3, 9, 3, 17, 25, 30, 11, 38])
+    assert simplex._basis_inverse(A, rows, default_rank_tol(A)) is None
+
+
+def test_basis_inverse_rejects_a_kahan_block_that_the_qr_diagonal_accepts():
+    # A_Z = K^T: the QR of A_Z^T = K has K's diagonal, none of it near tol,
+    # but sigma_min(K) is below tol, and the inverse shows it
+    A = np.vstack([kahan(128).T, np.random.default_rng(3).standard_normal((128, 128))])
+    rows, tol = np.arange(128), default_rank_tol(A)
+    diagonal = np.abs(np.diag(np.linalg.qr(A[rows].T, mode="r")))
+    assert np.min(diagonal) > 1e6 * tol  # the QR-diagonal test would accept A_Z
+    assert np.linalg.svd(A[rows], compute_uv=False)[-1] < tol
+    assert simplex._basis_inverse(A, rows, tol) is None
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_warm_start_far_out_of_range(scale):
+    # A_Z^-T has entries near 1/scale: its test must not square them
+    rng = np.random.default_rng(23)
+    A, b = rng.standard_normal((64, 16)), rng.standard_normal(64)
+    cold = l1_vertex(A, b)
+    warm = l1_vertex(scale * A, b, rows=cold.rows)
+    assert warm.certified and warm.steps == 0
+    assert np.array_equal(warm.rows, cold.rows)
+    assert np.allclose(scale * warm.x, cold.x, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_tied_start_certified_far_out_of_range(scale):
+    # the Gram of A_T would underflow or overflow unless A_T is scaled first
+    A, b = _one_column(2)
+    vertex = l1_vertex(scale * A, b)
+    assert (vertex.steps, vertex.certified) == (0, True)
+    assert scale * vertex.x == pytest.approx([1.0], abs=1e-15)
+
+
+def test_start_factorizations_take_no_qr(monkeypatch):
+    # L1-LP's starts are tested through their inverses, and the residual
+    # methods' crossovers are warm starts, so the only QRs left are
+    # reduce_problem's four 256 x 32 panels
+    problem = bench_problem(256, 128, 0.25, 100001)
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    assert fit_linprog(problem).converged and shapes == []
+    for name in RESIDUAL_METHODS:
+        shapes.clear()
+        assert fit_via_residual(problem, name).converged
+        assert shapes == [(256, 32)] * 4, name
