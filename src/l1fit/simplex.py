@@ -33,14 +33,23 @@ they are independent: most of them are rows an l1 optimum interpolates,
 so the walk is shorter.  A first vertex that passes the test, as on a
 consistent system, ranks nothing.
 
+A start basis is factored once: the inverse the descent needs is also its
+independence test.  Row k of A_Z^-T is orthogonal to every other row of
+A_Z and has inner product 1 with a_k, so 1 / ||row k|| is the distance
+from a_k to the span of the others; the basis is taken when every such
+distance exceeds ``default_rank_tol(A)``, read from the largest entry of
+A_Z^-T (``_basis_inverse``).  Only when the first n rows fail does the
+start take them one at a time, by Gram-Schmidt (``_start_rows``).
+
 Before either phase the start vertex is tested on its tied rows T, the
 residuals within the tie tolerance of zero, when there are more than n:
 a degenerate optimum, which the n-row test cannot prove (the simplex
 would walk many zero-cost steps).  With S the other rows, the vertex is
 optimal when some u_T in [-1, 1]^|T| has A_T^T u_T = -A_S^T sign(r_S),
-the subgradient condition 0 in A^T d||r||_1; u_T is sought by
-alternating projections (``_tied_optimal``).  A vertex certified so takes
-no step.
+the subgradient condition 0 in A^T d||r||_1.  u_T starts at the
+minimum-norm solution, taken through the inverse of the n x n Gram
+A_T^T A_T, and is moved into the box by alternating projections
+(``_tied_optimal``).  A vertex certified so takes no step.
 """
 
 from __future__ import annotations
@@ -171,8 +180,9 @@ def _tied_optimal(A, b, x) -> bool:
     c = -(np.sign(r[~tied]) @ A[~tied])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    # the projections run on A_T and c scaled by a power of two to max|A_T|
-    # in [1/2, 1): u is the same to the last bit, and the Gram cannot overflow
+    # the projections run on A_T and c scaled by a power of two, to max|A_T|
+    # in [1/2, 1): the scaling is exact, and the Gram cannot overflow or
+    # vanish when A is far out of range
     shift = -np.frexp(norm_inf(A_T))[1]
     A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
     try:
@@ -265,15 +275,17 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
 
     A must be m x n with m >= n and column rank n (ValueError otherwise).
     ``rows`` (n row indices) is the start basis, a warm start; by default,
-    or when A[rows] fails the independence test of the default start, the
-    descent starts cold: from the first n independent rows, or, when
-    their vertex fails the tied-row test (see the module docstring), from
-    the n rows of smallest least-squares residual if those are
-    independent.  Indices of another count or out of range raise
-    ValueError.  The step budget is 50 (m + n) over both phases; a run
-    that spends it returns its last vertex with ``certified`` False.  A
-    start vertex that passes the tied-row test is returned certified, with
-    ``steps`` 0.
+    or when A[rows] fails the independence test (every row farther than
+    ``default_rank_tol(A)`` from the span of the others, read from the
+    inverse the start needs anyway), the descent starts cold: from the
+    first n independent rows, or, when their vertex fails the tied-row
+    test (see the module docstring), from the n rows of smallest
+    least-squares residual if those are independent.  A basis that passes
+    the test is factored once, and no start takes a QR.  Indices of
+    another count or out of range raise ValueError.  The step budget is
+    50 (m + n) over both phases; a run that spends it returns its last
+    vertex with ``certified`` False.  A start vertex that passes the
+    tied-row test is returned certified, with ``steps`` 0.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
