@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from .linalg import norm_inf, nullspace_basis, pinv
-from .reduction import MlmProblem, SolveReport, cost1
+from .linalg import norm1, norm_inf, nullspace_basis, pinv
+from .reduction import MlmProblem, SolveReport
 from .simplex import l1_vertex
 
 __all__ = ["fit_linprog", "fit_perturbation"]
@@ -34,10 +34,11 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     t0 = time.perf_counter()
     vertex = l1_vertex(problem.A, problem.b)
     elapsed = time.perf_counter() - t0
+    residual = problem.A @ vertex.x - problem.b
     return SolveReport(
         x=vertex.x,
-        residual=problem.A @ vertex.x - problem.b,
-        cost=cost1(problem, vertex.x),
+        residual=residual,
+        cost=norm1(residual),
         iterations=vertex.steps,
         runtime_s=elapsed,
         method="L1-LP",
@@ -117,10 +118,11 @@ def fit_perturbation(
         x = x + c * (A_z_pinv @ u)
 
     elapsed = time.perf_counter() - t0
+    residual = A @ x - b
     return SolveReport(
         x=x,
-        residual=A @ x - b,
-        cost=cost1(problem, x),
+        residual=residual,
+        cost=norm1(residual),
         iterations=outer,
         runtime_s=elapsed,
         method="L1-PTB",

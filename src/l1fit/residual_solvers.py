@@ -26,14 +26,18 @@ accepted when w agrees with them.
 
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
-simplex can finish.  All six iterative cores end through ``_Crossover``:
-exactly one crossover per solve, the vertex simplex warm-started at the
-rows the iterate names (``_vertex_rows``: the k smallest entries of the
-iterate restored onto the constraints).  All but the homotopy name rows
-along the way (the interior-point and dual methods after every iteration,
-the continuation solvers on the sparser ``_tries_at`` schedule), and the
-crossover runs when a try names the same rows as the previous one, or else
-on the point the run ends at.  ``converged`` is
+simplex can finish.  Each of the six iterative cores is a generator that
+only iterates: after each iteration it yields (r, r_f), the point the run
+would end at and, when the core names rows there, that point restored onto
+r0 + range(N), else None, and it returns where its own stop rule fires.
+One loop, ``_run``, drives every core and owns the rest: the iteration
+count and the ``maxiter`` budget, the tries and the answer.  A try names
+the k = dim(null D) smallest |r_f| (``_smallest_rows``), and a try that
+names the previous try's rows ends the run.  Then exactly one crossover
+runs: the vertex simplex warm-started at the repeated rows, or else at the
+rows of the point the run ends at.  The interior-point and dual methods try
+after every iteration, the continuation solvers on the sparser
+``_tries_at`` schedule, and the homotopy not at all.  ``converged`` is
 the simplex's certificate; the solvers' own stop rules and the iteration
 budget only decide when to stop, and an uncertified run returns its end
 point, restored onto the constraints, with converged=False.
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,13 +144,15 @@ def _kernel_pair(D, w):
 
     N = V2 is an orthonormal basis of null(D) and r0 = V1 S^-1 U1^T w the
     minimum-norm point, with the rank from ``default_rank_tol``, so
-    dependent consistent rows are accepted; a w outside the range of D
-    raises ValueError.
+    dependent consistent rows are accepted; a non-finite entry in D or w,
+    or a w outside the range of D, raises ValueError.
     """
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     if D.ndim != 2 or w.ndim != 1 or D.shape[0] != w.size:
         raise ValueError(f"constraint shapes do not match: D {D.shape}, w {w.shape}")
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(w))):
+        raise ValueError("D and w must be finite")
     U, sv, Vt = np.linalg.svd(D, full_matrices=True)
     rank = int(np.count_nonzero(sv > default_rank_tol(D)))
     r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
@@ -190,71 +197,52 @@ def _restore_feasibility(N, r0, r):
     return r0 + N @ (N.T @ r)
 
 
-def _vertex_rows(N, r0, r):
-    """The rows Z an iterate names: the k = dim(null D) smallest |r_f|, sorted.
-
-    r_f is r restored onto r0 + range(N).  An optimal residual vanishes on
-    k rows (the equivalence theorem), so Z is where the vertex simplex
-    starts.
-    """
-    return _smallest_rows(_restore_feasibility(N, r0, r), N.shape[1])
-
-
 def _smallest_rows(r, k):
-    """The k rows of smallest |r|, sorted."""
+    """The k rows of smallest |r|, sorted.
+
+    On a point r_f of r0 + range(N), with k = dim(null D), these are the
+    rows an iterate names: an optimal residual vanishes on k rows (the
+    equivalence theorem), so they are where the vertex simplex starts.
+    """
     return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
 
 
-def _simplex_residual(N, r0, rows=None):
-    """The vertex simplex on the kernel pair: (r = N z + r0, the L1Vertex of z).
+def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution:
+    """Run the iterative core ``core(N, r0, p)`` and end it with exactly one crossover.
 
-    z comes from ``l1_vertex(N, -r0, rows)``, started from the basis
-    ``rows`` when given.
+    The core is a generator: after each iteration it yields (r, r_f), the
+    point the run would end at and, when the core names rows there, that
+    point restored onto r0 + range(N) (the dual methods hold it without a
+    product by N), else None.  Each r_f is a try: it names its k smallest
+    rows (``_smallest_rows``), and a try that names the previous try's
+    rows has settled on a vertex and ends the run.  The run also ends where
+    the core returns (its own stop rule; a core that returns before its
+    first iteration ends at r = 0) or after ``maxiter`` iterations.  The
+    crossover then runs once: the vertex simplex ``l1_vertex(N, -r0)``,
+    warm-started at the repeated rows, or else at the rows of the end point
+    restored.  A certified vertex z gives r = N z + r0 and converged=True;
+    otherwise the answer is the end point, restored onto the constraints,
+    with converged=False.
     """
+    p = params or SolverParams()
+    k = N.shape[1]
+    r, it, tried, rows = np.zeros(N.shape[0]), 0, None, None
+    for r, r_f in core(N, r0, p):
+        it += 1
+        if r_f is not None:
+            named = _smallest_rows(r_f, k)
+            if np.array_equal(named, tried):
+                rows = named
+                break
+            tried = named
+        if it >= p.maxiter:
+            break
+    if rows is None:
+        rows = _smallest_rows(_restore_feasibility(N, r0, r), k)
     vertex = l1_vertex(N, -r0, rows=rows)
-    return N @ vertex.x + r0, vertex
-
-
-class _Crossover:
-    """Ends one solve with exactly one simplex crossover from the rows its iterates name.
-
-    ``attempt(r_f)`` names the rows Z of an iterate from r_f, the iterate
-    already restored onto r0 + range(N) (the dual methods hold it without a
-    product by N), as its k smallest |r_f| (``_smallest_rows``).  When they
-    equal the previous try's rows, the iterate has settled on a vertex,
-    and the crossover runs: the vertex simplex warm-started at Z
-    (``_simplex_residual``).  The attempt then returns True, whether or not
-    the simplex certified, since nothing later in the run can certify.
-    ``finish(r, it)`` gives the solve's answer from the point r the run
-    stops at: it runs the crossover from r's rows if none ran, and returns
-    the simplex's vertex with converged=True when it is certified, else r
-    with an l2-minimal feasibility restoration and converged=False.
-    """
-
-    def __init__(self, N, r0):
-        self.N, self.r0 = N, r0
-        self.rows = None  # Z of the last try
-        self.result = None  # the crossover's (r, L1Vertex), once run
-
-    def attempt(self, r_f) -> bool:
-        """Whether the restored iterate r_f named the previous try's rows, so the crossover ran."""
-        rows = _smallest_rows(r_f, self.N.shape[1])
-        if np.array_equal(rows, self.rows):
-            self.result = _simplex_residual(self.N, self.r0, rows)
-        self.rows = rows
-        return self.result is not None
-
-    def finish(self, r, it) -> ResidualSolution:
-        """The solve's answer when the run stops at r after ``it`` iterations."""
-        if self.result is None:
-            rows = _vertex_rows(self.N, self.r0, r)
-            self.result = _simplex_residual(self.N, self.r0, rows)
-        vertex_r, vertex = self.result
-        if vertex.certified:
-            return ResidualSolution(r=vertex_r, iterations=it, converged=True,
-                                    objective=norm1(vertex_r))
-        r = _restore_feasibility(self.N, self.r0, r)
-        return ResidualSolution(r=r, iterations=it, converged=False, objective=norm1(r))
+    r = N @ vertex.x + r0 if vertex.certified else _restore_feasibility(N, r0, r)
+    return ResidualSolution(r=r, iterations=it, converged=bool(vertex.certified),
+                            objective=norm1(r))
 
 
 def _tries_at(it) -> bool:
@@ -269,39 +257,36 @@ def _tries_at(it) -> bool:
     return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
 
 
-def _continuation(r0, p, state, step, stationarity, attempt):
-    """Warm-started continuation over the penalty weight (the SpaRSA scheme).
+def _continuation(N, r0, lam_target, state, step, stationarity):
+    """Warm-started continuation over the penalty weight (the SpaRSA scheme), a core for ``_run``.
 
     ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
     returns the next state; ``first`` marks a level's first step.
     ``stationarity(state, lam)`` measures the state against the level, and
-    a level ends at its target.  After the steps ``_tries_at`` names,
-    ``attempt(r)`` is called, and the run ends when it returns True.
-    Returns the state the run stopped on (the last level's target, the
-    attempt that ran the crossover or the spent budget) and the iteration
-    count; ``_Crossover`` finishes from it.
+    a level ends at its target.  Each step yields r, with r restored onto
+    r0 + range(N) after the steps ``_tries_at`` names; the run returns at
+    the last level's target.
     """
-    it = 0
-    for lam in _lambda_levels(r0, p.lam):
-        start = it
+    steps = 0  # for the try schedule
+    for lam in _lambda_levels(r0, lam_target):
+        first = True
         while stationarity(state, lam) > _LEVEL_TOL * lam:
-            if it >= p.maxiter:
-                return state, it
-            state = step(state, lam, it == start)
-            it += 1
-            if _tries_at(it) and attempt(state[0]):
-                return state, it
-    return state, it
+            state = step(state, lam, first)
+            first = False
+            steps += 1
+            r = state[0]
+            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
 
 
 def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     """The vertex simplex on the kernel pair: r = N z + r0, z from l1_vertex(N, -r0).
 
     The simplex starts at the k = dim(null D) rows of smallest |r0|
-    (``_vertex_rows`` of r = 0): r0 is the least-squares residual, whose
-    small entries name most of the rows an l1 optimum interpolates.
+    (``_smallest_rows``): r0 is the least-squares residual, whose small
+    entries name most of the rows an l1 optimum interpolates.
     """
-    r, vertex = _simplex_residual(N, r0, _smallest_rows(r0, N.shape[1]))
+    vertex = l1_vertex(N, -r0, rows=_smallest_rows(r0, N.shape[1]))
+    r = N @ vertex.x + r0
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))
 
@@ -326,20 +311,20 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
     pair inside ``_continuation``; each level is left once the stationarity
     residual drops below _LEVEL_TOL times the level, the last level being
     ``lam``.  After steps 1, 2, 4 and 8, then every 10, the iterate names
-    its vertex rows, and a repeat of the previous rows ends the run.  The
-    run ends through ``_Crossover`` (one warm-started simplex crossover),
-    and ``converged`` means certified.
+    its vertex rows.  ``_run`` drives the iteration: it ends the run at a
+    repeat of the previous rows or at the budget, crosses over once, and
+    ``converged`` means certified.
     """
-    return _gpsr(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_gpsr)
 
 
-def _gpsr(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_gpsr``'s iteration on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _gpsr(N, r0, p):
+    """``residual_gpsr``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     if not p.lam > 0:
         raise ValueError("gradient projection requires lam > 0")
     r = np.zeros(N.shape[0])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(state, lam, first):
         # shifting u and v by min(u, v) after each step leaves exactly
         # u = max(r, 0) and v = max(-r, 0), so r alone carries the split
@@ -373,11 +358,7 @@ def _gpsr(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         r, _, grad0, _ = state
         return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
 
-    crossover = _Crossover(N, r0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        state, it = _continuation(r0, p, (r, np.zeros_like(r), -r0, 1.0), step, stationarity,
-                                  lambda r: crossover.attempt(_restore_feasibility(N, r0, r)))
-    return crossover.finish(state[0], it)
+    return _continuation(N, r0, p.lam, (r, np.zeros_like(r), -r0, 1.0), step, stationarity)
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -387,13 +368,13 @@ def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution
     one n x n solve on the kernel basis N (``_newton_direction``), where
     D^T D = I - N N^T on an orthonormal-row pair.  The duality gap is
     tested relative to the dual objective (only once that is positive).
-    After every accepted step the iterate names its vertex rows, and a
-    repeat of the previous rows ends the run.  The run also ends when the
-    gap closes, backtracking stalls, the accepted step stops moving the
-    point or the budget runs out.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover), and ``converged`` means certified.
+    After every accepted step the iterate names its vertex rows.  The
+    iteration stops when the gap closes, backtracking stalls or the
+    accepted step stops moving the point.  ``_run`` drives it: it also ends
+    the run at a repeat of the previous rows or at the budget, crosses over
+    once, and ``converged`` means certified.
     """
-    return _tnipm(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_tnipm)
 
 
 def _newton_direction(N, grad, q1, q2, t):
@@ -415,9 +396,8 @@ def _newton_direction(N, grad, q1, q2, t):
     return np.concatenate([y_top + b1 / det * c, y_bot - b2 / det * c])
 
 
-def _tnipm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_tnipm``'s iteration on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _tnipm(N, r0, p):
+    """``residual_tnipm``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     if not p.lam > 0:
         raise ValueError("interior-point method requires lam > 0")
     m = N.shape[0]
@@ -431,10 +411,7 @@ def _tnipm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     dobj = -np.inf
     t = min(max(1.0, 1.0 / p.lam), 2.0 * m / p.epsilon)
 
-    crossover = _Crossover(N, r0)
-    it = 0
-    while it < p.maxiter:
-        it += 1
+    while True:
         nu = g.copy()  # D^T of the dual point
         dual_scale = norm_inf(nu)
         if dual_scale > p.lam:
@@ -476,9 +453,8 @@ def _tnipm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             break  # accepted step moves nothing; numerical floor reached
         r, u, f, g = r_new, u_new, f_new, g_new
-        if crossover.attempt(_restore_feasibility(N, r0, r)):
-            break
-    return crossover.finish(r, it)
+        yield r, _restore_feasibility(N, r0, r)
+    yield r, None  # the iteration the stop rule ended counts, at the point it ended on
 
 
 def _homotopy_step(support, r_k, v, pvec, dk, level, m):
@@ -519,26 +495,23 @@ def residual_homotopy(D, w, params: SolverParams | None = None):
     updates; the direction on S is Woodbury's
     z_S + N_S G^-1 N_S^T z_S.  An entering row that would make G singular
     (S outgrowing rank D) ends the path there, at the vertex S names.  The
-    path end, the budget's end or the start point r = 0 when
-    ||r0||_inf <= epsilon goes through ``_Crossover``, one simplex
-    crossover warm-started at the rows it names; ``converged`` means
-    certified.
+    path names no rows on the way; ``_run`` drives it and crosses over once
+    from the path end, the budget's end or the start point r = 0 when
+    ||r0||_inf <= epsilon, and ``converged`` means certified.
     """
-    return _homotopy(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_homotopy)
 
 
-def _homotopy(N, r0, params: SolverParams | None = None):
-    """``residual_homotopy``'s path on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _homotopy(N, r0, p):
+    """``residual_homotopy``'s path on the kernel pair (N, r0), a core for ``_run``."""
     m, n = N.shape
     lam = p.epsilon  # terminal level of the path
 
     r = np.zeros(m)
     pvec = -r0
     pmax = norm_inf(pvec)
-    crossover = _Crossover(N, r0)
     if pmax <= lam:
-        return crossover.finish(r, 0)
+        return
 
     xi = np.flatnonzero(np.abs(pvec) == pmax)
     z = np.zeros(m)
@@ -551,9 +524,7 @@ def _homotopy(N, r0, params: SolverParams | None = None):
     U, coef = np.empty((_HP_REFACTOR_EVERY, n)), np.empty(_HP_REFACTOR_EVERY)
     updates = _HP_REFACTOR_EVERY  # F is factored at the first breakpoint
 
-    it = 0
-    while it < p.maxiter:
-        it += 1
+    while True:
         if updates == _HP_REFACTOR_EVERY:
             F, updates = np.linalg.inv(np.eye(n) - N[xi].T @ N[xi]), 0
         Uk, ck = U[:updates], coef[:updates]
@@ -593,7 +564,8 @@ def _homotopy(N, r0, params: SolverParams | None = None):
             z[i_add] = -np.sign(pvec[i_add])
             pin = xi
         pvec[pin] = pmax * np.sign(pvec[pin])
-    return crossover.finish(r, it)
+        yield r, None
+    yield r, None  # the breakpoint that ended the path counts
 
 
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -604,16 +576,15 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     increase the penalized objective (the curvature estimate is doubled
     until it does not), which keeps the non-monotone Barzilai-Borwein
     choice from blowing up.  After steps 1, 2, 4 and 8, then every 10, the
-    iterate names its vertex rows, and a repeat of the previous rows ends
-    the run.  The run ends through ``_Crossover`` (one warm-started simplex
-    crossover), and ``converged`` means certified.
+    iterate names its vertex rows.  ``_run`` drives the iteration: it ends
+    the run at a repeat of the previous rows or at the budget, crosses over
+    once, and ``converged`` means certified.
     """
-    return _ist(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_ist)
 
 
-def _ist(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_ist``'s iteration on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _ist(N, r0, p):
+    """``residual_ist``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     if not p.lam > 0:
         raise ValueError("iterative shrinkage requires lam > 0")
 
@@ -641,10 +612,7 @@ def _ist(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     def stationarity(state, lam):
         return _qp_stationarity(state[0], state[1], lam, 0.0)
 
-    crossover = _Crossover(N, r0)
-    state, it = _continuation(r0, p, (np.zeros(N.shape[0]), -r0, 1.0, None), step, stationarity,
-                              lambda r: crossover.attempt(_restore_feasibility(N, r0, r)))
-    return crossover.finish(state[0], it)
+    return _continuation(N, r0, p.lam, (np.zeros(N.shape[0]), -r0, 1.0, None), step, stationarity)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -656,33 +624,29 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     there) and the 1.618 relaxation factor is inside its convergence range.
     The multiplier is carried as g = D^T y in range(P).  Penalty mu
     defaults to ||r0||_2 / sqrt(rank D), the same for every basis of D's
-    rows.  After every iteration the iterate names its vertex rows, and a
-    repeat of the previous iteration's rows ends the run: the dual iterates
-    settle slowly, so rows a few iterations apart keep differing long after
-    consecutive ones agree.  The run ends through ``_Crossover`` (one
-    warm-started simplex crossover), and ``converged`` means certified.  A
-    zero r0 is answered immediately with r = 0, which is exactly optimal.
+    rows.  After every iteration the iterate names its vertex rows, and
+    ``_run`` ends the run at a repeat of the previous iteration's rows: the
+    dual iterates settle slowly, so rows a few iterations apart keep
+    differing long after consecutive ones agree.  ``_run`` also ends it at
+    the budget and crosses over once, and ``converged`` means certified.  A
+    zero r0 takes no iteration: the crossover certifies r = 0 at once.
     """
-    return _adm(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_adm)
 
 
-def _adm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_adm``'s iteration on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _adm(N, r0, p):
+    """``residual_adm``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     m, n = N.shape
     r0norm = norm2(r0)
     if r0norm == 0.0:
-        return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
+        return  # mu would be 0; r = 0 is optimal, and _run's crossover certifies it
     mu = p.mu if p.mu is not None else r0norm / float(np.sqrt(m - n))
 
     # P r0 = r0, so r and P r start equal; z and P z start at zero
     r = Pr = r0
     z = Pz = np.zeros(m)
 
-    crossover = _Crossover(N, r0)
-    it = 0
-    while it < p.maxiter:
-        it += 1
+    while True:
         g = Pz - (Pr - r0) / mu  # the multiplier after its dual step
         z = np.clip(g + r / mu, -1.0, 1.0)
         Pz = _project(N, z)
@@ -693,9 +657,8 @@ def _adm(N, r0, params: SolverParams | None = None) -> ResidualSolution:
         # moving; also require the update itself to have settled
         if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
             break
-        if crossover.attempt(r - Pr + r0):  # r restored onto r0 + range(N)
-            break
-    return crossover.finish(r, it)
+        yield r, r - Pr + r0  # r restored onto r0 + range(N)
+    yield r, None  # the iteration the stop rule ended counts
 
 
 def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -709,23 +672,22 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     threshold 1/tau was tuned for.  The multipliers are carried as D^T y in
     range(P).  The 1e-6 relative internal stop only counts once the
     unscaled constraint is met to max(epsilon, 1e-6 * (1 + ||r0||_2)); after
-    every iteration the iterate names its vertex rows, and a repeat of the
-    previous iteration's rows ends the run, as in ``residual_adm``.  The run ends
-    through ``_Crossover`` (one warm-started simplex crossover, on the
-    unscaled pair, whose tie tolerance the rescaling would put below the
-    rounding of the scaled data), and ``converged`` means certified; a zero
-    r0 returns r = 0 directly.
+    every iteration the iterate names its vertex rows, and ``_run`` ends
+    the run at a repeat of the previous iteration's rows, as in
+    ``residual_adm``, or at the budget.  It yields r unscaled, so the one
+    crossover runs on the unscaled pair, whose tie tolerance the rescaling
+    would put below the rounding of the scaled data; ``converged`` means
+    certified, and a zero r0 takes no iteration, as in ``residual_adm``.
     """
-    return _pob(*_kernel_pair(D, w), params)
+    return _run(*_kernel_pair(D, w), params, core=_pob)
 
 
-def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
-    """``residual_pob``'s iteration on the kernel pair (N, r0)."""
-    p = params or SolverParams()
+def _pob(N, r0, p):
+    """``residual_pob``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     m = N.shape[0]
     r0norm = norm2(r0)
     if r0norm == 0.0:
-        return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
+        return  # the working scale would be infinite; r = 0 is optimal, as in _adm
     scale = _POB_W_NORM / r0norm
     scaled = scale * r0
     mu = p.mu if p.mu is not None else 0.999 * p.tau
@@ -737,18 +699,14 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     y = np.zeros(m)
     r = np.zeros(m)
     zdual = scaled
-    crossover = _Crossover(N, r0)
-    it = 0
-    while it < p.maxiter:
-        it += 1
+    while True:
         s = r
         r = soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
         Pr = _project(N, r)
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             break
-        if crossover.attempt((r - Pr) / scale + r0):  # r / scale, restored
-            break
+        yield r / scale, (r - Pr) / scale + r0  # r / scale, restored
         zdual = y
         t = Pr + zdual - scaled
         nt = norm2(t)
@@ -756,18 +714,18 @@ def _pob(N, r0, params: SolverParams | None = None) -> ResidualSolution:
             y = np.zeros(m)
         else:
             y = (1.0 - p.epsilon / nt) * t
-    return crossover.finish(r / scale, it)
+    yield r / scale, None  # the iteration the stop rule ended counts
 
 
 # the core solvers (N, r0, params) on the kernel pair, by method name
 RESIDUAL_METHODS = {
     "linprog": _linprog,
-    "gpsr": _gpsr,
-    "tnipm": _tnipm,
-    "homotopy": _homotopy,
-    "ist": _ist,
-    "adm": _adm,
-    "pob": _pob,
+    "gpsr": partial(_run, core=_gpsr),
+    "tnipm": partial(_run, core=_tnipm),
+    "homotopy": partial(_run, core=_homotopy),
+    "ist": partial(_run, core=_ist),
+    "adm": partial(_run, core=_adm),
+    "pob": partial(_run, core=_pob),
 }
 
 RESIDUAL_LABELS = {

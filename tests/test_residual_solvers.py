@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from l1fit.residual_solvers import (
     _lambda_levels,
     _kernel_pair,
     _newton_direction,
+    _restore_feasibility,
+    _smallest_rows,
     _tries_at,
-    _vertex_rows,
     fit_via_residual,
     residual_adm,
     residual_gpsr,
@@ -190,13 +192,12 @@ def test_dual_methods_try_after_every_iteration(monkeypatch, method):
     # differing long after consecutive iterates agree, so every iterate
     # names its rows
     tries = []
-    attempt = residual_solvers._Crossover.attempt
 
-    def counting(self, r):
+    def counting(r, k):
         tries.append(r)
-        return attempt(self, r)
+        return _smallest_rows(r, k)
 
-    monkeypatch.setattr(residual_solvers._Crossover, "attempt", counting)
+    monkeypatch.setattr(residual_solvers, "_smallest_rows", counting)
     report = fit_via_residual(bench_problem(8, 4, 0.25, 100001), method)
     assert report.converged
     assert len(tries) == report.iterations
@@ -218,13 +219,12 @@ def test_tries_name_rows_from_points_on_the_constraints(monkeypatch, method):
     # r0 + range(N); L1-ADM and L1-POB restore from the P r they carry
     N, r0 = _reduced_pair(bench_problem(64, 16, 0.25, 100001))
     violations = []
-    attempt = residual_solvers._Crossover.attempt
 
-    def checking(self, r_f):
+    def checking(r_f, k):
         violations.append(norm2(r_f - N @ (N.T @ r_f) - r0))
-        return attempt(self, r_f)
+        return _smallest_rows(r_f, k)
 
-    monkeypatch.setattr(residual_solvers._Crossover, "attempt", checking)
+    monkeypatch.setattr(residual_solvers, "_smallest_rows", checking)
     assert RESIDUAL_METHODS[method](N, r0).converged
     assert violations and max(violations) <= 1e-12 * norm2(r0)
 
@@ -351,9 +351,13 @@ def test_vertex_rows_restore_feasibility_and_sort():
     # the kernel of D = [[1, 0, 0]] is spanned by e_1 and e_2, so k = 2 rows
     # are named; restoring D r = 1 sets r_0 = 1 before the rows are ranked
     pair = _kernel_pair([[1.0, 0.0, 0.0]], [1.0])
-    assert list(_vertex_rows(*pair, np.array([1.0, 0.5, 3.0]))) == [0, 1]
-    assert list(_vertex_rows(*pair, np.array([0.1, 0.5, 0.2]))) == [1, 2]
-    assert list(_vertex_rows(*pair, np.array([0.1, 0.2, 0.5]))) == [1, 2]
+
+    def vertex_rows(r):
+        return list(_smallest_rows(_restore_feasibility(*pair, np.array(r)), 2))
+
+    assert vertex_rows([1.0, 0.5, 3.0]) == [0, 1]
+    assert vertex_rows([0.1, 0.5, 0.2]) == [1, 2]
+    assert vertex_rows([0.1, 0.2, 0.5]) == [1, 2]
 
 
 @pytest.mark.parametrize("method", ITERATIVE_METHODS)
@@ -685,9 +689,9 @@ def test_homotopy_rank_one_updates_match_refactoring(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", forbidden(np.linalg.solve))
     monkeypatch.setattr(np, "block", forbidden(np.block))
-    default = path(N, r0)
+    default = RESIDUAL_METHODS["homotopy"](N, r0)
     monkeypatch.setattr(residual_solvers, "_HP_REFACTOR_EVERY", 1)
-    refactored = path(N, r0)
+    refactored = RESIDUAL_METHODS["homotopy"](N, r0)
     assert default.iterations == refactored.iterations == 158
     assert default.converged and refactored.converged
     assert norm2(default.r - refactored.r) <= 1e-12 * norm2(refactored.r)
@@ -767,6 +771,34 @@ def test_solvers_reject_mismatched_constraint_shapes(solver):
         solver(np.array([[1.0, 0.5, 0.0]]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("where,value", [("D", np.nan), ("w", np.inf), ("w", np.nan)])
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_solvers_reject_non_finite_constraints(solver, where, value):
+    # a NaN in D stopped the SVD ("did not converge"); an inf in w warned in
+    # the kernel pair's products, ran the core, and failed only in the
+    # simplex, with a message naming the simplex's arguments
+    pair = {"D": np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.8]]), "w": np.array([1.0, -2.0])}
+    pair[where][-1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="D and w must be finite"):
+            solver(pair["D"], pair["w"])
+
+
+@pytest.mark.parametrize("m,n,seed", [(256, 128, 100001), (8, 4, 100002)])
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_budget_of_one_iteration_ends_every_core_in_one_crossover(monkeypatch, method, m, n, seed):
+    # the budget is counted by the one loop that runs every core: a single
+    # iteration, then the crossover from that iterate, which certifies
+    problem = bench_problem(m, n, 0.25, seed)
+    reference = fit_linprog(problem)
+    calls = _counting_simplex(monkeypatch)
+    report = fit_via_residual(problem, method, SolverParams(maxiter=1))
+    assert report.iterations == 1 and len(calls) == 1
+    assert report.converged
+    assert report.cost == pytest.approx(reference.cost, rel=1e-9)
+
+
 @pytest.mark.parametrize("solver", [residual_gpsr, residual_tnipm, residual_ist])
 def test_quadratic_solvers_require_positive_lam(solver):
     with pytest.raises(ValueError):
@@ -834,11 +866,19 @@ class _ScriptedSolver:
         return self.stat(self.levels.index(lam), int(state[0][1]))
 
     def run(self, maxiter=10000, attempt=lambda r: False):
-        """The loop's raw end: (iterations, tag of the end state)."""
-        params = SolverParams(lam=self.lam, maxiter=maxiter)
-        state, it = _continuation(self.r0, params, (np.zeros(2),), self.step,
-                                  self.stationarity, attempt)
-        return it, int(state[0][1])
+        """The loop's raw end: (iterations, tag of the end state).
+
+        Drives the generator as ``_run`` does: ``attempt(r)`` is called on
+        each iterate the schedule tries, and a True ends the run.
+        """
+        steps = _continuation(np.zeros((2, 0)), self.r0, self.lam, (np.zeros(2),), self.step,
+                              self.stationarity)
+        it, r = 0, np.zeros(2)
+        for r, r_f in steps:
+            it += 1
+            if (r_f is not None and attempt(r)) or it >= maxiter:
+                break
+        return it, int(r[1])
 
     def depths(self):
         return [depth for depth, _, _ in self.steps]
