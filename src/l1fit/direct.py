@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .linalg import norm1, norm_inf, nullspace_basis, pinv
+from .linalg import norm_inf, nullspace_basis, pinv
 from .reduction import MlmProblem, SolveReport
 from .simplex import l1_vertex
 
@@ -33,17 +33,8 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     """
     t0 = time.perf_counter()
     vertex = l1_vertex(problem.A, problem.b)
-    elapsed = time.perf_counter() - t0
-    residual = problem.A @ vertex.x - problem.b
-    return SolveReport(
-        x=vertex.x,
-        residual=residual,
-        cost=norm1(residual),
-        iterations=vertex.steps,
-        runtime_s=elapsed,
-        method="L1-LP",
-        converged=vertex.certified,
-    )
+    return SolveReport.of(problem, vertex.x, t0, iterations=vertex.steps, method="L1-LP",
+                          converged=vertex.certified)
 
 
 def _zero_mask(r: np.ndarray) -> np.ndarray:
@@ -117,14 +108,5 @@ def fit_perturbation(
         u = (np.abs(s) > 1.0).astype(float)
         x = x + c * (A_z_pinv @ u)
 
-    elapsed = time.perf_counter() - t0
-    residual = A @ x - b
-    return SolveReport(
-        x=x,
-        residual=residual,
-        cost=norm1(residual),
-        iterations=outer,
-        runtime_s=elapsed,
-        method="L1-PTB",
-        converged=converged,
-    )
+    return SolveReport.of(problem, x, t0, iterations=outer, method="L1-PTB",
+                          converged=converged)

@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 
-from .linalg import norm1
 from .reduction import MlmProblem, SolveReport
 
 __all__ = ["oracle_solve"]
@@ -69,14 +68,5 @@ def oracle_solve(problem: MlmProblem, max_m: int = 14, max_n: int = 4) -> SolveR
     if best_x is None:
         raise RuntimeError("every n-row subset is numerically singular")
 
-    residual = A @ best_x - b
-    elapsed = time.perf_counter() - t0
-    return SolveReport(
-        x=best_x,
-        residual=residual,
-        cost=norm1(residual),
-        iterations=evaluated,
-        runtime_s=elapsed,
-        method="ORACLE",
-        converged=True,
-    )
+    return SolveReport.of(problem, best_x, t0, iterations=evaluated, method="ORACLE",
+                          converged=True)

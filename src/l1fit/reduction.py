@@ -26,6 +26,7 @@ and an SVD of R decide.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,6 +92,9 @@ class SolveReport:
     """Outcome of one solve: parameters, residual, cost and bookkeeping.
 
     ``residual`` is A x - b of the reported x, and ``cost`` its l1 norm.
+    ``runtime_s`` is the wall time from the route's start, once its
+    options are checked, to its report, the residual included.  Every
+    route builds its report with ``SolveReport.of``.
     """
 
     x: np.ndarray
@@ -100,6 +104,15 @@ class SolveReport:
     runtime_s: float
     method: str
     converged: bool
+
+    @classmethod
+    def of(cls, problem: MlmProblem, x, t0: float, *, iterations: int, method: str,
+           converged: bool) -> SolveReport:
+        """The report of x on ``problem``, timed from ``t0`` (``time.perf_counter``)."""
+        residual = problem.A @ x - problem.b
+        return cls(x=x, residual=residual, cost=norm1(residual), iterations=iterations,
+                   runtime_s=time.perf_counter() - t0, method=method,
+                   converged=bool(converged))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .linalg import default_rank_tol, norm1, norm2, norm_inf, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
-from .simplex import l1_vertex
+from .simplex import _smallest_rows, l1_vertex
 
 __all__ = [
     "SolverParams",
@@ -145,7 +145,10 @@ def _kernel_pair(D, w):
     N = V2 is an orthonormal basis of null(D) and r0 = V1 S^-1 U1^T w the
     minimum-norm point, with the rank from ``default_rank_tol``, so
     dependent consistent rows are accepted; a non-finite entry in D or w,
-    or a w outside the range of D, raises ValueError.
+    or a w outside the range of D, raises ValueError.  w is in the range
+    when ||D r0 - w|| <= 1e-9 ||w|| + max(D.shape) eps sigma_max(D) ||r0||,
+    the rounding of the product D r0 included: a bound that scales with
+    D and w, so a contradiction is caught at any scale of either.
     """
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -156,7 +159,8 @@ def _kernel_pair(D, w):
     U, sv, Vt = np.linalg.svd(D, full_matrices=True)
     rank = int(np.count_nonzero(sv > default_rank_tol(D)))
     r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
-    if norm2(D @ r0 - w) > 1e-9 * (1.0 + norm2(w)):
+    rounding = max(D.shape) * np.finfo(float).eps * sv.max(initial=0.0) * norm2(r0)
+    if norm2(D @ r0 - w) > 1e-9 * norm2(w) + rounding:
         raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
     return Vt[rank:].T, r0
 
@@ -195,16 +199,6 @@ def _qp_stationarity(r, grad, lam, support_tol):
 def _restore_feasibility(N, r0, r):
     """l2-minimal correction of r onto r0 + range(N): r0 + N (N^T r)."""
     return r0 + N @ (N.T @ r)
-
-
-def _smallest_rows(r, k):
-    """The k rows of smallest |r|, sorted.
-
-    On a point r_f of r0 + range(N), with k = dim(null D), these are the
-    rows an iterate names: an optimal residual vanishes on k rows (the
-    equivalence theorem), so they are where the vertex simplex starts.
-    """
-    return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
 
 
 def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution:
@@ -790,14 +784,5 @@ def fit_via_residual(
     else:
         res = RESIDUAL_METHODS[method](Q, r0, params)
     x = recover(problem, rs, res.r)
-    residual = problem.A @ x - problem.b
-    elapsed = time.perf_counter() - t0
-    return SolveReport(
-        x=x,
-        residual=residual,
-        cost=norm1(residual),
-        iterations=res.iterations,
-        runtime_s=elapsed,
-        method=RESIDUAL_LABELS[method],
-        converged=res.converged,
-    )
+    return SolveReport.of(problem, x, t0, iterations=res.iterations,
+                          method=RESIDUAL_LABELS[method], converged=res.converged)

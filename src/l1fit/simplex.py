@@ -121,6 +121,15 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _smallest_rows(r, k):
+    """The k rows of smallest |r|, sorted: the rows a point names.
+
+    An optimal residual vanishes on as many rows as the fit has unknowns,
+    so the smallest entries of a point near it name a start basis.
+    """
+    return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
+
+
 def _least_squares_rows(A, b):
     """The n rows of smallest least-squares residual |A x - b|, sorted.
 
@@ -134,7 +143,7 @@ def _least_squares_rows(A, b):
         x = np.linalg.solve(A.T @ A, A.T @ b)
     except np.linalg.LinAlgError:
         return None
-    return np.sort(np.argpartition(np.abs(A @ x - b), n - 1)[:n])
+    return _smallest_rows(A @ x - b, n)
 
 
 def _inverse_T(A, rows):

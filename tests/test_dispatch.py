@@ -24,6 +24,8 @@ def test_residual_is_a_x_minus_b(method):
     report = solve(prob, method)
     assert np.array_equal(report.residual, prob.A @ report.x - prob.b)
     assert report.cost == norm1(report.residual)
+    assert report.method == method
+    assert report.runtime_s > 0.0
 
 
 def test_solve_looks_up_entry_points_at_call_time(monkeypatch):

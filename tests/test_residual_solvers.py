@@ -449,17 +449,20 @@ def test_orthonormalizing_solvers_restore_feasibility(solver):
         assert norm2(D @ res.r - w) <= 1e-12 * (1.0 + norm2(w))
 
 
-@pytest.mark.parametrize("solver", ALL_SOLVERS)
-def test_solvers_answer_dependent_rows(solver):
-    # the second row doubles the first: with w = (1, 2) it repeats the first
-    # constraint, whose optimum is r = (1, 0, 0); with w = (1, 3) the rows
-    # contradict each other
+@pytest.mark.parametrize("solver, s", [
+    pytest.param(solver, s, id=solver.__name__ + ("" if s == 1.0 else f"-{s:g}"))
+    for s in (1.0, 1e-10, 1e-12) for solver in ALL_SOLVERS
+])
+def test_solvers_answer_dependent_rows(solver, s):
+    # the second row doubles the first: with w = s (1, 2) it repeats the first
+    # constraint, whose optimum is r = s (1, 0, 0); with w = s (1, 3) the rows
+    # contradict each other, however small s is
     D = np.array([[1.0, 0.5, 0.2], [2.0, 1.0, 0.4]])
-    res = solver(D, np.array([1.0, 2.0]))
+    res = solver(D, s * np.array([1.0, 2.0]))
     assert res.converged
-    assert np.allclose(res.r, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(res.r, [s, 0.0, 0.0], atol=1e-12 * s)
     with pytest.raises(ValueError, match="range"):
-        solver(D, np.array([1.0, 3.0]))
+        solver(D, s * np.array([1.0, 3.0]))
 
 
 @pytest.mark.parametrize("problem", [random_problem(np.random.default_rng(42), 12, 4),
