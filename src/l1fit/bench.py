@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datafiles import _fmt
 from .linalg import norm2
 from .reduction import MlmProblem
-from .residual_solvers import SolverParams
 from . import methods as _methods
 from .rng import normals, raw_words
 
@@ -161,22 +161,23 @@ def _configurations(spec: ExperimentSpec) -> list[tuple[int, int, float]]:
     return [(int(round(v * spec.n)), spec.n, gamma) for v in spec.drl_values]
 
 
-def _one_repetition(method, m, n, gamma, variance, seed, params):
+def _one_repetition(method, m, n, gamma, variance, seed):
     problem, p = gen_instance(m, n, seed)
     if gamma > 0.0:
         problem = MlmProblem(problem.A, add_sparse_noise(problem.b, gamma, variance, seed))
     t0 = time.perf_counter()
-    report = _methods.solve(problem, method, params)
+    report = _methods.solve(problem, method)
     elapsed = time.perf_counter() - t0
     return norm2(report.x - p) / norm2(p), elapsed
 
 
-def run_experiment(spec: ExperimentSpec, params: SolverParams | None = None) -> list[BenchRecord]:
-    """Run the campaign; per-repetition seeds are spec.seed + repetition.
+def run_experiment(spec: ExperimentSpec) -> list[BenchRecord]:
+    """Run the campaign with the default solver parameters.
 
-    Solver failures are counted per record instead of aborting the run.
+    Per-repetition seeds are spec.seed + repetition.  Solver failures
+    (ValueError, RuntimeError) are counted per record instead of aborting
+    the run; any other exception propagates.
     """
-    params = params or SolverParams()
     records = []
     for method in spec.methods:
         for m, n, gamma in _configurations(spec):
@@ -184,8 +185,8 @@ def run_experiment(spec: ExperimentSpec, params: SolverParams | None = None) -> 
             for rep in range(spec.repeats):
                 try:
                     outcomes.append(_one_repetition(method, m, n, gamma, spec.noise_variance,
-                                                    spec.seed + rep, params))
-                except Exception:
+                                                    spec.seed + rep))
+                except (ValueError, RuntimeError):
                     outcomes.append(None)
             good = [o for o in outcomes if o is not None]
             errs = [e for e, _ in good]
@@ -205,10 +206,6 @@ def run_experiment(spec: ExperimentSpec, params: SolverParams | None = None) -> 
             )
     records.sort(key=lambda rec: (rec.method, rec.m, rec.n, rec.sparsity, rec.drl))
     return records
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_csv(records, path) -> None:

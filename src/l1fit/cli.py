@@ -42,11 +42,11 @@ def _build_parser() -> _Parser:
     slv.add_argument("--method", required=True, choices=_SOLVE_METHODS)
     slv.add_argument("--matrix", required=True)
     slv.add_argument("--rhs", required=True)
-    slv.add_argument("--eps", type=float, default=1e-8)
-    slv.add_argument("--lambda", dest="lam", type=float, default=1e-8)
+    slv.add_argument("--eps", type=float, default=SolverParams.epsilon)
+    slv.add_argument("--lambda", dest="lam", type=float, default=SolverParams.lam)
     slv.add_argument("--maxiter", type=int, default=None)
-    slv.add_argument("--tau", type=float, default=0.02)
-    slv.add_argument("--mu", type=float, default=None)
+    slv.add_argument("--tau", type=float, default=SolverParams.tau)
+    slv.add_argument("--mu", type=float, default=SolverParams.mu)
     slv.add_argument("--ptb-c", type=float, default=1.0, help="perturbation correction scale")
     slv.add_argument("--out", default=None, help="write x here instead of stdout")
 
@@ -91,7 +91,7 @@ def _cmd_solve(args) -> int:
         params = SolverParams(
             epsilon=args.eps,
             lam=args.lam,
-            maxiter=args.maxiter if args.maxiter is not None else 10000,
+            maxiter=SolverParams.maxiter if args.maxiter is None else args.maxiter,
             tau=args.tau,
             mu=args.mu,
         )

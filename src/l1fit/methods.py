@@ -18,9 +18,6 @@ _REV_BY_LABEL = {label: name for name, label in RESIDUAL_LABELS.items()}
 
 ALL_METHODS = ("L1-LP", "L1-PTB") + tuple(sorted(_REV_BY_LABEL)) + ("ORACLE",)
 
-# the perturbation baseline uses its own traditional iteration budget
-PERTURBATION_MAXITER = 15
-
 
 def solve(
     problem: MlmProblem,
@@ -34,8 +31,9 @@ def solve(
     if label == "L1-LP":
         return fit_linprog(problem)
     if label == "L1-PTB":
-        rounds = PERTURBATION_MAXITER if perturbation_maxiter is None else perturbation_maxiter
-        return fit_perturbation(problem, c=perturbation_c, maxiter=rounds)
+        if perturbation_maxiter is None:  # the baseline's own round budget
+            return fit_perturbation(problem, c=perturbation_c)
+        return fit_perturbation(problem, c=perturbation_c, maxiter=perturbation_maxiter)
     if label == "ORACLE":
         return oracle_solve(problem)
     if label in _REV_BY_LABEL:

@@ -16,8 +16,9 @@ same instances from the same seed:
     n_{2k}   = sqrt(-2 ln u_{2k}) * cos(2 pi u_{2k+1})
     n_{2k+1} = sqrt(-2 ln u_{2k}) * sin(2 pi u_{2k+1})
 
-Being a pure function of (seed, salt, i), any sub-sequence can be produced
-independently and in parallel.
+Word i is a pure function of (seed, salt, i), so a port can produce any
+sub-sequence independently and in parallel; the functions here return the
+first ``count`` values of a stream.
 """
 
 from __future__ import annotations
@@ -45,19 +46,19 @@ def _stream_key(seed: int, salt: int) -> np.uint64:
     return _mix64(np.array([base], dtype=np.uint64))[0]
 
 
-def raw_words(seed: int, count: int, salt: int = 0, start: int = 0) -> np.ndarray:
-    """Words start..start+count-1 of the (seed, salt) stream, as uint64."""
+def raw_words(seed: int, count: int, salt: int = 0) -> np.ndarray:
+    """Words 0..count-1 of the (seed, salt) stream, as uint64."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     key = _stream_key(seed, salt)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix64(key + idx * _GOLDEN)
 
 
-def uniforms(seed: int, count: int, salt: int = 0, start: int = 0) -> np.ndarray:
+def uniforms(seed: int, count: int, salt: int = 0) -> np.ndarray:
     """Doubles in (0, 1], one per stream word."""
-    words = raw_words(seed, count, salt, start)
+    words = raw_words(seed, count, salt)
     return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
 
 

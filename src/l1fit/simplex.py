@@ -251,6 +251,10 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         # a row whose residual moves toward zero is a breakpoint; the slope
         # starts at 1 - |s_k| and rises by 2 |(A d)_i| as each is passed
         cand = np.flatnonzero(sigma * Ad < 0.0)
+        if cand.size == 0:
+            # in exact arithmetic sigma_S^T A_S d = -|s_k| < 0, so some row is a
+            # breakpoint; none is left only when rounding swamps A_Z^-1
+            raise ValueError("A has column rank below n; the l1 fit is not unique")
         alpha = np.maximum(-r[cand] / Ad[cand], 0.0)
         order = np.argsort(alpha, kind="stable")  # ties go to the lowest row
         slope = 1.0 - size[k] + np.cumsum(2.0 * np.abs(Ad[cand[order]]))
@@ -282,7 +286,9 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
 def l1_vertex(A, b, rows=None) -> L1Vertex:
     """Minimize ||A x - b||_1 at a vertex: n rows of A x = b interpolated.
 
-    A must be m x n with m >= n and column rank n (ValueError otherwise).
+    A must be m x n with m >= n and column rank n (ValueError otherwise,
+    also when a step finds no breakpoint, which only rounding on a
+    numerically rank-deficient A allows).
     ``rows`` (n row indices) is the start basis, a warm start; by default,
     or when A[rows] fails the independence test (every row farther than
     ``default_rank_tol(A)`` from the span of the others, read from the

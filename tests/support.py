@@ -36,7 +36,7 @@ def bp_enumerate(D, w, singular_tol=1e-10):
 
 
 def oracle_loop(problem):
-    """``oracle_solve`` as one Python pass per n-row subset: the reference for the block form.
+    """``oracle_solve`` as one Python pass per n-row subset: the reference for the stacked form.
 
     Skips a subset whose |det| is at most 1e-12 times its Hadamard bound;
     returns (x, cost, number of subsets evaluated), ties keeping the first
@@ -85,6 +85,21 @@ def dependent_top_rows_problem():
     b = A @ rng.standard_normal(4)
     b[rng.choice(40, 10, replace=False)] += rng.standard_normal(10)
     return MlmProblem(A, b)
+
+
+def near_rank_deficient_problem(seed, m, n, c):
+    """U diag(1, ..., 1, c tol) V^T with tol = default_rank_tol of U V^T, and a normal b.
+
+    U (m x n) and V (n x n) have orthonormal columns from the QR of normal
+    draws.  At c well below 1 the last direction is rounding-level.
+    """
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = rng.standard_normal(m)
+    s = np.ones(n)
+    s[-1] = c * default_rank_tol(U @ V.T)
+    return MlmProblem(U @ np.diag(s) @ V.T, b)
 
 
 def kahan(n, theta=1.2):

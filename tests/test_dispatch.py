@@ -28,6 +28,12 @@ def test_residual_is_a_x_minus_b(method):
     assert report.runtime_s > 0.0
 
 
+def test_unknown_label_lists_the_methods():
+    prob = random_problem(np.random.default_rng(44), 6, 2)
+    with pytest.raises(ValueError, match="unknown method 'L1-FOO'; valid methods: L1-LP, L1-PTB,"):
+        solve(prob, "L1-FOO")
+
+
 def test_solve_looks_up_entry_points_at_call_time(monkeypatch):
     # per-layer timing wraps these names from outside the library; a caller
     # that bound one of them at import time would bypass the wrapper silently

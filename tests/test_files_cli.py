@@ -4,6 +4,7 @@ import pytest
 from l1fit import add_sparse_noise, gen_instance
 from l1fit.cli import main
 from l1fit.datafiles import read_matrix, read_vector, write_matrix, write_vector
+from support import near_rank_deficient_problem
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -189,6 +190,19 @@ def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, capsys):
     assert captured.err.startswith("l1fit solve: error: every n-row subset is numerically singular")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_cli_solve_rank_below_n_in_rounding_is_an_error(tmp_path, capsys):
+    # L1-LP's descent used to end in an IndexError traceback on this input
+    problem = near_rank_deficient_problem(25, 14, 4, 0.05)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", problem.b)
+    code = main(["solve", "--method", "l1-lp", "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("l1fit solve: error: A has column rank below n")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_solve_homotopy_reaches_the_optimum_on_tied_columns(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit import ALL_METHODS, MlmProblem, oracle, oracle_solve, solve
+from l1fit import ALL_METHODS, MlmProblem, oracle_solve, solve
 from support import oracle_loop, random_problem
 
 
@@ -41,8 +41,6 @@ def test_size_guard():
         oracle_solve(random_problem(rng, 15, 2))
     with pytest.raises(ValueError):
         oracle_solve(random_problem(rng, 8, 5))
-    # the guard is adjustable
-    oracle_solve(random_problem(rng, 8, 5), max_n=5)
 
 
 def test_all_subsets_singular():
@@ -62,8 +60,8 @@ def test_tie_breaks_lexicographically():
     assert first.x == pytest.approx([0.0])  # subset {0} precedes {2}
 
 
-def assert_matches_loop(problem, **guard):
-    report = oracle_solve(problem, **guard)
+def assert_matches_loop(problem):
+    report = oracle_solve(problem)
     x, cost, evaluated = oracle_loop(problem)
     assert report.iterations == evaluated
     assert report.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
@@ -88,14 +86,13 @@ def test_duplicate_rows_are_skipped():
 
 
 @pytest.mark.parametrize("b", [
-    [-5.0, 7.0, 0.0, 2.0, -5.0, 7.0],  # tied rows 2 | 3 straddle the first boundary
-    [-5.0, 7.0, 2.0, 0.0, -5.0, 7.0],  # the later block holds the smaller x
-    [-5.0, 0.0, 2.0, 7.0, -5.0, 7.0],  # both in the first block
-    [-5.0, 7.0, -5.0, 2.0, 0.0, 7.0],  # both in the second block
+    [-5.0, 7.0, 0.0, 2.0, -5.0, 7.0],  # tied rows 2 and 3, the smaller x first
+    [-5.0, 7.0, 2.0, 0.0, -5.0, 7.0],  # the later tied row holds the smaller x
+    [-5.0, 0.0, 2.0, 7.0, -5.0, 7.0],  # tied rows 1 and 2
+    [-5.0, 7.0, -5.0, 2.0, 0.0, 7.0],  # tied rows 3 and 4
 ])
-def test_ties_keep_the_first_subset_across_blocks(monkeypatch, b):
-    # x = 0 and x = 2 both cost exactly 26; blocks of 3 are {0,1,2}, {3,4,5}
-    monkeypatch.setattr(oracle, "_BLOCK", 3)
+def test_ties_keep_the_first_subset_across_blocks(b):
+    # x = 0 and x = 2 both cost exactly 26
     first = min(i for i, v in enumerate(b) if v in (0.0, 2.0))
     report = oracle_solve(MlmProblem(np.ones((6, 1)), np.array(b)))
     assert report.cost == 26.0
@@ -103,22 +100,14 @@ def test_ties_keep_the_first_subset_across_blocks(monkeypatch, b):
     assert report.iterations == 6
 
 
-def test_raised_guard_spans_several_blocks():
-    rng = np.random.default_rng(64)
-    assert 4368 > oracle._BLOCK  # C(16, 5) subsets
-    report = assert_matches_loop(random_problem(rng, 16, 5), max_m=16, max_n=5)
-    assert report.iterations == 4368
-
-
-def test_singular_blocks_do_not_end_the_search(monkeypatch):
-    monkeypatch.setattr(oracle, "_BLOCK", 3)
+def test_singular_blocks_do_not_end_the_search():
     rng = np.random.default_rng(65)
     A = rng.standard_normal((6, 2))
     A[1:4] = A[0] * np.array([[2.0], [-1.0], [3.0]])
-    # the first block, (0,1) (0,2) (0,3), is all singular
+    # the first three subsets, (0,1) (0,2) (0,3), are all singular
     report = assert_matches_loop(MlmProblem(A, rng.standard_normal(6)))
     assert report.iterations == 15 - 6
-    # a rank-one matrix spreads 40 singular blocks and still raises
+    # a rank-one matrix makes all 120 subsets singular and raises
     rank_one = np.outer(rng.standard_normal(10), rng.standard_normal(3))
     with pytest.raises(RuntimeError, match="singular"):
         oracle_solve(MlmProblem(rank_one, rng.standard_normal(10)))

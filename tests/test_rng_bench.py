@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit import ExperimentSpec, add_sparse_noise, gen_instance, run_experiment, write_csv
+from l1fit import ExperimentSpec, add_sparse_noise, gen_instance, methods, run_experiment, write_csv
 from l1fit.bench import CSV_HEADER, BenchRecord
 from l1fit.rng import normals, raw_words, uniforms
 
@@ -134,6 +134,17 @@ def test_run_experiment_counts_failures():
     rec = run_experiment(spec)[0]
     assert rec.errors == 2
     assert np.isnan(rec.mean_rel_err)
+
+
+def test_run_experiment_lets_a_bug_propagate(monkeypatch):
+    # only solver failures (ValueError, RuntimeError) are counted as errors
+    def broken(problem, method):
+        raise TypeError("a bug, not a solver failure")
+
+    monkeypatch.setattr(methods, "solve", broken)
+    spec = ExperimentSpec(kind="noise_free", m=16, n=4, repeats=2, seed=5, methods=("L1-RES",))
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(spec)
 
 
 def test_run_experiment_sparse_noise_grid():

@@ -5,7 +5,8 @@ from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, resid
 from l1fit.linalg import default_rank_tol
 from l1fit.residual_solvers import RESIDUAL_METHODS
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
-from support import bench_problem, dependent_top_rows_problem, highs_cost, kahan, vertex_certificate
+from support import (bench_problem, dependent_top_rows_problem, highs_cost, kahan,
+                     near_rank_deficient_problem, vertex_certificate)
 
 
 def test_single_variable():
@@ -59,6 +60,17 @@ def test_rank_below_n_rejected():
     A = np.ones((6, 2))
     with pytest.raises(ValueError, match="column rank"):
         l1_vertex(A, np.arange(6.0))
+
+
+@pytest.mark.parametrize("seed, m, n, c", [
+    (25, 14, 4, 0.05), (12, 64, 16, 0.05), (16, 64, 16, 0.1), (26, 64, 16, 0.1), (35, 64, 16, 0.1),
+])
+def test_rank_below_n_in_rounding_rejected(seed, m, n, c):
+    # the start basis passes the row-distance test, but a step finds no
+    # breakpoint; the descent used to fail with an IndexError there
+    problem = near_rank_deficient_problem(seed, m, n, c)
+    with pytest.raises(ValueError, match="column rank"):
+        fit_linprog(problem)
 
 
 def test_nan_input_rejected():
