@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     slv.add_argument("--maxiter", type=int, default=None)
     slv.add_argument("--tau", type=float, default=SolverParams.tau)
     slv.add_argument("--mu", type=float, default=SolverParams.mu)
-    slv.add_argument("--ptb-c", type=float, default=1.0, help="perturbation correction scale")
+    slv.add_argument("--ptb-c", type=float, default=None, help="perturbation correction scale")
     slv.add_argument("--out", default=None, help="write x here instead of stdout")
 
     ben = sub.add_parser("bench", help="run a benchmark experiment")

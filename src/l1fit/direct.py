@@ -13,7 +13,7 @@ import numpy as np
 
 from .linalg import norm_inf, nullspace_basis, pinv
 from .reduction import MlmProblem, SolveReport
-from .simplex import l1_vertex
+from .simplex import _least_squares_rows, l1_vertex
 
 __all__ = ["fit_linprog", "fit_perturbation"]
 
@@ -25,14 +25,16 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     """Exact l1 fit by the vertex simplex on (A, b).
 
     The answer interpolates n rows of A x = b, so the residual carries at
-    least n zeros.  The simplex starts cold: at the first n independent
-    rows when the tied-row test proves their vertex optimal, else from the
-    n rows of smallest least-squares residual.  ``iterations`` counts
-    basis changes; ``converged`` is the vertex's optimality certificate,
-    False when the step budget ran out.
+    least n zeros.  The simplex starts at the n rows of smallest
+    least-squares residual, most of which such an optimum interpolates, or
+    at the first n independent rows when the normal equations are singular
+    or those rows are not independent.  ``iterations`` counts basis
+    changes; ``converged`` is the vertex's optimality certificate, False
+    when the step budget ran out.
     """
     t0 = time.perf_counter()
-    vertex = l1_vertex(problem.A, problem.b)
+    A, b = problem.A, problem.b
+    vertex = l1_vertex(A, b, rows=_least_squares_rows(A, b))
     return SolveReport.of(problem, vertex.x, t0, iterations=vertex.steps, method="L1-LP",
                           converged=vertex.certified)
 

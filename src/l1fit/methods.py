@@ -23,17 +23,20 @@ def solve(
     problem: MlmProblem,
     method: str,
     params: SolverParams | None = None,
-    perturbation_c: float = 1.0,
+    perturbation_c: float | None = None,
     perturbation_maxiter: int | None = None,
 ) -> SolveReport:
-    """Solve ``problem`` with the solver named by ``method``."""
+    """Solve ``problem`` with the solver named by ``method``.
+
+    The ``perturbation_*`` values go to ``fit_perturbation`` as ``c`` and
+    ``maxiter`` when given; otherwise it takes its own defaults.
+    """
     label = str(method).upper()
     if label == "L1-LP":
         return fit_linprog(problem)
     if label == "L1-PTB":
-        if perturbation_maxiter is None:  # the baseline's own round budget
-            return fit_perturbation(problem, c=perturbation_c)
-        return fit_perturbation(problem, c=perturbation_c, maxiter=perturbation_maxiter)
+        given = {"c": perturbation_c, "maxiter": perturbation_maxiter}
+        return fit_perturbation(problem, **{k: v for k, v in given.items() if v is not None})
     if label == "ORACLE":
         return oracle_solve(problem)
     if label in _REV_BY_LABEL:

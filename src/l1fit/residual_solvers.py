@@ -100,7 +100,7 @@ class SolverParams:
 
     epsilon  positive stopping / constraint tolerance (also the homotopy's
              terminal regularization level; its path cannot end at 0)
-    lam      penalty weight of the quadratic relaxation solved by the
+    lam      positive penalty weight of the quadratic relaxation solved by the
              gradient-projection, interior-point and shrinkage methods
     maxiter  iteration cap; it ends a run like the solver's own stop rule,
              and converged is then True only if the crossover from the end
@@ -121,8 +121,8 @@ class SolverParams:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        if not self.lam > 0:
+            raise ValueError("lam must be positive")
         if not self.maxiter >= 1:
             raise ValueError("maxiter must be at least 1")
         if not self.tau > 0:
@@ -314,8 +314,6 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
 
 def _gpsr(N, r0, p):
     """``residual_gpsr``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
-    if not p.lam > 0:
-        raise ValueError("gradient projection requires lam > 0")
     r = np.zeros(N.shape[0])
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -392,8 +390,6 @@ def _newton_direction(N, grad, q1, q2, t):
 
 def _tnipm(N, r0, p):
     """``residual_tnipm``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
-    if not p.lam > 0:
-        raise ValueError("interior-point method requires lam > 0")
     m = N.shape[0]
 
     mu_t, ls_alpha, ls_beta = 2.0, 0.01, 0.5
@@ -579,8 +575,6 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
 
 def _ist(N, r0, p):
     """``residual_ist``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
-    if not p.lam > 0:
-        raise ValueError("iterative shrinkage requires lam > 0")
 
     def step(state, lam, first):
         # g = P r - r0 is both the gradient and, in norm, the constraint

@@ -26,20 +26,15 @@ row index.  After ``_STALL_LIMIT`` zero-length steps in a row the
 lowest-index leaving row is taken (Bland's rule) until a step moves
 again.
 
-The default start is the first n independent rows.  When that vertex
-fails the tied-row test below, the descent starts instead from the n rows
-of smallest least-squares residual, ranked by the normal equations, if
-they are independent: most of them are rows an l1 optimum interpolates,
-so the walk is shorter.  A first vertex that passes the test, as on a
-consistent system, ranks nothing.
-
-A start basis is factored once: the inverse the descent needs is also its
-independence test.  Row k of A_Z^-T is orthogonal to every other row of
-A_Z and has inner product 1 with a_k, so 1 / ||row k|| is the distance
-from a_k to the span of the others; the basis is taken when every such
-distance exceeds ``default_rank_tol(A)``, read from the largest entry of
-A_Z^-T (``_basis_inverse``).  Only when the first n rows fail does the
-start take them one at a time, by Gram-Schmidt (``_start_rows``).
+The descent starts at the caller's rows, or by default at the first n
+independent rows.  A start basis is factored once: the inverse the
+descent needs is also its independence test.  Row k of A_Z^-T is
+orthogonal to every other row of A_Z and has inner product 1 with a_k, so
+1 / ||row k|| is the distance from a_k to the span of the others; the
+basis is taken when every such distance exceeds ``default_rank_tol(A)``,
+read from the largest entry of A_Z^-T (``_basis_inverse``).  When the
+caller's rows and then the first n rows fail, the start takes rows one at
+a time, by Gram-Schmidt (``_start_rows``).
 
 Before either phase the start vertex is tested on its tied rows T, the
 residuals within the tie tolerance of zero, when there are more than n:
@@ -130,20 +125,31 @@ def _smallest_rows(r, k):
     return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
 
 
+def _unit_shift(M):
+    """The exponent e that puts max|2^e M| in [1/2, 1), for np.ldexp(M, e).
+
+    The scaling is exact, and the Gram of the scaled M cannot overflow or
+    vanish when M is far out of range.
+    """
+    return -np.frexp(norm_inf(M))[1]
+
+
 def _least_squares_rows(A, b):
     """The n rows of smallest least-squares residual |A x - b|, sorted.
 
-    Only the order of |r| matters, so x comes from the normal equations:
-    0.44 ms at 256 x 128 against 2.3 ms for a reduced QR (one x86_64 core,
-    one BLAS thread).  None when A^T A is singular in floating point, which
-    a full-rank but ill-conditioned A can make it.
+    Only the order of |r| matters, so x comes from the normal equations of
+    A scaled by a power of two (``_unit_shift``), which leaves r as it is:
+    0.65 ms at 256 x 128 against 3.4 ms for a reduced QR, 25 against 48 us
+    at 12 x 3 (medians, one x86_64 core, one BLAS thread).  None when A^T A
+    is singular in floating point, which a full-rank but ill-conditioned A
+    can make it.
     """
-    n = A.shape[1]
+    A_s = np.ldexp(A, _unit_shift(A))
     try:
-        x = np.linalg.solve(A.T @ A, A.T @ b)
+        x_s = np.linalg.solve(A_s.T @ A_s, A_s.T @ b)
     except np.linalg.LinAlgError:
         return None
-    return _smallest_rows(A @ x - b, n)
+    return _smallest_rows(A_s @ x_s - b, A.shape[1])
 
 
 def _inverse_T(A, rows):
@@ -189,10 +195,8 @@ def _tied_optimal(A, b, x) -> bool:
     c = -(np.sign(r[~tied]) @ A[~tied])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    # the projections run on A_T and c scaled by a power of two, to max|A_T|
-    # in [1/2, 1): the scaling is exact, and the Gram cannot overflow or
-    # vanish when A is far out of range
-    shift = -np.frexp(norm_inf(A_T))[1]
+    # the projections run on A_T and c scaled by one power of two
+    shift = _unit_shift(A_T)
     A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
     try:
         G_inv = np.linalg.inv(A_s.T @ A_s)
@@ -289,18 +293,16 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     A must be m x n with m >= n and column rank n (ValueError otherwise,
     also when a step finds no breakpoint, which only rounding on a
     numerically rank-deficient A allows).
-    ``rows`` (n row indices) is the start basis, a warm start; by default,
-    or when A[rows] fails the independence test (every row farther than
+    ``rows`` (n row indices) is the start basis; by default, or when
+    A[rows] fails the independence test (every row farther than
     ``default_rank_tol(A)`` from the span of the others, read from the
-    inverse the start needs anyway), the descent starts cold: from the
-    first n independent rows, or, when their vertex fails the tied-row
-    test (see the module docstring), from the n rows of smallest
-    least-squares residual if those are independent.  A basis that passes
-    the test is factored once, and no start takes a QR.  Indices of
-    another count or out of range raise ValueError.  The step budget is
-    50 (m + n) over both phases; a run that spends it returns its last
-    vertex with ``certified`` False.  A start vertex that passes the
-    tied-row test is returned certified, with ``steps`` 0.
+    inverse the start needs anyway), the descent starts from the first n
+    independent rows.  A basis that passes the test is factored once, and
+    no start takes a QR.  Indices of another count or out of range raise
+    ValueError.  The step budget is 50 (m + n) over both phases; a run
+    that spends it returns its last vertex with ``certified`` False.  A
+    start vertex that passes the tied-row test (see the module docstring)
+    is returned certified, with ``steps`` 0.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -318,8 +320,7 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
             raise ValueError(f"rows must be {n} row indices in [0, {m}), got {rows!r}")
     tol = default_rank_tol(A)
     inv_T = None if rows is None else _basis_inverse(A, rows, tol)
-    cold = inv_T is None
-    if cold:
+    if inv_T is None:
         rows = np.arange(n)
         inv_T = _basis_inverse(A, rows, tol)
         if inv_T is None:
@@ -328,13 +329,6 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)
-    if cold:
-        # the new start is not put to the tied-row test: on inputs of a few
-        # rows its projections cost more than the steps they would save
-        ls_rows = _least_squares_rows(A, b)
-        ls_inv_T = None if ls_rows is None else _basis_inverse(A, ls_rows, tol)
-        if ls_inv_T is not None:
-            rows, inv_T = ls_rows, ls_inv_T
     budget = _STEPS_PER_DIM * (m + n)
     b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
     rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget)

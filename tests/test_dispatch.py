@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import l1fit
-from l1fit import ALL_METHODS, methods, residual_solvers, solve
+from l1fit import ALL_METHODS, fit_perturbation, methods, residual_solvers, solve
 from l1fit.linalg import norm1
 from support import random_problem
 
@@ -32,6 +32,16 @@ def test_unknown_label_lists_the_methods():
     prob = random_problem(np.random.default_rng(44), 6, 2)
     with pytest.raises(ValueError, match="unknown method 'L1-FOO'; valid methods: L1-LP, L1-PTB,"):
         solve(prob, "L1-FOO")
+
+
+def test_perturbation_options_reach_the_baseline_unchanged():
+    # solve passes c only when it is given, so fit_perturbation's own
+    # default is the only one; on this input c = 0.5 takes another path
+    prob = random_problem(np.random.default_rng(46), 12, 3)
+    default, halved = fit_perturbation(prob), fit_perturbation(prob, c=0.5)
+    assert default.x.tobytes() != halved.x.tobytes()
+    assert solve(prob, "L1-PTB").x.tobytes() == default.x.tobytes()
+    assert solve(prob, "L1-PTB", perturbation_c=0.5).x.tobytes() == halved.x.tobytes()
 
 
 def test_solve_looks_up_entry_points_at_call_time(monkeypatch):

@@ -286,6 +286,7 @@ def test_cli_bench_rejects_a_level_that_gives_no_tall_system(tmp_path, capsys):
     ("--maxiter", "0", "maxiter"),
     ("--tau", "0", "tau"),
     ("--eps", "-1", "epsilon"),
+    ("--lambda", "0", "lam"),
 ])
 def test_cli_solve_bad_solver_parameter_is_usage_error(tmp_path, capsys, flag, value, message):
     rng = np.random.default_rng(86)

@@ -231,10 +231,9 @@ def test_tries_name_rows_from_points_on_the_constraints(monkeypatch, method):
 
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
 def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
-    # the rows of smallest |r0| are most of an optimal basis: the warm
-    # start reaches the optimum from the first independent rows in fewer
-    # basis changes (passed explicitly: l1_vertex's cold start would itself
-    # move to the least-squares rows)
+    # the rows of smallest |r0| are most of an optimal basis: from them the
+    # walk reaches the optimum in fewer basis changes than from the first
+    # independent rows
     problem = bench_problem(256, 128, sparsity, seed)
     rs = reduce_problem(problem)
     r0 = rs.Q @ (rs.Q.T @ problem.b) - problem.b
@@ -763,8 +762,8 @@ def test_solver_params_validation():
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(mu=-0.5)
-    for lam in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="lam must be nonnegative"):
+    for lam in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
             SolverParams(lam=lam)
 
 

@@ -237,13 +237,12 @@ def test_degenerate_small_instances_match_oracle():
 
 
 def test_step_budget_reports_not_certified(monkeypatch):
-    problem = bench_problem(64, 16, 0.25, 17)
-    # L1-RES starts at the least-squares rows, which are optimal on the
-    # instance above; on this one they are not, and the simplex has to step
+    # both exact routes start at the least-squares rows; on seed 17 they are
+    # optimal, on seed 18 they are not, and the simplex has to step
     walked = bench_problem(64, 16, 0.25, 18)
     assert fit_via_residual(walked, "linprog").iterations > 0
     monkeypatch.setattr("l1fit.simplex._STEPS_PER_DIM", 0)
-    report = fit_linprog(problem)
+    report = fit_linprog(walked)
     assert not report.converged and report.iterations == 0
     report = fit_via_residual(walked, "linprog")
     assert not report.converged and report.iterations == 0
@@ -405,22 +404,21 @@ def test_tied_start_that_is_not_optimal_runs_the_simplex(monkeypatch, build):
 
 def test_start_without_a_least_squares_ranking():
     # A has full column rank, but A^T A is singular in floating point, so
-    # the normal equations rank no rows and the walk keeps the first rows.
+    # the normal equations rank no rows and L1-LP starts at the first rows.
     # Of the three vertices, the one through rows 0 and 2 costs 1.5 and the
     # other two cost 3
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10], [1.0, 1.0 + 2e-10]])
     b = np.array([0.0, 1.0, 5.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(A.T @ A, A.T @ b)
-    vertex = l1_vertex(A, b)
-    assert vertex.certified and vertex.rows.tolist() == [0, 2]
+    assert simplex._least_squares_rows(A, b) is None
+    report = fit_linprog(MlmProblem(A, b))
+    assert report.converged and report.cost == pytest.approx(1.5, rel=1e-9)
 
 
 @pytest.mark.parametrize("sparsity,seed", [(0.25, 100001), (0.75, 700202)])
 def test_fit_linprog_starts_at_the_least_squares_rows(sparsity, seed):
-    # the first independent rows fail the tied-row test on these noisy
-    # inputs, so the walk starts at the rows of smallest least-squares
-    # residual, most of an optimal basis: the same optimum in fewer steps
+    # L1-LP starts at the rows of smallest least-squares residual, most of
+    # an optimal basis: the same optimum as from the first independent rows
+    # in fewer steps
     problem = bench_problem(256, 128, sparsity, seed)
     A, b = problem.A, problem.b
     first = l1_vertex(A, b, rows=_start_rows(A))
@@ -432,21 +430,28 @@ def test_fit_linprog_starts_at_the_least_squares_rows(sparsity, seed):
     assert report.cost == pytest.approx(np.sum(np.abs(A @ first.x - b)), rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [100000, 100100, 100200, 700000, 700100, 700200])
-def test_consistent_square_input_ranks_no_least_squares_rows(monkeypatch, seed):
-    # b = A p: the first rows pass the tied-row test, so the start is not
-    # moved and the least-squares ranking is never computed
-    calls = []
-    ranking = simplex._least_squares_rows
-
-    def counting(A, b):
-        calls.append(A.shape)
-        return ranking(A, b)
-
-    monkeypatch.setattr(simplex, "_least_squares_rows", counting)
-    report = fit_linprog(bench_problem(256, 128, 0.0, seed))
+def test_least_squares_start_passes_the_tied_row_test():
+    # the least-squares rows of this input are an optimal vertex that ties
+    # more than n rows, so the tied-row test certifies it; from the first
+    # rows the simplex walked 6 steps
+    report = fit_linprog(bench_problem(14, 4, 0.25, 100008))
     assert report.converged and report.iterations == 0
-    assert calls == []
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.25])
+@pytest.mark.parametrize("m,n,seed", [(40, 5, 4), (64, 16, 10), (256, 128, 3)])
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_fit_linprog_far_above_unit_scale(scale, m, n, seed, sparsity):
+    # A^T A of the least-squares start would overflow unless A is scaled
+    # first; a RuntimeWarning fails the suite
+    base = bench_problem(m, n, sparsity, seed)
+    report = fit_linprog(base)
+    scaled = fit_linprog(MlmProblem(scale * base.A, scale * base.b))
+    assert scaled.converged and scaled.iterations == report.iterations
+    if sparsity:
+        assert scaled.cost == pytest.approx(scale * report.cost, rel=1e-12)
+    else:  # b = A p: both costs are at rounding level
+        assert scaled.cost <= 1e-12 * scale * np.sum(np.abs(base.b))
 
 
 def test_folded_terms_match_the_per_step_update(monkeypatch):
