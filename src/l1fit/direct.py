@@ -48,11 +48,11 @@ def _best_step(r_star: np.ndarray, Ad: np.ndarray) -> float:
 
     Ties on the objective prefer the smallest |v|, then the lowest index.
     """
-    usable = np.flatnonzero(Ad != 0.0)
+    usable = (Ad != 0.0).nonzero()[0]
     if usable.size == 0:
         raise RuntimeError("kernel direction does not move any nonzero residual")
     steps = -r_star[usable] / Ad[usable]
-    objectives = np.sum(np.abs(r_star[:, None] + np.outer(Ad, steps)), axis=0)
+    objectives = np.abs(r_star[:, None] + np.outer(Ad, steps)).sum(axis=0)
     order = np.lexsort((usable, np.abs(steps), objectives))
     return float(steps[order[0]])
 

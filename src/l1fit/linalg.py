@@ -7,7 +7,11 @@ rank threshold ``default_rank_tol``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "norm1",
@@ -21,24 +25,24 @@ __all__ = [
 
 
 def norm1(v) -> float:
-    return float(np.sum(np.abs(v)))
+    return float(np.abs(v).sum())
 
 
 def norm2(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float).ravel()))
+    v = np.asarray(v, dtype=float).ravel()
+    return math.sqrt(v @ v)  # as np.linalg.norm: the root of the dot product
 
 
 def norm_inf(v) -> float:
-    v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max(initial=0.0))
 
 
 def soft(u, a):
     """Soft-threshold (shrinkage): sign(u) * max(|u| - a, 0), element-wise.
 
-    ``a`` must be nonnegative.  Works on scalars and arrays alike.
+    ``a`` must be nonnegative (not NaN).  Works on scalars and arrays alike.
     """
-    if np.any(np.asarray(a) < 0):
+    if not (np.asarray(a) >= 0).all():
         raise ValueError("soft-threshold level must be nonnegative")
     u = np.asarray(u, dtype=float)
     out = np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
@@ -48,9 +52,7 @@ def soft(u, a):
 def default_rank_tol(A: np.ndarray) -> float:
     """machine-eps * max(m, n) * max|A|, the default rank threshold."""
     A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    return float(np.finfo(float).eps * max(A.shape) * np.max(np.abs(A)))
+    return _EPS * max(A.shape) * norm_inf(A) if A.size else 0.0
 
 
 def pinv(A) -> np.ndarray:

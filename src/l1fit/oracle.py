@@ -45,12 +45,12 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     subsets = itertools.chain.from_iterable(itertools.combinations(range(m), n))
     rows = np.fromiter(subsets, dtype=np.intp).reshape(-1, n)
     sub = A[rows]
-    scale = np.prod(np.linalg.norm(sub, axis=2), axis=1)
+    scale = np.linalg.norm(sub, axis=2).prod(axis=1)
     keep = np.abs(np.linalg.det(sub)) > _DET_RTOL * scale
     if not keep.any():
         raise RuntimeError("every n-row subset is numerically singular")
     X = np.linalg.solve(sub[keep], b[rows[keep], None])[..., 0]
     costs = np.abs(X @ A.T - b).sum(axis=1)
 
-    return SolveReport.of(problem, X[int(np.argmin(costs))], t0, iterations=len(X),
+    return SolveReport.of(problem, X[int(costs.argmin())], t0, iterations=len(X),
                           method="ORACLE", converged=True)

@@ -26,15 +26,15 @@ and an SVD of R decide.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm1
+from .linalg import _EPS, default_rank_tol, norm1
 
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # the shift mu = tol^2 + _GRAM_SHIFT m n eps trace(A^T A); see _certified_full_rank
 _GRAM_SHIFT = 4.0
@@ -68,7 +68,7 @@ class MlmProblem:
             raise ValueError(f"matrix has {m} rows but the right-hand side has {b.size}")
         if not (m >= n >= 1):
             raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("problem data must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -172,9 +172,9 @@ def _certified_full_rank(A: np.ndarray, tol: float) -> bool:
     m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows as a nonfinite mu
         G = A.T @ A
-    trace = float(np.trace(G))
+    trace = float(G.trace())
     mu = tol * tol + _GRAM_SHIFT * m * n * _EPS * trace
-    if not (np.isfinite(mu) and _EPS * trace > _TINY):
+    if not (math.isfinite(mu) and _EPS * trace > _TINY):
         return False
     G.flat[:: n + 1] -= mu
     try:

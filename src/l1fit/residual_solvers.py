@@ -45,13 +45,14 @@ point, restored onto the constraints, with converged=False.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm1, norm2, norm_inf, soft
+from .linalg import _EPS, default_rank_tol, norm1, norm2, norm_inf, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
 from .simplex import _smallest_rows, l1_vertex
 
@@ -154,12 +155,12 @@ def _kernel_pair(D, w):
     w = np.asarray(w, dtype=float)
     if D.ndim != 2 or w.ndim != 1 or D.shape[0] != w.size:
         raise ValueError(f"constraint shapes do not match: D {D.shape}, w {w.shape}")
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(w))):
+    if not (np.isfinite(D).all() and np.isfinite(w).all()):
         raise ValueError("D and w must be finite")
     U, sv, Vt = np.linalg.svd(D, full_matrices=True)
     rank = int(np.count_nonzero(sv > default_rank_tol(D)))
     r0 = Vt[:rank].T @ ((U[:, :rank].T @ w) / sv[:rank])
-    rounding = max(D.shape) * np.finfo(float).eps * sv.max(initial=0.0) * norm2(r0)
+    rounding = max(D.shape) * _EPS * sv.max(initial=0.0) * norm2(r0)
     if norm2(D @ r0 - w) > 1e-9 * norm2(w) + rounding:
         raise ValueError("w is not in the range of D; the constraints D r = w are inconsistent")
     return Vt[rank:].T, r0
@@ -188,12 +189,8 @@ def _qp_stationarity(r, grad, lam, support_tol):
     where r_i is nonzero and |grad_i| <= lam elsewhere.
     """
     on = np.abs(r) > support_tol
-    worst = 0.0
-    if np.any(on):
-        worst = float(np.max(np.abs(grad[on] + lam * np.sign(r[on]))))
-    if not np.all(on):
-        worst = max(worst, max(float(np.max(np.abs(grad[~on]))) - lam, 0.0))
-    return worst
+    worst_on = float(np.abs(grad[on] + lam * np.sign(r[on])).max(initial=0.0))
+    return max(worst_on, float(np.abs(grad[~on]).max(initial=lam)) - lam)
 
 
 def _restore_feasibility(N, r0, r):
@@ -225,7 +222,7 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
         it += 1
         if r_f is not None:
             named = _smallest_rows(r_f, k)
-            if np.array_equal(named, tried):
+            if tried is not None and (named == tried).all():
                 rows = named
                 break
             tried = named
@@ -331,7 +328,7 @@ def _gpsr(N, r0, p):
         dv = np.maximum(v - alpha * grad_v, 0.0) - v
         Pdr = _project(N, du - dv)
         gamma = float(Pdr @ Pdr)
-        if np.isfinite(gamma) and gamma > 0.0:
+        if math.isfinite(gamma) and gamma > 0.0:
             beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
         elif gamma <= 0.0:
             beta = 1.0
@@ -341,7 +338,7 @@ def _gpsr(N, r0, p):
         delta = float(du @ du) + float(dv @ dv)
         if gamma <= 0.0:
             alpha = _ALPHA_MAX
-        elif np.isfinite(delta / gamma):
+        elif math.isfinite(delta / gamma):
             alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
         Pr = Pr + beta * Pdr
         return r, Pr, Pr - r0, alpha
@@ -421,19 +418,19 @@ def _tnipm(N, r0, p):
         dr, du = df[:m], df[m:]
         Pdr = _project(N, dr)
 
-        fval = 0.5 * float(g @ g) + p.lam * float(np.sum(u)) - float(np.sum(np.log(f))) / t
+        fval = 0.5 * float(g @ g) + p.lam * float(u.sum()) - float(np.log(f).sum()) / t
         gtd = float(grad @ df)
         step = 1.0
         for _ in range(100):
             r_new = r + step * dr
             u_new = u + step * du
             f_new = np.concatenate([u_new - r_new, u_new + r_new])
-            if np.min(f_new) > 0.0:
+            if f_new.min() > 0.0:
                 g_new = g + step * Pdr
                 f_cand = (
                     0.5 * float(g_new @ g_new)
-                    + p.lam * float(np.sum(u_new))
-                    - float(np.sum(np.log(f_new))) / t
+                    + p.lam * float(u_new.sum())
+                    - float(np.log(f_new).sum()) / t
                 )
                 if f_cand - fval <= ls_alpha * step * gtd:
                     break
@@ -463,11 +460,11 @@ def _homotopy_step(support, r_k, v, pvec, dk, level, m):
     add[:, support] = np.inf
     add[~(add > 0.0)] = np.inf
     drop = np.where(drop > 0.0, drop, np.inf)
-    i_add = int(np.argmin(add))
+    i_add = int(add.argmin())
     delta_add = float(add.flat[i_add])
-    delta_drop = float(np.min(drop, initial=np.inf))
+    delta_drop = float(drop.min(initial=np.inf))
     if delta_drop <= delta_add and delta_drop < np.inf:
-        return delta_drop, -1, int(support[np.argmin(drop)]), True
+        return delta_drop, -1, int(support[drop.argmin()]), True
     if delta_add < np.inf:
         return delta_add, i_add % m, -1, False
     return np.inf, -1, -1, False
@@ -503,7 +500,7 @@ def _homotopy(N, r0, p):
     if pmax <= lam:
         return
 
-    xi = np.flatnonzero(np.abs(pvec) == pmax)
+    xi = (np.abs(pvec) == pmax).nonzero()[0]
     z = np.zeros(m)
     z[xi] = -np.sign(pvec[xi])
     pvec[xi] = pmax * np.sign(pvec[xi])
@@ -628,7 +625,7 @@ def _adm(N, r0, p):
     r0norm = norm2(r0)
     if r0norm == 0.0:
         return  # mu would be 0; r = 0 is optimal, and _run's crossover certifies it
-    mu = p.mu if p.mu is not None else r0norm / float(np.sqrt(m - n))
+    mu = p.mu if p.mu is not None else r0norm / math.sqrt(m - n)
 
     # P r0 = r0, so r and P r start equal; z and P z start at zero
     r = Pr = r0
@@ -636,7 +633,7 @@ def _adm(N, r0, p):
 
     while True:
         g = Pz - (Pr - r0) / mu  # the multiplier after its dual step
-        z = np.clip(g + r / mu, -1.0, 1.0)
+        z = (g + r / mu).clip(-1.0, 1.0)
         Pz = _project(N, z)
         dr = _ADM_ZETA * mu * (g - z)
         r = r + dr
@@ -770,8 +767,8 @@ def fit_via_residual(
             raise ValueError("reduced system's Q does not have orthonormal columns")
     r0 = Q @ (Q.T @ b) - b
     absQ, absb = np.abs(Q), np.abs(b)
-    rounding = m * np.finfo(float).eps * (absb + absQ @ (absQ.T @ absb))
-    if np.all(np.abs(r0) <= rounding):
+    rounding = m * _EPS * (absb + absQ @ (absQ.T @ absb))
+    if (np.abs(r0) <= rounding).all():
         # consistent system (r0 is rounding noise, or no constraints remain):
         # r = 0 is optimal
         res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)

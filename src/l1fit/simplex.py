@@ -49,11 +49,12 @@ A_T^T A_T, and is moved into the box by alternating projections
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm_inf
+from .linalg import _EPS, default_rank_tol, norm1, norm_inf
 
 __all__ = ["L1Vertex", "l1_vertex"]
 
@@ -91,14 +92,13 @@ class L1Vertex:
     certified: bool
 
 
-def _start_rows(A: np.ndarray) -> np.ndarray:
+def _start_rows(A: np.ndarray, tol: float) -> np.ndarray:
     """The first n rows that are independent, taken in row order.
 
     A row joins when its part orthogonal to the rows already taken exceeds
-    ``default_rank_tol(A)``, so a nonsingular A[:n] is taken whole.
+    ``tol`` (``default_rank_tol(A)``), so a nonsingular A[:n] is taken whole.
     """
     m, n = A.shape
-    tol = default_rank_tol(A)
     Q = np.zeros((n, n))
     rows = []
     for i in range(m):
@@ -122,16 +122,16 @@ def _smallest_rows(r, k):
     An optimal residual vanishes on as many rows as the fit has unknowns,
     so the smallest entries of a point near it name a start basis.
     """
-    return np.sort(np.argpartition(np.abs(r), k - 1)[:k])
+    return np.sort(np.abs(r).argpartition(k - 1)[:k])
 
 
-def _unit_shift(M):
-    """The exponent e that puts max|2^e M| in [1/2, 1), for np.ldexp(M, e).
+def _unit_shift(size):
+    """The exponent e that puts 2^e size in [1/2, 1); np.ldexp(M, e) for size = max|M|.
 
     The scaling is exact, and the Gram of the scaled M cannot overflow or
     vanish when M is far out of range.
     """
-    return -np.frexp(norm_inf(M))[1]
+    return -math.frexp(size)[1]
 
 
 def _least_squares_rows(A, b):
@@ -144,17 +144,12 @@ def _least_squares_rows(A, b):
     is singular in floating point, which a full-rank but ill-conditioned A
     can make it.
     """
-    A_s = np.ldexp(A, _unit_shift(A))
+    A_s = np.ldexp(A, _unit_shift(norm_inf(A)))
     try:
         x_s = np.linalg.solve(A_s.T @ A_s, A_s.T @ b)
     except np.linalg.LinAlgError:
         return None
     return _smallest_rows(A_s @ x_s - b, A.shape[1])
-
-
-def _inverse_T(A, rows):
-    """A_Z^-T for Z = ``rows``, C-ordered: row k is the column A_Z^-1 e_k."""
-    return np.linalg.inv(A[rows].T)
 
 
 def _basis_inverse(A, rows, tol):
@@ -167,10 +162,10 @@ def _basis_inverse(A, rows, tol):
     nothing and so cannot overflow.  A singular or non-finite inverse fails.
     """
     try:
-        inv_T = _inverse_T(A, rows)
+        inv_T = np.linalg.inv(A[rows].T)
     except np.linalg.LinAlgError:
         return None
-    size = float(np.max(np.abs(inv_T), initial=0.0))  # nan or inf fail the test
+    size = norm_inf(inv_T)  # nan or inf fail the test
     return inv_T if A.shape[1] ** 0.5 * size * tol < 1.0 else None
 
 
@@ -181,34 +176,50 @@ def _tied_optimal(A, b, x) -> bool:
     When c = -A_S^T sign(r_S) is zero, u_T = 0 passes with no factorization.
     Otherwise u_T starts at the minimum-norm solution A_T G^-1 c of
     A_T^T u_T = c, with G = A_T^T A_T the n x n Gram (one inverse), and is
-    clipped into the box and projected back, u -= A_T G^-1 (A_T^T u - c),
-    until it lies in [-1, 1]^|T|.  A singular G fails the test.  Only the
-    final check certifies, so an inaccurate G^-1 can fail the test but not
-    pass a vertex that is not optimal.
+    clipped into the box and projected back, u -= A_T z with
+    z = G^-1 (A_T^T u - c), until it lies in [-1, 1]^|T|; a z that proves
+    no such u passes fails the test at once.  A singular G fails it too.
+    Only the final check certifies, so an inaccurate G^-1 can fail the test
+    but not pass a vertex that is not optimal.
     """
     n = A.shape[1]
     r = A @ x - b
     tied = np.abs(r) <= _TIE_TOL * (1.0 + norm_inf(b))
-    if np.count_nonzero(tied) <= n:
+    t = np.count_nonzero(tied)
+    if t <= n:
         return False
-    A_T = A[tied]
-    c = -(np.sign(r[~tied]) @ A[~tied])
+    A_T, off = A[tied], ~tied
+    c = -(np.sign(r[off]) @ A[off])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    # the projections run on A_T and c scaled by one power of two
-    shift = _unit_shift(A_T)
+    # the projections run on A_T and c scaled by s = 2^shift < 1 / size
+    size = norm_inf(A_T)
+    shift = _unit_shift(size)
     A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
     try:
         G_inv = np.linalg.inv(A_s.T @ A_s)
     except np.linalg.LinAlgError:
-        return False
+        return False  # also when size is 0
+    c_max = norm_inf(c)
+    tol = _TIED_TOL * (1.0 + c_max)
+    # Giving up is proven: a u in the box that passes the final check has
+    # A_T^T u = c + e, |e_j| <= tol + (t + 1) (eps / 2) (|A_T|^T 1 + |c|)_j with
+    # the check's rounding, so |z^T c_s| <= ||A_s z||_1 + s tol ||z||_1 + (t + 1)
+    # (eps / 2) K for every z, K = |z|^T (|A_s|^T 1 + |c_s|) <= (t + s ||c||_inf) ||z||_1.
+    # Forming the test errs by (2 n + t) (eps / 2) K more, to first order; the
+    # slack allows twice that, with s < 1 / size.
+    slack = (tol + 2.0 * (t + n + 2) * _EPS * (tol + t * size + c_max)) / size
     u = A_s @ (G_inv @ c_s)
     for _ in range(_TIED_PROJECTIONS):
         if norm_inf(u) <= 1.0:
             break
-        u = np.clip(u, -_TIED_CLIP, _TIED_CLIP)
-        u -= A_s @ (G_inv @ (A_s.T @ u - c_s))
-    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= _TIED_TOL * (1.0 + norm_inf(c))
+        u = u.clip(-_TIED_CLIP, _TIED_CLIP)
+        z = G_inv @ (A_s.T @ u - c_s)
+        step = A_s @ z
+        if abs(z @ c_s) > norm1(step) + slack * norm1(z):
+            return False
+        u -= step
+    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
 
 
 def _descend(A, b, b_pert, rows, inv_T, budget):
@@ -241,28 +252,28 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         g = sigma @ A
         s = inv_T @ g - (P[:terms] @ g) @ Q[:terms]
         size = np.abs(s)
-        over = np.flatnonzero(size > 1.0 + _CERT_TOL)
+        over = (size > 1.0 + _CERT_TOL).nonzero()[0]
         if over.size == 0 or steps >= budget:
             if since == 0 and target is b:
-                return rows, inv_T, steps, float(np.max(size, initial=0.0))
+                return rows, inv_T, steps, float(size.max(initial=0.0))
             target, r = b, None
             if since > 0:  # at since == 0, inv_T is already a fresh factorization
-                inv_T, since, terms = _inverse_T(A, rows), 0, 0
+                inv_T, since, terms = np.linalg.inv(A[rows].T), 0, 0
             continue
-        k = int(over[np.argmin(rows[over])]) if stall >= _STALL_LIMIT else int(np.argmax(size))
+        k = int(over[rows[over].argmin()]) if stall >= _STALL_LIMIT else int(size.argmax())
         col = inv_T[k] - Q[:terms, k] @ P[:terms]  # A_Z^-1 e_k
         Ad = -np.sign(s[k]) * (A @ col)
         # a row whose residual moves toward zero is a breakpoint; the slope
         # starts at 1 - |s_k| and rises by 2 |(A d)_i| as each is passed
-        cand = np.flatnonzero(sigma * Ad < 0.0)
+        cand = (sigma * Ad < 0.0).nonzero()[0]
         if cand.size == 0:
             # in exact arithmetic sigma_S^T A_S d = -|s_k| < 0, so some row is a
             # breakpoint; none is left only when rounding swamps A_Z^-1
             raise ValueError("A has column rank below n; the l1 fit is not unique")
         alpha = np.maximum(-r[cand] / Ad[cand], 0.0)
-        order = np.argsort(alpha, kind="stable")  # ties go to the lowest row
-        slope = 1.0 - size[k] + np.cumsum(2.0 * np.abs(Ad[cand[order]]))
-        pick = order[min(int(np.searchsorted(slope, 0.0)), order.size - 1)]
+        order = alpha.argsort(kind="stable")  # ties go to the lowest row
+        slope = 1.0 - size[k] + (2.0 * np.abs(Ad[cand[order]])).cumsum()
+        pick = order[min(int(slope.searchsorted(0.0)), order.size - 1)]
         j, step = int(cand[pick]), float(alpha[pick])
 
         r += step * Ad
@@ -282,7 +293,7 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         stall = stall + 1 if step == 0.0 else 0
         since += 1
         if since == _REFACTOR_EVERY:
-            inv_T, since, terms, r = _inverse_T(A, rows), 0, 0, None
+            inv_T, since, terms, r = np.linalg.inv(A[rows].T), 0, 0, None
         elif terms == _FOLD_EVERY:
             inv_T, terms = inv_T - Q.T @ P, 0  # F^T - Q^T P
 
@@ -311,7 +322,7 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     m, n = A.shape
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m} x {n}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
     if rows is not None:
         rows = np.array(rows)  # a copy: _descend edits the basis in place
@@ -324,8 +335,8 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
         rows = np.arange(n)
         inv_T = _basis_inverse(A, rows, tol)
         if inv_T is None:
-            rows = _start_rows(A)
-            inv_T = _inverse_T(A, rows)
+            rows = _start_rows(A, tol)
+            inv_T = np.linalg.inv(A[rows].T)
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)

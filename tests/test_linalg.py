@@ -22,6 +22,55 @@ def test_norms_and_parts():
     assert norm_inf([]) == 0.0
 
 
+# the helpers as first written: each rewrite must return these values bit for bit
+def _reference_norm1(v):
+    return float(np.sum(np.abs(v)))
+
+
+def _reference_norm2(v):
+    return float(np.linalg.norm(np.asarray(v, dtype=float).ravel()))
+
+
+def _reference_norm_inf(v):
+    v = np.asarray(v, dtype=float)
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _reference_rank_tol(A):
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return 0.0
+    return float(np.finfo(float).eps * max(A.shape) * np.max(np.abs(A)))
+
+
+_VECTORS = [
+    [], np.array([]), np.zeros((0, 3)), [1.0, -7.0, 2.0], [3, -4], np.array([3, -4, 1]),
+    np.array([[1, -2], [3, 4]]), np.arange(-6.0, 6.0).reshape(3, 4),
+    np.arange(-6.0, 6.0).reshape(3, 4).T, [1.0, np.nan], [np.inf, -1.0], [-np.inf],
+    [np.nan, np.inf], np.random.default_rng(4).standard_normal(1001) * 1e3,
+]
+
+
+def _same_float(got, want):
+    return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("v", _VECTORS, ids=range(len(_VECTORS)))
+def test_norms_match_their_reference_bit_for_bit(v):
+    assert _same_float(norm1(v), _reference_norm1(v))
+    assert _same_float(norm2(v), _reference_norm2(v))
+    assert _same_float(norm_inf(v), _reference_norm_inf(v))
+
+
+@pytest.mark.parametrize("A", [
+    np.zeros((0, 0)), np.zeros((0, 3)), [[1, 2], [3, -4]], np.array([[1, 2], [3, -4], [5, 6]]),
+    np.random.default_rng(5).standard_normal((12, 3)) * 1e-3, [[1.0, np.nan]],
+    [[1.0], [-np.inf]], np.arange(-6.0, 6.0).reshape(3, 4).T,
+], ids=range(8))
+def test_default_rank_tol_matches_its_reference_bit_for_bit(A):
+    assert _same_float(default_rank_tol(A), _reference_rank_tol(A))
+
+
 def test_soft_examples():
     assert soft(3.0, 1.0) == 2.0
     assert soft(-3.0, 1.0) == -2.0
@@ -29,6 +78,8 @@ def test_soft_examples():
     assert np.array_equal(soft(np.array([3.0, -0.5]), 1.0), [2.0, 0.0])
     with pytest.raises(ValueError):
         soft(1.0, -0.1)
+    with pytest.raises(ValueError):
+        soft(np.array([1.0, -2.0]), np.nan)
 
 
 def test_soft_non_expansive():
