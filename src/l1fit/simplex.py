@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EPS, default_rank_tol, norm1, norm_inf
+from .linalg import default_rank_tol, norm_inf
 
 __all__ = ["L1Vertex", "l1_vertex"]
 
@@ -92,13 +92,14 @@ class L1Vertex:
     certified: bool
 
 
-def _start_rows(A: np.ndarray, tol: float) -> np.ndarray:
+def _start_rows(A: np.ndarray) -> np.ndarray:
     """The first n rows that are independent, taken in row order.
 
     A row joins when its part orthogonal to the rows already taken exceeds
-    ``tol`` (``default_rank_tol(A)``), so a nonsingular A[:n] is taken whole.
+    ``default_rank_tol(A)``, so a nonsingular A[:n] is taken whole.
     """
     m, n = A.shape
+    tol = default_rank_tol(A)
     Q = np.zeros((n, n))
     rows = []
     for i in range(m):
@@ -125,13 +126,13 @@ def _smallest_rows(r, k):
     return np.sort(np.abs(r).argpartition(k - 1)[:k])
 
 
-def _unit_shift(size):
-    """The exponent e that puts 2^e size in [1/2, 1); np.ldexp(M, e) for size = max|M|.
+def _unit_shift(M):
+    """The exponent e that puts max|2^e M| in [1/2, 1), for np.ldexp(M, e).
 
     The scaling is exact, and the Gram of the scaled M cannot overflow or
     vanish when M is far out of range.
     """
-    return -math.frexp(size)[1]
+    return -math.frexp(norm_inf(M))[1]
 
 
 def _least_squares_rows(A, b):
@@ -144,7 +145,7 @@ def _least_squares_rows(A, b):
     is singular in floating point, which a full-rank but ill-conditioned A
     can make it.
     """
-    A_s = np.ldexp(A, _unit_shift(norm_inf(A)))
+    A_s = np.ldexp(A, _unit_shift(A))
     try:
         x_s = np.linalg.solve(A_s.T @ A_s, A_s.T @ b)
     except np.linalg.LinAlgError:
@@ -176,50 +177,34 @@ def _tied_optimal(A, b, x) -> bool:
     When c = -A_S^T sign(r_S) is zero, u_T = 0 passes with no factorization.
     Otherwise u_T starts at the minimum-norm solution A_T G^-1 c of
     A_T^T u_T = c, with G = A_T^T A_T the n x n Gram (one inverse), and is
-    clipped into the box and projected back, u -= A_T z with
-    z = G^-1 (A_T^T u - c), until it lies in [-1, 1]^|T|; a z that proves
-    no such u passes fails the test at once.  A singular G fails it too.
-    Only the final check certifies, so an inaccurate G^-1 can fail the test
-    but not pass a vertex that is not optimal.
+    clipped into the box and projected back, u -= A_T G^-1 (A_T^T u - c),
+    until it lies in [-1, 1]^|T|.  A singular G fails the test.  Only the
+    final check certifies, so an inaccurate G^-1 can fail the test but not
+    pass a vertex that is not optimal.
     """
     n = A.shape[1]
     r = A @ x - b
     tied = np.abs(r) <= _TIE_TOL * (1.0 + norm_inf(b))
-    t = np.count_nonzero(tied)
-    if t <= n:
+    if np.count_nonzero(tied) <= n:
         return False
-    A_T, off = A[tied], ~tied
-    c = -(np.sign(r[off]) @ A[off])
+    A_T = A[tied]
+    c = -(np.sign(r[~tied]) @ A[~tied])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    # the projections run on A_T and c scaled by s = 2^shift < 1 / size
-    size = norm_inf(A_T)
-    shift = _unit_shift(size)
+    # the projections run on A_T and c scaled by one power of two
+    shift = _unit_shift(A_T)
     A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
     try:
         G_inv = np.linalg.inv(A_s.T @ A_s)
     except np.linalg.LinAlgError:
-        return False  # also when size is 0
-    c_max = norm_inf(c)
-    tol = _TIED_TOL * (1.0 + c_max)
-    # Giving up is proven: a u in the box that passes the final check has
-    # A_T^T u = c + e, |e_j| <= tol + (t + 1) (eps / 2) (|A_T|^T 1 + |c|)_j with
-    # the check's rounding, so |z^T c_s| <= ||A_s z||_1 + s tol ||z||_1 + (t + 1)
-    # (eps / 2) K for every z, K = |z|^T (|A_s|^T 1 + |c_s|) <= (t + s ||c||_inf) ||z||_1.
-    # Forming the test errs by (2 n + t) (eps / 2) K more, to first order; the
-    # slack allows twice that, with s < 1 / size.
-    slack = (tol + 2.0 * (t + n + 2) * _EPS * (tol + t * size + c_max)) / size
+        return False
     u = A_s @ (G_inv @ c_s)
     for _ in range(_TIED_PROJECTIONS):
         if norm_inf(u) <= 1.0:
             break
         u = u.clip(-_TIED_CLIP, _TIED_CLIP)
-        z = G_inv @ (A_s.T @ u - c_s)
-        step = A_s @ z
-        if abs(z @ c_s) > norm1(step) + slack * norm1(z):
-            return False
-        u -= step
-    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
+        u -= A_s @ (G_inv @ (A_s.T @ u - c_s))
+    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= _TIED_TOL * (1.0 + norm_inf(c))
 
 
 def _descend(A, b, b_pert, rows, inv_T, budget):
@@ -335,7 +320,7 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
         rows = np.arange(n)
         inv_T = _basis_inverse(A, rows, tol)
         if inv_T is None:
-            rows = _start_rows(A, tol)
+            rows = _start_rows(A)
             inv_T = np.linalg.inv(A[rows].T)
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):

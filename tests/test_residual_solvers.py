@@ -15,7 +15,7 @@ from l1fit import (
     reduce_problem,
     residual_solvers,
 )
-from l1fit.linalg import default_rank_tol, norm1, norm2
+from l1fit.linalg import norm1, norm2
 from l1fit.simplex import _start_rows, l1_vertex
 from l1fit.residual_solvers import (
     _TRY_EVERY,
@@ -237,7 +237,7 @@ def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
     problem = bench_problem(256, 128, sparsity, seed)
     rs = reduce_problem(problem)
     r0 = rs.Q @ (rs.Q.T @ problem.b) - problem.b
-    cold = l1_vertex(rs.Q, -r0, rows=_start_rows(rs.Q, default_rank_tol(rs.Q)))
+    cold = l1_vertex(rs.Q, -r0, rows=_start_rows(rs.Q))
     report = fit_via_residual(problem, "linprog")
     assert report.converged and cold.certified
     assert report.iterations < cold.steps

@@ -30,7 +30,5 @@ def test_ab_times_one_tree_against_itself():
     assert secs.shape == (len(fits), 2) and (secs > 0).all()
     lines = ab.report("small-batch", fits, secs)
     assert [line.split()[1] for line in lines] == [*l1fit.ALL_METHODS, "all"]
-    gmean = float(lines[-1].split("gmean")[1].split()[0])
-    assert 0.5 < gmean < 2.0  # the same code on both sides
     with pytest.raises(ValueError, match="even"):
         ab.time_fits(trees, fits, passes=3)

@@ -1,6 +1,6 @@
 """Time two trees' fits of the benchmark's inputs in one process, interleaved fit by fit.
 
-    python3 tools/ab.py OLD_SRC NEW_SRC [--workloads small-batch square] [--seeds 1 7] [--passes 4]
+    python3 tools/ab.py OLD_SRC NEW_SRC [--workloads small-batch square] [--seeds 1 7]
 
 OLD_SRC and NEW_SRC are ``src`` directories.  Each tree's ``l1fit`` is
 imported under its own name, so both run in this process with BLAS on one
@@ -8,13 +8,14 @@ thread.  The inputs come from this checkout's ``perfbench/workloads.py``
 (pinned generator, so any tree gets the same bytes), as in
 ``tools/replay.py``: every round of each seed, through each workload's
 methods.  Every fit (input, label) goes through each tree's ``l1fit.solve``
-once per pass.  Which tree goes first on a fit alternates pass by pass, and
-the pass count must be even, so each tree goes first equally often on
-every fit.  The tree that starts a fit's first pass is drawn at random
-(pinned): a fixed pattern such as even fits old-first would start each
-label on the same side every time, since a workload's labels repeat in a
-fixed order, and two copies of one tree would then read ratios away from
-1 (ORACLE 1.05 and L1-LP 0.97 on small-batch seed 1).  A fit's ratio is
+once in each of ``PASSES`` passes.  Which tree goes first on a fit
+alternates pass by pass, and the pass count is even, so each tree goes
+first equally often on every fit.  The tree that starts a fit's first pass
+is drawn at random (pinned): a fixed pattern such as even fits old-first
+would start each label on the same side every time, since a workload's
+labels repeat in a fixed order, and two copies of one tree would then read
+ratios away from 1 (ORACLE 1.05 and L1-LP 0.97 on small-batch seed 1).
+A fit's ratio is
 its NEW time over its OLD time, each summed over the passes; below 1 the
 new tree is faster.
 
@@ -36,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("small-batch", "square")  # the workloads that fit through l1fit.solve
 MOVED = 1.2  # a fit counts as slower or faster beyond this ratio
+PASSES = 4  # even: each tree goes first on every fit in half of them
 BOOTSTRAP_REPS = 1000
 
 
@@ -114,13 +116,10 @@ def main(argv):
     ap.add_argument("new_src")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES, default=list(WORKLOAD_NAMES))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
-    ap.add_argument("--passes", type=int, default=4)
     args = ap.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (Path(src) / "l1fit" / "__init__.py").is_file():
             ap.error(f"{src} holds no l1fit package")
-    if args.passes < 2 or args.passes % 2:
-        ap.error("--passes must be even and at least 2")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(Path(args.new_src).resolve()), str(ROOT / "perfbench")]
@@ -132,7 +131,7 @@ def main(argv):
         fits = [(inst, label)
                 for seed in args.seeds for k in range(workload.min_rounds)
                 for inst in workload.inputs(seed, k) for label in workload.methods]
-        for line in report(name, fits, time_fits(trees, fits, args.passes)):
+        for line in report(name, fits, time_fits(trees, fits, PASSES)):
             print(line, flush=True)
 
 
