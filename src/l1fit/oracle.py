@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from .reduction import MlmProblem, SolveReport
+from .simplex import _unit_shift
 
 __all__ = ["oracle_solve"]
 
@@ -30,8 +31,12 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     """Enumerate every n-row subset; return the interpolant of least l1 cost.
 
     Subsets whose determinant is below 1e-12 times the Hadamard bound are
-    skipped as singular.  The answer is the first minimal computed cost in
-    lexicographic order of the subsets.  ``iterations`` counts the
+    skipped as singular.  The test reads A scaled by a power of two
+    (``_unit_shift``), which is exact, so that neither the determinant nor
+    the bound overflows or vanishes when A is far out of range; the bound
+    is a product of the scaled A's row norms, each taken once.  The answer
+    is the first minimal computed cost in lexicographic order of the
+    subsets.  ``iterations`` counts the
     nonsingular subsets.  Guarded to m <= 14, n <= 4.
     """
     m, n = problem.m, problem.n
@@ -44,12 +49,13 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
 
     subsets = itertools.chain.from_iterable(itertools.combinations(range(m), n))
     rows = np.fromiter(subsets, dtype=np.intp).reshape(-1, n)
-    sub = A[rows]
-    scale = np.linalg.norm(sub, axis=2).prod(axis=1)
-    keep = np.abs(np.linalg.det(sub)) > _DET_RTOL * scale
+    A_s = np.ldexp(A, _unit_shift(A))
+    scale = np.linalg.norm(A_s, axis=1)[rows].prod(axis=1)
+    keep = np.abs(np.linalg.det(A_s[rows])) > _DET_RTOL * scale
     if not keep.any():
         raise RuntimeError("every n-row subset is numerically singular")
-    X = np.linalg.solve(sub[keep], b[rows[keep], None])[..., 0]
+    rows = rows[keep]
+    X = np.linalg.solve(A[rows], b[rows, None])[..., 0]
     costs = np.abs(X @ A.T - b).sum(axis=1)
 
     return SolveReport.of(problem, X[int(costs.argmin())], t0, iterations=len(X),

@@ -36,8 +36,11 @@ the k = dim(null D) smallest |r_f| (``_smallest_rows``), and a try that
 names the previous try's rows ends the run.  Then exactly one crossover
 runs: the vertex simplex warm-started at the repeated rows, or else at the
 rows of the point the run ends at.  The interior-point and dual methods try
-after every iteration, the continuation solvers on the sparser
-``_tries_at`` schedule, and the homotopy not at all.  ``converged`` is
+after every iteration, the gradient-projection and shrinkage methods on the
+sparser ``_tries_at`` schedule, and the homotopy not at all.  Those two run
+a warm-started continuation over the penalty weight (the SpaRSA scheme):
+each steps on ``_lambda_levels`` in turn until its stationarity residual
+drops below ``_LEVEL_TOL`` times the level.  ``converged`` is
 the simplex's certificate; the solvers' own stop rules and the iteration
 budget only decide when to stop, and an uncertified run returns its end
 point, restored onto the constraints, with converged=False.
@@ -241,32 +244,11 @@ def _tries_at(it) -> bool:
 
     After iterations 1, 2, 4 and 8, so that a run already at its vertex
     crosses over at iteration 2, then every ``_TRY_EVERY``.  The sparse
-    schedule is for ``_continuation`` alone: at its high penalty levels
+    schedule is for ``_gpsr`` and ``_ist`` alone: at their high penalty levels
     consecutive iterates often name the same rows while still off the
     optimum, and each such repeat would start a long crossover.
     """
     return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0
-
-
-def _continuation(N, r0, lam_target, state, step, stationarity):
-    """Warm-started continuation over the penalty weight (the SpaRSA scheme), a core for ``_run``.
-
-    ``state`` is a tuple whose first entry is r.  ``step(state, lam, first)``
-    returns the next state; ``first`` marks a level's first step.
-    ``stationarity(state, lam)`` measures the state against the level, and
-    a level ends at its target.  Each step yields r, with r restored onto
-    r0 + range(N) after the steps ``_tries_at`` names; the run returns at
-    the last level's target.
-    """
-    steps = 0  # for the try schedule
-    for lam in _lambda_levels(r0, lam_target):
-        first = True
-        while stationarity(state, lam) > _LEVEL_TOL * lam:
-            state = step(state, lam, first)
-            first = False
-            steps += 1
-            r = state[0]
-            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
 
 
 def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
@@ -299,55 +281,54 @@ def residual_gpsr(D, w, params: SolverParams | None = None) -> ResidualSolution:
 
     Projected Barzilai-Borwein steps on r = u - v (u, v >= 0) with an exact
     line search, step lengths clipped to [1e-30, 1e30], run on the kernel
-    pair inside ``_continuation``; each level is left once the stationarity
-    residual drops below _LEVEL_TOL times the level, the last level being
-    ``lam``.  After steps 1, 2, 4 and 8, then every 10, the iterate names
-    its vertex rows.  ``_run`` drives the iteration: it ends the run at a
-    repeat of the previous rows or at the budget, crosses over once, and
-    ``converged`` means certified.
+    pair over the continuation levels, each restarting the step length at
+    1; a level is left once the stationarity residual drops below
+    _LEVEL_TOL times the level, the last level being ``lam``.  After steps
+    1, 2, 4 and 8, then every 10, the iterate names its vertex rows.
+    ``_run`` drives the iteration: it ends the run at a repeat of the
+    previous rows or at the budget, crosses over once, and ``converged``
+    means certified.
     """
     return _run(*_kernel_pair(D, w), params, core=_gpsr)
 
 
 def _gpsr(N, r0, p):
     """``residual_gpsr``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
-    r = np.zeros(N.shape[0])
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def step(state, lam, first):
-        # shifting u and v by min(u, v) after each step leaves exactly
-        # u = max(r, 0) and v = max(-r, 0), so r alone carries the split
-        r, Pr, grad0, alpha = state
-        if first:
-            alpha = 1.0  # stale step estimates from the previous level stall
-        u = np.maximum(r, 0.0)
-        v = np.maximum(-r, 0.0)
-        grad_u = grad0 + lam
-        grad_v = -grad_u + 2.0 * lam
-        du = np.maximum(u - alpha * grad_u, 0.0) - u
-        dv = np.maximum(v - alpha * grad_v, 0.0) - v
-        Pdr = _project(N, du - dv)
-        gamma = float(Pdr @ Pdr)
-        if math.isfinite(gamma) and gamma > 0.0:
-            beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
-        elif gamma <= 0.0:
-            beta = 1.0
-        else:  # gamma overflowed; the line search rejects the step
-            beta = 0.0
-        r = (u + beta * du) - (v + beta * dv)
-        delta = float(du @ du) + float(dv @ dv)
-        if gamma <= 0.0:
-            alpha = _ALPHA_MAX
-        elif math.isfinite(delta / gamma):
-            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
-        Pr = Pr + beta * Pdr
-        return r, Pr, Pr - r0, alpha
-
-    def stationarity(state, lam):
-        r, _, grad0, _ = state
-        return _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r)))
-
-    return _continuation(N, r0, p.lam, (r, np.zeros_like(r), -r0, 1.0), step, stationarity)
+    # shifting u and v by min(u, v) after each step leaves exactly
+    # u = max(r, 0) and v = max(-r, 0), so r alone carries the split
+    r = Pr = np.zeros(N.shape[0])
+    grad0 = -r0  # P r - r0
+    steps = 0  # for the try schedule
+    for lam in _lambda_levels(r0, p.lam):
+        alpha = 1.0  # stale step estimates from the previous level stall
+        while _qp_stationarity(r, grad0, lam, 1e-12 * (1.0 + norm2(r))) > _LEVEL_TOL * lam:
+            # numpy's error state is a context variable: held across a
+            # yield it would leak into _run and the crossover
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = np.maximum(r, 0.0)
+                v = np.maximum(-r, 0.0)
+                grad_u = grad0 + lam
+                grad_v = -grad_u + 2.0 * lam
+                du = np.maximum(u - alpha * grad_u, 0.0) - u
+                dv = np.maximum(v - alpha * grad_v, 0.0) - v
+                Pdr = _project(N, du - dv)
+                gamma = float(Pdr @ Pdr)
+                if math.isfinite(gamma) and gamma > 0.0:
+                    beta = min(-(float(grad_u @ du) + float(grad_v @ dv)) / gamma, 1.0)
+                elif gamma <= 0.0:
+                    beta = 1.0
+                else:  # gamma overflowed; the line search rejects the step
+                    beta = 0.0
+                r = (u + beta * du) - (v + beta * dv)
+                delta = float(du @ du) + float(dv @ dv)
+                if gamma <= 0.0:
+                    alpha = _ALPHA_MAX
+                elif math.isfinite(delta / gamma):
+                    alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, delta / gamma))
+                Pr = Pr + beta * Pdr
+                grad0 = Pr - r0
+            steps += 1
+            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -558,7 +539,7 @@ def _homotopy(N, r0, p):
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
     """Iterative shrinkage-thresholding with Barzilai-Borwein curvature.
 
-    Runs on the kernel pair inside ``_continuation``, like the
+    Runs on the kernel pair over the continuation levels, like the
     gradient-projection solver; within a level each shrinkage step must not
     increase the penalized objective (the curvature estimate is doubled
     until it does not), which keeps the non-monotone Barzilai-Borwein
@@ -572,32 +553,29 @@ def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
 
 def _ist(N, r0, p):
     """``residual_ist``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
-
-    def step(state, lam, first):
-        # g = P r - r0 is both the gradient and, in norm, the constraint
-        # violation; f, the penalized objective at r, is carried within a level
-        r_prev, g_prev, alpha, f_prev = state
-        if first:
-            f_prev = 0.5 * float(g_prev @ g_prev) + lam * norm1(r_prev)
-        for _ in range(200):
-            r = soft(r_prev - g_prev / alpha, lam / alpha)
-            dr = r - r_prev
-            Pdr = _project(N, dr)
-            g = g_prev + Pdr
-            f = 0.5 * float(g @ g) + lam * norm1(r)
-            if f <= f_prev + 1e-12 * abs(f_prev):
-                break
-            alpha = min(2.0 * alpha, _ALPHA_MAX)
-        delta = float(dr @ dr)
-        gamma = float(Pdr @ Pdr)
-        if delta > 0.0 and gamma > 0.0:
-            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
-        return r, g, alpha, f
-
-    def stationarity(state, lam):
-        return _qp_stationarity(state[0], state[1], lam, 0.0)
-
-    return _continuation(N, r0, p.lam, (np.zeros(N.shape[0]), -r0, 1.0, None), step, stationarity)
+    # g = P r - r0 is both the gradient and, in norm, the constraint
+    # violation; f, the penalized objective at r, is carried within a level
+    r, g, alpha = np.zeros(N.shape[0]), -r0, 1.0
+    steps = 0  # for the try schedule
+    for lam in _lambda_levels(r0, p.lam):
+        f = 0.5 * float(g @ g) + lam * norm1(r)
+        while _qp_stationarity(r, g, lam, 0.0) > _LEVEL_TOL * lam:
+            r_prev, g_prev, f_prev = r, g, f
+            for _ in range(200):
+                r = soft(r_prev - g_prev / alpha, lam / alpha)
+                dr = r - r_prev
+                Pdr = _project(N, dr)
+                g = g_prev + Pdr
+                f = 0.5 * float(g @ g) + lam * norm1(r)
+                if f <= f_prev + 1e-12 * abs(f_prev):
+                    break
+                alpha = min(2.0 * alpha, _ALPHA_MAX)
+            delta = float(dr @ dr)
+            gamma = float(Pdr @ Pdr)
+            if delta > 0.0 and gamma > 0.0:
+                alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
+            steps += 1
+            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -750,7 +728,6 @@ def fit_via_residual(
             f"unknown residual method {method!r}; valid names: "
             + ", ".join(sorted(RESIDUAL_METHODS))
         )
-    params = params or SolverParams()
     m, n = problem.m, problem.n
     b = problem.b
     t0 = time.perf_counter()

@@ -49,6 +49,21 @@ def test_all_subsets_singular():
         oracle_solve(prob)
 
 
+@pytest.mark.parametrize("m,n,scale", [
+    (10, 4, 1e80), (10, 4, 1e-85), (8, 3, 1e200), (8, 3, 1e-200), (12, 2, 1e-170)])
+def test_extreme_scales_of_a_keep_the_nonsingular_subsets(m, n, scale):
+    # the determinant and its Hadamard bound used to overflow or vanish
+    # together here, and every subset read as singular
+    base = random_problem(np.random.default_rng(63), m, n)
+    prob = MlmProblem(scale * base.A, base.b)
+    lp = solve(prob, "L1-LP")
+    assert lp.converged
+    report, unscaled = oracle_solve(prob), oracle_solve(base)
+    assert report.iterations == unscaled.iterations
+    assert report.cost == pytest.approx(lp.cost, rel=1e-9)
+    assert report.cost == pytest.approx(unscaled.cost, rel=1e-9)
+
+
 def test_tie_breaks_lexicographically():
     # two disjoint optimal interpolations; the first subset in
     # lexicographic order must win deterministically

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import warnings
 
@@ -21,11 +22,12 @@ from l1fit.residual_solvers import (
     _TRY_EVERY,
     RESIDUAL_METHODS,
     SolverParams,
-    _continuation,
-    _lambda_levels,
+    _gpsr,
+    _ist,
     _kernel_pair,
     _newton_direction,
     _restore_feasibility,
+    _run,
     _smallest_rows,
     _tries_at,
     fit_via_residual,
@@ -844,87 +846,99 @@ def test_noise_free_driver_accuracy():
     assert np.linalg.norm(report.x - p) <= 1e-10 * np.linalg.norm(p)
 
 
-class _ScriptedSolver:
-    """A fake solver driven through ``_continuation``.
+def _small_pair():
+    """A pinned 8 x 3 kernel pair (N, r0): a try names k = 3 rows."""
+    return _reduced_pair(bench_problem(8, 3, 0.25, 100001))
 
-    A state is ``(r,)`` where r[1] tags it with the number of steps taken to
-    make it; ``stat(depth, tag)`` scripts the stationarity on level ``depth``.  The
-    penalty 0.03 gives three levels: 0.1, 0.05 and 0.03.
+
+def _scripted(points):
+    """A core for ``_run`` that yields ``points`` in turn; ``asked`` counts the ones taken."""
+    asked = []
+
+    def core(N, r0, p):
+        for point in points:
+            asked.append(point)
+            yield point
+
+    return core, asked
+
+
+def _spying_simplex(monkeypatch, certified=None):
+    """Record the start rows of the residual solvers' l1_vertex calls.
+
+    A given ``certified`` overrides the verdict.
     """
+    starts = []
 
-    r0 = np.array([1.0, 0.0])
-    lam = 0.03
+    def spied(A, b, rows=None):
+        starts.append(rows)
+        vertex = l1_vertex(A, b, rows=rows)
+        return vertex if certified is None else dataclasses.replace(vertex, certified=certified)
 
-    def __init__(self, stat):
-        self.stat = stat
-        self.levels = _lambda_levels(self.r0, self.lam)
-        self.steps = []  # (depth, tag stepped from, first step of the level?)
+    monkeypatch.setattr(residual_solvers, "l1_vertex", spied)
+    return starts
 
-    def step(self, state, lam, first):
-        self.steps.append((self.levels.index(lam), int(state[0][1]), first))
-        return (np.array([0.0, float(len(self.steps))]),)
 
-    def stationarity(self, state, lam):
-        return self.stat(self.levels.index(lam), int(state[0][1]))
+def test_run_ends_at_a_repeated_try_and_crosses_over_from_its_rows(monkeypatch):
+    N, r0 = _small_pair()
+    k = N.shape[1]
+    rng = np.random.default_rng(1)
+    rs = [rng.standard_normal(N.shape[0]) for _ in range(5)]
+    a, b = (_restore_feasibility(N, r0, r) for r in rng.standard_normal((2, N.shape[0])))
+    assert not (_smallest_rows(a, k) == _smallest_rows(b, k)).all()
+    # tries b, a, a: the second a repeats the rows of the try before it
+    core, asked = _scripted([(rs[0], b), (rs[1], None), (rs[2], a), (rs[3], a), (rs[4], b)])
+    starts = _spying_simplex(monkeypatch)
+    res = _run(N, r0, core=core)
+    assert res.iterations == 4 and len(asked) == 4
+    assert len(starts) == 1 and (starts[0] == _smallest_rows(a, k)).all()
+    assert res.converged
+    assert res.objective == pytest.approx(residual_solvers._linprog(N, r0).objective, rel=1e-12)
 
-    def run(self, maxiter=10000, attempt=lambda r: False):
-        """The loop's raw end: (iterations, tag of the end state).
 
-        Drives the generator as ``_run`` does: ``attempt(r)`` is called on
-        each iterate the schedule tries, and a True ends the run.
-        """
-        steps = _continuation(np.zeros((2, 0)), self.r0, self.lam, (np.zeros(2),), self.step,
-                              self.stationarity)
-        it, r = 0, np.zeros(2)
-        for r, r_f in steps:
+def test_run_out_of_budget_ends_at_the_last_yielded_point(monkeypatch):
+    N, r0 = _small_pair()
+    rng = np.random.default_rng(2)
+    points = [(r, None) for r in rng.standard_normal((5, N.shape[0]))]
+    core, asked = _scripted(points)
+    starts = _spying_simplex(monkeypatch, certified=False)
+    res = _run(N, r0, SolverParams(maxiter=3), core=core)
+    end = _restore_feasibility(N, r0, points[2][0])
+    assert res.iterations == 3 and len(asked) == 3
+    assert len(starts) == 1 and (starts[0] == _smallest_rows(end, N.shape[1])).all()
+    assert not res.converged
+    assert np.array_equal(res.r, end)
+
+
+def test_run_of_a_core_that_returns_at_once_crosses_over_from_zero(monkeypatch):
+    N, r0 = _small_pair()
+    core, asked = _scripted([])
+    starts = _spying_simplex(monkeypatch)
+    res = _run(N, r0, core=core)
+    assert res.iterations == 0 and not asked
+    # r = 0 restored is r0, so the crossover starts at r0's smallest rows
+    assert len(starts) == 1 and (starts[0] == _smallest_rows(r0, N.shape[1])).all()
+    assert res.converged
+    assert res.objective == pytest.approx(residual_solvers._linprog(N, r0).objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("core", [_gpsr, _ist])
+def test_continuation_cores_try_on_schedule_under_the_callers_errstate(core):
+    # the tries come exactly at the _tries_at iterations, each restored onto
+    # r0 + range(N), and no step's error state leaks out across a yield
+    N, r0 = _reduced_pair(bench_problem(64, 16, 0.25, 100001))
+    it = 0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        caller = np.geterr()
+        for r, r_f in itertools.islice(core(N, r0, SolverParams()), 300):
             it += 1
-            if (r_f is not None and attempt(r)) or it >= maxiter:
-                break
-        return it, int(r[1])
-
-    def depths(self):
-        return [depth for depth, _, _ in self.steps]
-
-
-def test_continuation_reaching_last_target_converges():
-    # every level needs two steps to reach its target
-    fake = _ScriptedSolver(lambda depth, tag: 0.0 if tag >= 2 * (depth + 1) else 1.0)
-    assert fake.levels == [0.1, 0.05, 0.03]
-    it, tag = fake.run()
-    assert it == 6 and tag == 6
-    assert fake.depths() == [0, 0, 1, 1, 2, 2]
-    assert [first for _, _, first in fake.steps] == [True, False] * 3
-
-
-def test_continuation_middle_level_ends_at_first_certified_attempt():
-    # level 0 is reached in one step; level 1 never reaches its target
-    fake = _ScriptedSolver(lambda depth, tag: 0.0 if depth == 0 and tag >= 1 else 1.0)
-    tried = []
-
-    def attempt(r):
-        tried.append(int(r[1]))
-        return len(tried) == 3
-
-    it, tag = fake.run(attempt=attempt)
-    first_tries = [i for i in range(1, 4 * _TRY_EVERY) if _tries_at(i)][:3]
-    assert tried == first_tries
-    assert it == first_tries[2] and tag == it
-    assert fake.depths() == [0] + [1] * (it - 1)
+            assert np.geterr() == caller
+            assert (r_f is not None) == _tries_at(it)
+            if r_f is not None:
+                assert norm2(r_f - N @ (N.T @ r_f) - r0) <= 1e-12 * norm2(r0)
+    assert it > 3 * _TRY_EVERY
 
 
 def test_tries_start_early_then_keep_the_cadence():
     assert [i for i in range(1, 3 * _TRY_EVERY + 1) if _tries_at(i)] == [
         1, 2, 4, 8, _TRY_EVERY, 2 * _TRY_EVERY, 3 * _TRY_EVERY]
-
-
-def test_continuation_out_of_budget_returns_the_last_state():
-    # level 1 improves once (state 2) and then gets worse until the budget runs out
-    def stat(depth, tag):
-        if depth == 0:
-            return 0.0 if tag >= 1 else 1.0
-        return {1: 1.0, 2: 0.5}.get(tag, 0.9)
-
-    fake = _ScriptedSolver(stat)
-    it, tag = fake.run(maxiter=10)
-    assert it == 10 and len(fake.steps) == 10
-    assert tag == 10  # the state the run stopped on, not the level's best

@@ -30,6 +30,21 @@ SMALL_BATCH_SEEDS = (1, 7)
 TALL_SEEDS = (1, 73)
 
 
+def fit_lines(l1fit, workload, inst, labels):
+    """The replay lines of the input ``inst`` of ``workload``, one per label, fit by ``l1fit``."""
+    lines = []
+    for label in labels:
+        try:
+            report = l1fit.solve(inst.problem, label)
+        except (ValueError, RuntimeError) as exc:
+            lines.append(f"{workload} {inst.key} {label} error: {type(exc).__name__}: {exc}")
+            continue
+        digest = hashlib.sha256(report.x.tobytes()).hexdigest()[:16]
+        lines.append(f"{workload} {inst.key} {label} {digest} {report.iterations} "
+                     f"{report.converged} {report.cost!r}")
+    return lines
+
+
 def main(argv):
     if len(argv) != 1 or not (Path(argv[0]) / "l1fit").is_dir():
         sys.exit("usage: replay.py SRC_DIR  (a directory holding the l1fit package)")
@@ -40,15 +55,8 @@ def main(argv):
     import workloads
 
     def replay(workload, inst, labels):
-        for label in labels:
-            try:
-                report = l1fit.solve(inst.problem, label)
-            except (ValueError, RuntimeError) as exc:
-                print(workload, inst.key, label, f"error: {type(exc).__name__}: {exc}")
-                continue
-            digest = hashlib.sha256(report.x.tobytes()).hexdigest()[:16]
-            print(workload, inst.key, label, digest, report.iterations, report.converged,
-                  repr(report.cost))
+        for line in fit_lines(l1fit, workload, inst, labels):
+            print(line)
 
     for name, seeds in (("square", SQUARE_SEEDS), ("small-batch", SMALL_BATCH_SEEDS)):
         workload = workloads.WORKLOADS[name]
