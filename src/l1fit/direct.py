@@ -2,7 +2,8 @@
 
 ``fit_linprog`` is the l1 vertex simplex on (A, b); ``fit_perturbation`` is
 the descent scheme that grows the set of zero residuals along kernel
-directions and applies a correction step when the zero rows reach rank n.
+directions and applies a correction step when the zero rows reach rank n,
+with one SVD of each zero set serving both.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import time
 
 import numpy as np
 
-from .linalg import norm_inf, nullspace_basis, pinv
+from .linalg import default_rank_tol, norm_inf
 from .reduction import MlmProblem, SolveReport
 from .simplex import _least_squares_rows, l1_vertex
 
@@ -64,11 +65,12 @@ def fit_perturbation(
 ) -> SolveReport:
     """Descent on kernel directions with the sign-based correction step.
 
-    The inner loop enlarges the zero-residual set one row per step until
-    those rows have rank n (n dependent rows are not enough); the decision
-    vector s = (A_z^T)^+ A_*^T sign(r_*) then either certifies optimality
-    (||s||_inf <= 1) or points to the rows whose residual signs to flip via
-    x += c * A_z^+ u(s).
+    One SVD factors each zero set A_z, the rows of zero residual.  Below
+    rank n (n dependent rows are not enough) a step along a kernel vector
+    enlarges the zero set, at most m + n times per round; at rank n the
+    same factors give A_z^+, and s = (A_z^T)^+ A_*^T sign(r_*) either
+    certifies optimality (||s||_inf <= 1) or points to the zero rows whose
+    residual signs to flip via x += c * A_z^+ u(s), which ends the round.
     """
     if not c > 0:
         raise ValueError("correction scale c must be positive")
@@ -79,36 +81,31 @@ def fit_perturbation(
     t0 = time.perf_counter()
 
     x = np.zeros(n)
-    outer = 0
+    outer, grown = 1, 0
     converged = False
-    while outer < maxiter:
-        outer += 1
+    while True:
         r = A @ x - b
         zmask = _zero_mask(r)
-        kernel = nullspace_basis(A[zmask])
-        guard = 0
-        while kernel.shape[1]:
-            guard += 1
-            if guard > m + n:
+        A_z = A[zmask]
+        U, sv, Vt = np.linalg.svd(A_z)
+        rank = np.count_nonzero(sv > default_rank_tol(A_z))
+        if rank < n:
+            grown += 1
+            if grown > m + n:
                 raise RuntimeError("zero-set growth stalled; residual ties too degenerate")
-            d = kernel[:, 0]
-            step = _best_step(r[~zmask], A[~zmask] @ d)
-            x = x + step * d
-            r = A @ x - b
-            zmask = _zero_mask(r)
-            kernel = nullspace_basis(A[zmask])
-
-        r_star = r[~zmask]
-        if r_star.size == 0:
-            converged = True  # interpolates every row; nothing left to improve
-            break
-        A_z_pinv = pinv(A[zmask])
-        s = A_z_pinv.T @ (A[~zmask].T @ np.sign(r_star))
-        if norm_inf(s) <= 1.0:
-            converged = True
-            break
-        u = (np.abs(s) > 1.0).astype(float)
-        x = x + c * (A_z_pinv @ u)
+            d = Vt[rank]
+            x = x + _best_step(r[~zmask], A[~zmask] @ d) * d
+        else:
+            A_z_pinv = (Vt.T / sv) @ U[:, :n].T
+            # s = 0 certifies a fit that interpolates every row
+            s = A_z_pinv.T @ (A[~zmask].T @ np.sign(r[~zmask]))
+            if norm_inf(s) <= 1.0:
+                converged = True
+                break
+            x = x + c * (A_z_pinv @ (np.abs(s) > 1.0).astype(float))
+            if outer == maxiter:
+                break
+            outer, grown = outer + 1, 0
 
     return SolveReport.of(problem, x, t0, iterations=outer, method="L1-PTB",
                           converged=converged)

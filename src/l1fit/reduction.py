@@ -20,8 +20,8 @@ of forming and factoring the Gram matrix, of Householder QR and of the SVD
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10 and
 Thm 19.4).  It also bounds kappa(A), and then block Gram-Schmidt with
 reorthogonalization on Householder panels gives the thin QR in about half
-the time of LAPACK's; only when the certificate fails do Householder QR
-and an SVD of R decide.
+the time of LAPACK's above one panel of columns; below it, and when the
+certificate fails, Householder QR and an SVD of R decide.
 """
 
 from __future__ import annotations
@@ -190,11 +190,9 @@ def _block_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Panels of ``_PANEL`` columns: each is projected off the Q found so far
     twice, then factored by Householder QR (Barlow & Smoktunowicz, Numer.
     Math. 2013, whose loss of orthogonality is O(eps) while kappa(A) eps is
-    small).  With n <= ``_PANEL`` this is ``np.linalg.qr(A)`` itself.
+    small).  ``reduce_problem`` calls it for n > ``_PANEL`` only.
     """
     m, n = A.shape
-    if n <= _PANEL:
-        return np.linalg.qr(A)
     Q, R = np.empty((m, n)), np.zeros((n, n))
     for j in range(0, n, _PANEL):
         e = min(j + _PANEL, n)
@@ -214,17 +212,17 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """Factor A = Q R by one thin QR for the reduce -> solve -> recover pipeline.
 
     Raises ValueError when A has column rank below n: sigma_min(R) of A's
-    Householder factor R at most ``default_rank_tol(A)``.  A Cholesky
-    certificate on A^T A (``_certified_full_rank``) proves full rank first,
-    and then the factors come from block Gram-Schmidt (``_block_qr``), whose
-    Q the certificate's bound on kappa(A) keeps orthonormal to O(eps), as
-    Householder QR's is.  When it is inconclusive, Householder QR
+    Householder factor R at most ``default_rank_tol(A)``.  Above ``_PANEL``
+    columns a Cholesky certificate on A^T A (``_certified_full_rank``) may
+    prove full rank first; the factors then come from block Gram-Schmidt
+    (``_block_qr``), whose Q the certificate's bound on kappa(A) keeps
+    orthonormal to O(eps), as Householder QR's is.  Otherwise Householder QR
     (``np.linalg.qr``) factors A and the smallest singular value of R
     decides, so the verdict is the SVD's on every input.
     """
     A = problem.A
     tol = default_rank_tol(A)
-    if _certified_full_rank(A, tol):
+    if A.shape[1] > _PANEL and _certified_full_rank(A, tol):
         Q, R = _block_qr(A)
     else:
         Q, R = np.linalg.qr(A)

@@ -27,12 +27,12 @@ accepted when w agrees with them.
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
 simplex can finish.  Each of the six iterative cores is a generator that
-only iterates: after each iteration it yields (r, r_f), the point the run
-would end at and, when the core names rows there, that point restored onto
-r0 + range(N), else None, and it returns where its own stop rule fires.
-One loop, ``_run``, drives every core and owns the rest: the iteration
-count and the ``maxiter`` budget, the tries and the answer.  A try names
-the k = dim(null D) smallest |r_f| (``_smallest_rows``), and a try that
+only iterates: it yields every point it moves to once, as (r, r_f), with
+r_f that point restored onto r0 + range(N) when the core names rows there,
+else None, and it returns where its own stop rule fires.  One loop,
+``_run``, drives every core and owns the rest: the iteration count (one per
+yield), the ``maxiter`` budget, the tries and the answer.  A try names the
+k = dim(null D) smallest |r_f| (``_smallest_rows``), and a try that
 names the previous try's rows ends the run.  Then exactly one crossover
 runs: the vertex simplex warm-started at the repeated rows, or else at the
 rows of the point the run ends at.  The interior-point and dual methods try
@@ -204,17 +204,17 @@ def _restore_feasibility(N, r0, r):
 def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution:
     """Run the iterative core ``core(N, r0, p)`` and end it with exactly one crossover.
 
-    The core is a generator: after each iteration it yields (r, r_f), the
-    point the run would end at and, when the core names rows there, that
-    point restored onto r0 + range(N) (the dual methods hold it without a
-    product by N), else None.  Each r_f is a try: it names its k smallest
-    rows (``_smallest_rows``), and a try that names the previous try's
-    rows has settled on a vertex and ends the run.  The run also ends where
-    the core returns (its own stop rule; a core that returns before its
-    first iteration ends at r = 0) or after ``maxiter`` iterations.  The
-    crossover then runs once: the vertex simplex ``l1_vertex(N, -r0)``,
-    warm-started at the repeated rows, or else at the rows of the end point
-    restored.  A certified vertex z gives r = N z + r0 and converged=True;
+    The core is a generator: each yield is one iteration, (r, r_f), a point
+    it moved to and, when the core names rows there, that point restored
+    onto r0 + range(N) (the dual methods hold it without a product by N),
+    else None; its last yield is its end point.  Each r_f is a try: it
+    names its k smallest rows (``_smallest_rows``), and a try that names
+    the previous try's rows has settled on a vertex and ends the run.  The
+    run also ends where the core returns (its own stop rule; a core that
+    returns before its first iteration ends at r = 0) or after ``maxiter``
+    iterations.  The crossover then runs once: the vertex simplex
+    ``l1_vertex(N, -r0)``, warm-started at the repeated rows, or else at the
+    rows of the end point restored.  A certified vertex z gives r = N z + r0 and converged=True;
     otherwise the answer is the end point, restored onto the constraints,
     with converged=False.
     """
@@ -388,7 +388,7 @@ def _tnipm(N, r0, p):
         dobj = max(-0.5 * float(nu @ nu) - float(nu @ r0), dobj)
         eta = pobj - dobj
         if eta <= 0.0 or (dobj > 0.0 and eta / dobj < p.epsilon):
-            break
+            return
         if step >= 0.5:
             t = max(mu_t * min(2.0 * m / eta, t), t)
 
@@ -417,12 +417,11 @@ def _tnipm(N, r0, p):
                     break
             step *= ls_beta
         else:
-            break  # backtracking found no acceptable step
+            return  # backtracking found no acceptable step
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
-            break  # accepted step moves nothing; numerical floor reached
+            return  # accepted step moves nothing; numerical floor reached
         r, u, f, g = r_new, u_new, f_new, g_new
         yield r, _restore_feasibility(N, r0, r)
-    yield r, None  # the iteration the stop rule ended counts, at the point it ended on
 
 
 def _homotopy_step(support, r_k, v, pvec, dk, level, m):
@@ -505,8 +504,8 @@ def _homotopy(N, r0, p):
         delta, i_add, i_del, removing = _homotopy_step(xi, r, v, pvec, dk, pmax, m)
 
         if pmax - delta <= lam:
-            r = r + (pmax - lam) * v
-            break
+            yield r + (pmax - lam) * v, None  # the path's end
+            return
         r = r + delta * v
         pvec = pvec + delta * dk
         pmax = pmax - delta
@@ -516,8 +515,9 @@ def _homotopy(N, r0, p):
         g = F @ a - Uk.T @ (ck * (Uk @ a))
         sign = 1.0 if removing else -1.0
         denom = 1.0 + sign * float(a @ g)
-        if denom <= 0.0:
-            break  # G would turn singular (S outgrowing rank D): r vanishes off S, a vertex
+        if denom <= 0.0:  # G would turn singular (S outgrowing rank D)
+            yield r, None  # r vanishes off S: a vertex, where the path ends
+            return
         U[updates], coef[updates] = g, sign / denom
         updates += 1
         if removing:
@@ -533,7 +533,6 @@ def _homotopy(N, r0, p):
             pin = xi
         pvec[pin] = pmax * np.sign(pvec[pin])
         yield r, None
-    yield r, None  # the breakpoint that ended the path counts
 
 
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -616,12 +615,11 @@ def _adm(N, r0, p):
         dr = _ADM_ZETA * mu * (g - z)
         r = r + dr
         Pr = Pr + _ADM_ZETA * mu * (g - Pz)
+        yield r, r - Pr + r0  # r restored onto r0 + range(N)
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
         if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
-            break
-        yield r, r - Pr + r0  # r restored onto r0 + range(N)
-    yield r, None  # the iteration the stop rule ended counts
+            return
 
 
 def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -666,18 +664,17 @@ def _pob(N, r0, p):
         s = r
         r = soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
         Pr = _project(N, r)
+        yield r / scale, (r - Pr) / scale + r0  # r / scale, restored
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
-            break
-        yield r / scale, (r - Pr) / scale + r0  # r / scale, restored
+            return
         zdual = y
         t = Pr + zdual - scaled
         nt = norm2(t)
         if nt <= p.epsilon:
-            y = np.zeros(m)
+            y = np.zeros(m)  # the block shrinkage of a t inside the epsilon-ball
         else:
             y = (1.0 - p.epsilon / nt) * t
-    yield r / scale, None  # the iteration the stop rule ended counts
 
 
 # the core solvers (N, r0, params) on the kernel pair, by method name

@@ -96,9 +96,11 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
     """The first n rows that are independent, taken in row order.
 
     A row joins when its part orthogonal to the rows already taken exceeds
-    ``default_rank_tol(A)``, so a nonsingular A[:n] is taken whole.
+    ``default_rank_tol(A)``, so a nonsingular A[:n] is taken whole.  A is
+    scaled by a power of two (``_unit_shift``) so no norm overflows or vanishes.
     """
     m, n = A.shape
+    A = np.ldexp(A, _unit_shift(A))
     tol = default_rank_tol(A)
     Q = np.zeros((n, n))
     rows = []

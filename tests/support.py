@@ -1,6 +1,8 @@
-"""Shared helpers: independent brute-force oracles and instance factories."""
+"""Shared helpers: independent brute-force oracles, instance factories and a line trace."""
 
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -150,3 +152,25 @@ def quickstart_problem():
     b = A @ rng.standard_normal(5)
     b[[3, 17, 28]] += np.array([8.0, -6.0, 11.0])
     return MlmProblem(A, b)
+
+
+def lines_run(func, call):
+    """The source lines of ``func``, stripped, that ``call()`` executes (a line trace).
+
+    Shows that a test reaches the branch it is written for, wherever the
+    branch sits in the file.
+    """
+    source, first = inspect.getsourcelines(func)
+    code, ran = func.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(source[frame.f_lineno - first].strip())
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return ran

@@ -1,9 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, fit_linprog, fit_perturbation, gen_instance, oracle_solve
+from l1fit import MlmProblem, direct, fit_linprog, fit_perturbation, gen_instance, oracle_solve
 from l1fit.direct import _best_step, _zero_mask
-from support import dependent_top_rows_problem, highs_cost, random_problem
+from l1fit.linalg import norm_inf, nullspace_basis, pinv
+from support import bench_problem, dependent_top_rows_problem, highs_cost, random_problem
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_linprog_consistent_system():
@@ -125,3 +132,87 @@ def test_square_system_solved_exactly():
     prob = MlmProblem(A, A @ p)
     assert fit_perturbation(prob).cost <= 1e-8
     assert fit_linprog(prob).cost <= 1e-8
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name``, patched to a pass-through; returns the list of calls."""
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [100001, 100026, 700023])
+def test_perturbation_takes_one_svd_per_zero_set(monkeypatch, seed):
+    # each kernel step and each round's certificate factor their zero set
+    # once; the nullspace SVD and the pseudo-inverse's SVD used to be two
+    problem = bench_problem(14, 4, 0.25, seed)
+    steps = _counting(monkeypatch, direct, "_best_step")
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    report = fit_perturbation(problem)
+    assert len(steps) > 0
+    assert len(svds) == len(steps) + report.iterations
+
+
+def test_perturbation_stalled_growth_raises_after_m_plus_n_steps(monkeypatch):
+    # a step that never moves x never grows the zero set: the guard allows
+    # m + n growth steps in a round, then raises
+    problem = bench_problem(12, 3, 0.25, 100001)
+    calls = []
+
+    def no_step(r_star, Ad):
+        calls.append(r_star)
+        return 0.0
+
+    monkeypatch.setattr(direct, "_best_step", no_step)
+    with pytest.raises(RuntimeError, match="zero-set growth stalled"):
+        fit_perturbation(problem)
+    assert len(calls) == problem.m + problem.n
+
+
+def _perturbation_reference(problem, c=1.0, maxiter=15):
+    """(x, rounds, converged) of the descent with a nullspace SVD per step and a pinv per round."""
+    A, b = problem.A, problem.b
+    m, n = problem.m, problem.n
+    x = np.zeros(n)
+    outer = 0
+    while outer < maxiter:
+        outer += 1
+        r = A @ x - b
+        zmask = _zero_mask(r)
+        kernel = nullspace_basis(A[zmask])
+        guard = 0
+        while kernel.shape[1]:
+            guard += 1
+            if guard > m + n:
+                raise RuntimeError("zero-set growth stalled; residual ties too degenerate")
+            d = kernel[:, 0]
+            x = x + _best_step(r[~zmask], A[~zmask] @ d) * d
+            r = A @ x - b
+            zmask = _zero_mask(r)
+            kernel = nullspace_basis(A[zmask])
+        r_star = r[~zmask]
+        if r_star.size == 0:
+            return x, outer, True
+        A_z_pinv = pinv(A[zmask])
+        s = A_z_pinv.T @ (A[~zmask].T @ np.sign(r_star))
+        if norm_inf(s) <= 1.0:
+            return x, outer, True
+        x = x + c * (A_z_pinv @ (np.abs(s) > 1.0).astype(float))
+    return x, outer, False
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_perturbation_matches_the_two_svd_reference(seed):
+    # small-batch round 0: every fit keeps its rounds and verdict, and x
+    # moves at most at rounding level
+    for inst in WORKLOADS["small-batch"].inputs(seed, 0):
+        x, rounds, converged = _perturbation_reference(inst.problem)
+        report = fit_perturbation(inst.problem)
+        assert (report.iterations, report.converged) == (rounds, converged), inst.key
+        assert np.linalg.norm(report.x - x) <= 1e-12 * np.linalg.norm(x), inst.key

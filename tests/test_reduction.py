@@ -15,7 +15,7 @@ from l1fit import (
 from l1fit.bench import gen_instance
 from l1fit.linalg import default_rank_tol
 from l1fit.reduction import _block_qr
-from support import dependent_top_rows_problem, kahan, paper_pair, random_problem
+from support import bench_problem, dependent_top_rows_problem, kahan, paper_pair, random_problem
 
 
 def test_problem_validation():
@@ -213,6 +213,19 @@ def test_certified_reduction_factors_by_panels(monkeypatch):
     calls = _counting_linalg(monkeypatch)
     rs = reduce_problem(problem)
     assert calls == {"qr": [(256, 32)] * 4, "svd": []}
+    assert np.max(np.abs(rs.Q @ rs.R - problem.A)) <= 1e-13 * np.max(np.abs(problem.A))
+
+
+@pytest.mark.parametrize("m,n", [(12, 3), (64, 32)])
+def test_one_panel_reduction_takes_no_certificate(monkeypatch, m, n):
+    # up to _PANEL columns block Gram-Schmidt is one Householder QR, so the
+    # certificate would license nothing: the SVD of R decides at once
+    problem = bench_problem(m, n, 0.25, 100001)
+    calls = _counting_linalg(monkeypatch)
+    cholesky = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda G: cholesky.append(G))
+    rs = reduce_problem(problem)
+    assert calls == {"qr": [(m, n)], "svd": [(n, n)]} and cholesky == []
     assert np.max(np.abs(rs.Q @ rs.R - problem.A)) <= 1e-13 * np.max(np.abs(problem.A))
 
 

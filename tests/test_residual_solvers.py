@@ -16,19 +16,24 @@ from l1fit import (
     reduce_problem,
     residual_solvers,
 )
-from l1fit.linalg import norm1, norm2
+from l1fit.linalg import norm1, norm2, norm_inf, soft
 from l1fit.simplex import _start_rows, l1_vertex
 from l1fit.residual_solvers import (
     _TRY_EVERY,
     RESIDUAL_METHODS,
     SolverParams,
+    _adm,
     _gpsr,
+    _homotopy,
     _ist,
     _kernel_pair,
+    _lambda_levels,
     _newton_direction,
+    _pob,
     _restore_feasibility,
     _run,
     _smallest_rows,
+    _tnipm,
     _tries_at,
     fit_via_residual,
     residual_adm,
@@ -44,6 +49,7 @@ from support import (
     bp_enumerate,
     dependent_top_rows_problem,
     highs_cost,
+    lines_run,
     paper_pair,
     quickstart_problem,
     random_problem,
@@ -942,3 +948,127 @@ def test_continuation_cores_try_on_schedule_under_the_callers_errstate(core):
 def test_tries_start_early_then_keep_the_cadence():
     assert [i for i in range(1, 3 * _TRY_EVERY + 1) if _tries_at(i)] == [
         1, 2, 4, 8, _TRY_EVERY, 2 * _TRY_EVERY, 3 * _TRY_EVERY]
+
+
+CORES = {"gpsr": _gpsr, "tnipm": _tnipm, "homotopy": _homotopy, "ist": _ist, "adm": _adm,
+         "pob": _pob}
+
+
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_cores_yield_each_point_once_and_return_at_their_stop_rule(method):
+    # run without _run, every core ends by its own stop rule; its last yield
+    # is a point it moved to, not the one before repeated, and the cores
+    # that try after every iteration carry a try on that last point too
+    N, r0 = _small_pair()
+    points = list(CORES[method](N, r0, SolverParams()))
+    assert len(points) >= 2
+    assert not np.array_equal(points[-1][0], points[-2][0])
+    tries = [r_f is not None for _, r_f in points]
+    if method in ("tnipm", "adm", "pob"):
+        assert all(tries)
+    elif method == "homotopy":
+        assert not any(tries)
+    else:
+        assert tries == [_tries_at(it) for it in range(1, len(points) + 1)]
+
+
+@pytest.mark.parametrize("m,n,seed,scale,exit_line", [
+    (8, 3, 100001, 1.0, "yield r + (pmax - lam) * v, None  # the path's end"),
+    (12, 3, 5, 1e8, "yield r, None  # r vanishes off S: a vertex, where the path ends"),
+])
+def test_homotopy_yields_the_point_it_moves_to_at_either_exit(monkeypatch, m, n, seed, scale,
+                                                              exit_line):
+    # one yield per step: the path's end and the singular-G vertex are the
+    # points the last step moved to; a bare return there would drop them
+    problem = bench_problem(m, n, 0.25, seed)
+    N, r0 = _reduced_pair(MlmProblem(problem.A, scale * problem.b))
+    steps, step = [], residual_solvers._homotopy_step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(residual_solvers, "_homotopy_step", counting)
+    points = []
+    ran = lines_run(_homotopy, lambda: points.extend(_homotopy(N, r0, SolverParams())))
+    assert exit_line in ran
+    assert len(points) == len(steps) >= 2
+    assert not np.array_equal(points[-1][0], points[-2][0])
+    if scale == 1.0:  # the path ends at the terminal level: |P r - r0| <= epsilon
+        end = points[-1][0]
+        assert norm_inf(end - N @ (N.T @ end) - r0) == pytest.approx(SolverParams().epsilon,
+                                                                      rel=1e-6)
+
+
+def _scaled_problems(scale):
+    """``_small_pair``'s problem and its copy with A and b scaled by ``scale``: the same x."""
+    problem = bench_problem(8, 3, 0.25, 100001)
+    return problem, MlmProblem(scale * problem.A, scale * problem.b)
+
+
+def test_gpsr_rejects_a_step_whose_curvature_overflows():
+    # at |r0| near 1e155, ||P d||^2 overflows: the line search takes no step,
+    # the iterate stays at 0, and the crossover from there certifies
+    problem, scaled = _scaled_problems(1e155)
+    N, r0 = _reduced_pair(scaled)
+    points = []
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ran = lines_run(_gpsr, lambda: points.extend(
+            itertools.islice(_gpsr(N, r0, SolverParams()), 3)))
+    assert "beta = 0.0" in ran
+    assert all(not r.any() for r, _ in points)
+    report = fit_via_residual(scaled, "gpsr")
+    assert report.converged
+    assert np.allclose(report.x, fit_via_residual(problem, "gpsr").x, rtol=1e-12, atol=0.0)
+
+
+def test_gpsr_takes_a_whole_step_when_its_curvature_underflows():
+    # at |r0| near 1e-200, with lam scaled alike, ||P d||^2 underflows to 0:
+    # the step is taken whole, the soft-threshold of r0 at the first level,
+    # and the next step length is the largest
+    N, r0 = _reduced_pair(_scaled_problems(1e-200)[1])
+    p = SolverParams(lam=1e-210)
+    points = []
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ran = lines_run(_gpsr, lambda: points.extend(itertools.islice(_gpsr(N, r0, p), 2)))
+    assert {"beta = 1.0", "alpha = _ALPHA_MAX"} <= ran
+    assert np.allclose(points[0][0], soft(r0, _lambda_levels(r0, p.lam)[0]), rtol=1e-14, atol=0.0)
+
+
+def test_tnipm_ends_where_backtracking_finds_no_step():
+    # at scale 1e100 no step of the barrier method stays inside u > |r|
+    # within 100 halvings; the stop itself is no iteration, and the
+    # crossover from r = 0 certifies
+    problem, scaled = _scaled_problems(1e100)
+    report = []
+    ran = lines_run(_tnipm, lambda: report.append(fit_via_residual(scaled, "tnipm")))
+    assert "return  # backtracking found no acceptable step" in ran
+    assert report[0].iterations == 0 and report[0].converged
+    assert np.allclose(report[0].x, fit_via_residual(problem, "tnipm").x, rtol=1e-12, atol=0.0)
+
+
+def test_tnipm_ends_where_the_accepted_step_moves_nothing(monkeypatch):
+    # a zero Newton direction passes the line search at once and moves
+    # nothing: the core returns before its first yield
+    N, r0 = _small_pair()
+    monkeypatch.setattr(residual_solvers, "_newton_direction",
+                        lambda N, grad, q1, q2, t: np.zeros_like(grad))
+    points = []
+    ran = lines_run(_tnipm, lambda: points.extend(_tnipm(N, r0, SolverParams())))
+    assert "return  # accepted step moves nothing; numerical floor reached" in ran
+    assert points == []
+    res = _run(N, r0, core=_tnipm)
+    assert res.iterations == 0 and res.converged
+    assert res.objective == pytest.approx(residual_solvers._linprog(N, r0).objective, rel=1e-12)
+
+
+def test_pob_empties_its_multiplier_inside_the_epsilon_ball():
+    # with epsilon on the scale of the working norm (500) the shrunk
+    # multiplier is 0; the crossover still certifies the optimum
+    problem = bench_problem(12, 3, 0.25, 100001)
+    report = []
+    ran = lines_run(_pob, lambda: report.append(
+        fit_via_residual(problem, "pob", SolverParams(epsilon=300.0))))
+    assert "y = np.zeros(m)  # the block shrinkage of a t inside the epsilon-ball" in ran
+    assert report[0].converged
+    assert report[0].cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)

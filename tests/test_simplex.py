@@ -545,3 +545,43 @@ def test_start_factorizations_take_no_qr(monkeypatch):
         shapes.clear()
         assert fit_via_residual(problem, name).converged
         assert shapes == [(256, 32)] * 4, name
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-160, 1e160, 1e170, 1e200])
+def test_start_rows_far_out_of_range(scale):
+    # rows 0 and 1 are equal, so the start falls back to _start_rows, whose
+    # squared norms underflowed to a false rank verdict below 1e-160 and
+    # overflowed above 1e160 until it scaled A by a power of two
+    rng = np.random.default_rng(0)
+    A, b = rng.standard_normal((8, 3)), rng.standard_normal(8)
+    A[1] = A[0]
+    reference = l1_vertex(A, b)
+    vertex = l1_vertex(scale * A, b)
+    assert _start_rows(scale * A).tolist() == _start_rows(A).tolist() == [0, 2, 3]
+    assert vertex.certified and reference.certified
+    assert np.array_equal(vertex.rows, reference.rows)
+    assert np.allclose(scale * vertex.x, reference.x, rtol=1e-12, atol=0.0)
+
+
+def test_tied_rows_of_rank_below_n_fail_the_test():
+    # three tied rows on the first axis leave the Gram of A_T singular: the
+    # test fails rather than raise, and the simplex decides
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    x = np.array([1.0, 0.0])
+    b = A @ x + np.array([0.0, 0.0, 0.0, 1.0, -2.0])
+    assert not _tied_optimal(A, b, x)
+
+
+@pytest.mark.parametrize("m,n,sparsity,seed", [
+    (40, 5, 0.25, 4), (64, 16, 0.25, 18), (64, 16, 0.75, 10), (256, 128, 0.25, 100001)])
+def test_blands_rule_at_every_step_reaches_the_same_optimum(monkeypatch, m, n, sparsity, seed):
+    # no zero-length step occurs on the pinned inputs, so with the stall
+    # limit at 0 every step takes the lowest-index leaving row
+    problem = bench_problem(m, n, sparsity, seed)
+    A, b = problem.A, problem.b
+    reference = l1_vertex(A, b)
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    vertex = l1_vertex(A, b)
+    assert vertex.steps > 0 and vertex.certified and reference.certified
+    cost = np.abs(A @ vertex.x - b).sum()
+    assert cost == pytest.approx(np.abs(A @ reference.x - b).sum(), rel=1e-12)

@@ -1,7 +1,8 @@
-"""The tools run end to end on one small input: the two-tree timer ``tools/ab.py``
-and the answer replay ``tools/replay.py``."""
+"""The tools run end to end on one small input: the two-tree timer ``tools/ab.py``,
+the answer replay ``tools/replay.py`` and its comparison ``tools/replay_cmp.py``."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,58 @@ def test_replay_gives_one_stable_line_per_label():
             assert len(fields) == 7 and len(fields[3]) == 16
             assert int(fields[4]) >= 0 and fields[5] in ("True", "False") and float(fields[6]) >= 0
     assert replay.fit_lines(l1fit, "small-batch", inst, l1fit.ALL_METHODS) == lines
+
+
+PARENT_REPLAY = """\
+small-batch 8x3/g0.25/s1 L1-LP 00aa 2 True 1.5
+small-batch 8x3/g0.25/s1 L1-PTB 00bb 15 False 2.0
+small-batch 8x3/g0.25/s2 L1-PTB 00cc 3 True 4.0
+small-batch 8x3/g0.25/s3 L1-PTB error: RuntimeError: zero-set growth stalled
+square 256x128/g0.0/s1 L1-HP 00dd 40 True 7.0
+"""
+
+
+def _compare_files(tmp_path, parent, change):
+    """(stdout lines, exit code) of ``replay_cmp.py`` on two replay texts."""
+    paths = []
+    for name, text in (("parent.txt", parent), ("change.txt", change)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "replay_cmp.py"), *map(str, paths)],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.splitlines(), proc.returncode
+
+
+def test_replay_cmp_tells_a_rounding_move_from_a_moved_verdict(tmp_path):
+    # a new x hash and a cost 2 ulp off with iterations and converged kept
+    # is a rounding move; a changed iteration count is reported apart; both
+    # keep the verdicts, so the exit code is 0
+    change = (PARENT_REPLAY.replace("00bb 15 False 2.0", "11bb 15 False 2.0000000000000004")
+              .replace("00dd 40", "00dd 41"))
+    lines, code = _compare_files(tmp_path, PARENT_REPLAY, change)
+    assert code == 0
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    assert rows[("small-batch", "L1-LP")] == ["1", "0", "0", "0", "0.00e+00"]
+    assert rows[("small-batch", "L1-PTB")] == ["2", "1", "0", "0", "2.22e-16"]
+    assert rows[("square", "L1-HP")] == ["0", "0", "1", "0", "0.00e+00"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("00cc 3 True 4.0", "00cc 3 False 4.0"),
+    ("00cc 3 True 4.0", "error: ValueError: A has column rank below n"),
+    ("error: RuntimeError: zero-set growth stalled", "00ee 15 False 3.0"),
+])
+def test_replay_cmp_fails_on_a_moved_verdict(tmp_path, old, new):
+    lines, code = _compare_files(tmp_path, PARENT_REPLAY, PARENT_REPLAY.replace(old, new))
+    assert code == 1
+    assert [line for line in lines if line.startswith("verdict ")] == [
+        f"verdict small-batch {key} L1-PTB: {old} -> {new}"
+        for key in ["8x3/g0.25/s2" if "00cc" in old else "8x3/g0.25/s3"]]
+
+
+def test_replay_cmp_fails_on_mismatched_keys(tmp_path):
+    change = PARENT_REPLAY.replace("s1 L1-LP", "s9 L1-LP")
+    lines, code = _compare_files(tmp_path, PARENT_REPLAY, change)
+    assert code == 1
+    assert lines[-2:] == ["only in parent small-batch 8x3/g0.25/s1 L1-LP",
+                          "only in change small-batch 8x3/g0.25/s9 L1-LP"]
