@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import default_rank_tol, norm_inf
 from .reduction import MlmProblem, SolveReport
-from .simplex import _least_squares_rows, l1_vertex
+from .simplex import _l1_vertex, _least_squares_rows
 
 __all__ = ["fit_linprog", "fit_perturbation"]
 
@@ -35,7 +35,7 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
     """
     t0 = time.perf_counter()
     A, b = problem.A, problem.b
-    vertex = l1_vertex(A, b, rows=_least_squares_rows(A, b))
+    vertex = _l1_vertex(A, b, _least_squares_rows(A, b))
     return SolveReport.of(problem, vertex.x, t0, iterations=vertex.steps, method="L1-LP",
                           converged=vertex.certified)
 

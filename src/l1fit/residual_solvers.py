@@ -57,7 +57,7 @@ import numpy as np
 
 from .linalg import _EPS, default_rank_tol, norm1, norm2, norm_inf, soft
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
-from .simplex import _smallest_rows, l1_vertex
+from .simplex import _l1_vertex, _smallest_rows
 
 __all__ = [
     "SolverParams",
@@ -233,7 +233,7 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
             break
     if rows is None:
         rows = _smallest_rows(_restore_feasibility(N, r0, r), k)
-    vertex = l1_vertex(N, -r0, rows=rows)
+    vertex = _l1_vertex(N, -r0, rows)
     r = N @ vertex.x + r0 if vertex.certified else _restore_feasibility(N, r0, r)
     return ResidualSolution(r=r, iterations=it, converged=bool(vertex.certified),
                             objective=norm1(r))
@@ -258,7 +258,7 @@ def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
     (``_smallest_rows``): r0 is the least-squares residual, whose small
     entries name most of the rows an l1 optimum interpolates.
     """
-    vertex = l1_vertex(N, -r0, rows=_smallest_rows(r0, N.shape[1]))
+    vertex = _l1_vertex(N, -r0, _smallest_rows(r0, N.shape[1]))
     r = N @ vertex.x + r0
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
                             objective=norm1(r))

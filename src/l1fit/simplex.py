@@ -43,7 +43,9 @@ would walk many zero-cost steps).  With S the other rows, the vertex is
 optimal when some u_T in [-1, 1]^|T| has A_T^T u_T = -A_S^T sign(r_S),
 the subgradient condition 0 in A^T d||r||_1.  u_T starts at the
 minimum-norm solution, taken through the inverse of the n x n Gram
-A_T^T A_T, and is moved into the box by alternating projections
+A_T^T A_T, and is moved into the box by Douglas-Rachford rounds (Bauschke,
+Combettes & Luke 2004); the test gives up early when a round's step
+toward the affine set proves, by Farkas' lemma, that no such u_T exists
 (``_tied_optimal``).  A vertex certified so takes no step.
 """
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm_inf
+from .linalg import _EPS, default_rank_tol, norm1, norm_inf
 
 __all__ = ["L1Vertex", "l1_vertex"]
 
@@ -72,8 +74,8 @@ _PERTURB = 1e-7
 _TIE_TOL = 1e-9
 # the vertex is certified when ||s||_inf <= 1 + _CERT_TOL
 _CERT_TOL = 1e-10
-# the tied-row test clips u_T to +-_TIED_CLIP and projects it back at most
-# _TIED_PROJECTIONS times; A_T^T u_T = c must hold to _TIED_TOL (1 + ||c||_inf)
+# the tied-row test clips to +-_TIED_CLIP in each of at most _TIED_PROJECTIONS
+# Douglas-Rachford rounds; A_T^T u_T = c must hold to _TIED_TOL (1 + ||c||_inf)
 _TIED_CLIP = 0.999
 _TIED_PROJECTIONS = 50
 _TIED_TOL = 1e-9
@@ -178,35 +180,56 @@ def _tied_optimal(A, b, x) -> bool:
     T is the rows with |r_i| <= _TIE_TOL (1 + ||b||_inf) for r = A x - b.
     When c = -A_S^T sign(r_S) is zero, u_T = 0 passes with no factorization.
     Otherwise u_T starts at the minimum-norm solution A_T G^-1 c of
-    A_T^T u_T = c, with G = A_T^T A_T the n x n Gram (one inverse), and is
-    clipped into the box and projected back, u -= A_T G^-1 (A_T^T u - c),
-    until it lies in [-1, 1]^|T|.  A singular G fails the test.  Only the
+    A_T^T u_T = c, with G = A_T^T A_T the n x n Gram (one inverse), and
+    Douglas-Rachford rounds (averaged alternating reflections, Bauschke,
+    Combettes & Luke 2004) search the box [-1, 1]^|T| and that affine set
+    for a common point.  A round from z clips p = clip(z), projects
+    u = P(2 p - z) onto A_T^T u = c and moves z by u - p, until u lies in
+    the box.  The test also fails at once when y = G^-1 (c - A_T^T p),
+    the part of u - p in range(A_T), proves that no u_T in the box fits:
+    |c^T y| > ||A_T y||_1 (Farkas).  A singular G fails the test.  Only the
     final check certifies, so an inaccurate G^-1 can fail the test but not
     pass a vertex that is not optimal.
     """
     n = A.shape[1]
     r = A @ x - b
     tied = np.abs(r) <= _TIE_TOL * (1.0 + norm_inf(b))
-    if np.count_nonzero(tied) <= n:
+    t = np.count_nonzero(tied)
+    if t <= n:
         return False
     A_T = A[tied]
     c = -(np.sign(r[~tied]) @ A[~tied])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
-    # the projections run on A_T and c scaled by one power of two
+    # the rounds run on A_T and c scaled by s = 2^shift, with s max|A_T| < 1
     shift = _unit_shift(A_T)
     A_s, c_s = np.ldexp(A_T, shift), np.ldexp(c, shift)
     try:
         G_inv = np.linalg.inv(A_s.T @ A_s)
     except np.linalg.LinAlgError:
         return False
-    u = A_s @ (G_inv @ c_s)
+    c_max = norm_inf(c)
+    tol = _TIED_TOL * (1.0 + c_max)
+    # Giving up is proven.  A u that passes the final check has |u_i| <= 1 and
+    # A_T^T u = c + e, |e_j| <= tol + (t + 1) eps (t max|A_T| + ||c||_inf) with
+    # the check's own rounding, so for every y
+    # |c_s^T y| = |u^T A_s y - s e^T y| <= ||A_s y||_1 + s ||e||_inf ||y||_1.
+    # Forming c_s^T y and ||A_s y||_1 errs by (t + n) eps (t + ||c_s||_inf) ||y||_1
+    # more, to first order.  The slack below exceeds the sum of both terms by
+    # s tol + (n + 1) eps (t + ||c_s||_inf), room for the second-order ones.
+    slack = 2.0 * (math.ldexp(tol, shift) + (t + n + 1) * _EPS * (t + math.ldexp(c_max, shift)))
+    u = z = A_s @ (G_inv @ c_s)
     for _ in range(_TIED_PROJECTIONS):
         if norm_inf(u) <= 1.0:
             break
-        u = u.clip(-_TIED_CLIP, _TIED_CLIP)
-        u -= A_s @ (G_inv @ (A_s.T @ u - c_s))
-    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= _TIED_TOL * (1.0 + norm_inf(c))
+        p = z.clip(-_TIED_CLIP, _TIED_CLIP)
+        y = G_inv @ (c_s - p @ A_s)
+        if abs(y @ c_s) > norm1(A_s @ y) + slack * norm1(y):
+            return False
+        v = 2.0 * p - z
+        u = v - A_s @ (G_inv @ (v @ A_s - c_s))
+        z += u - p
+    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
 
 
 def _descend(A, b, b_pert, rows, inv_T, budget):
@@ -301,6 +324,10 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     that spends it returns its last vertex with ``certified`` False.  A
     start vertex that passes the tied-row test (see the module docstring)
     is returned certified, with ``steps`` 0.
+
+    These input checks are for outside callers.  The package's own routes
+    (``fit_linprog`` and the residual solvers) hand data they have already
+    checked, and start rows of their own, to ``_l1_vertex`` and skip them.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -316,6 +343,16 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
         if rows.shape != (n,) or (n and (rows.dtype.kind not in "iu" or rows.min() < 0
                                          or rows.max() >= m)):
             raise ValueError(f"rows must be {n} row indices in [0, {m}), got {rows!r}")
+    return _l1_vertex(A, b, rows)
+
+
+def _l1_vertex(A, b, rows) -> L1Vertex:
+    """``l1_vertex`` without its input checks.
+
+    A (m x n, m >= n) and b are finite float arrays, and ``rows`` is None
+    or n row indices in [0, m) that the descent may edit in place.
+    """
+    m, n = A.shape
     tol = default_rank_tol(A)
     inv_T = None if rows is None else _basis_inverse(A, rows, tol)
     if inv_T is None:

@@ -116,6 +116,12 @@ def bench_problem(m, n, sparsity, seed):
     return MlmProblem(problem.A, bench.add_sparse_noise(problem.b, sparsity, 0.25, seed))
 
 
+def tall_problem():
+    """The first right-hand side of the tall benchmark's 512 x 128 matrix at seed 1."""
+    problem, _ = bench.gen_instance(512, 128, 100000)
+    return MlmProblem(problem.A, bench.add_sparse_noise(problem.b, 0.25, 0.25, 100001))
+
+
 def vertex_certificate(A, b, x):
     """||A_Z^-T A_S^T sign(r_S)||_inf at x, with Z the n rows of smallest |r|.
 
@@ -143,6 +149,30 @@ def highs_cost(A, b):
                                  "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     return float(np.sum(np.abs(A @ ref.x[:n] - b)))
+
+
+def highs_tied_bound(A, b, x, tie_tol):
+    """min ||u_T||_inf subject to A_T^T u_T = -A_S^T sign(r_S) at x, by HiGHS.
+
+    T is the rows with |r_i| <= ``tie_tol`` (1 + ||b||_inf) for r = A x - b
+    and S the others: the vertex x passes the tied-row test exactly when the
+    bound is at most 1.  Tolerances are tightened as in ``highs_cost``.
+    """
+    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+    r = A @ x - b
+    tied = np.abs(r) <= tie_tol * (1.0 + np.max(np.abs(b)))
+    A_T, c = A[tied], -(np.sign(r[~tied]) @ A[~tied])
+    t, n = A_T.shape
+    eye, ones = np.eye(t), np.ones((t, 1))
+    # variables (u_T, s): min s subject to -s <= u_i <= s and A_T^T u_T = c
+    ref = scipy_linprog(np.concatenate([np.zeros(t), [1.0]]),
+                        A_ub=np.block([[eye, -ones], [-eye, -ones]]), b_ub=np.zeros(2 * t),
+                        A_eq=np.hstack([A_T.T, np.zeros((n, 1))]), b_eq=c,
+                        bounds=[(None, None)] * t + [(0, None)], method="highs-ds",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    assert ref.status == 0
+    return float(ref.fun)
 
 
 def quickstart_problem():

@@ -17,7 +17,7 @@ from l1fit import (
     residual_solvers,
 )
 from l1fit.linalg import norm1, norm2, norm_inf, soft
-from l1fit.simplex import _start_rows, l1_vertex
+from l1fit.simplex import _l1_vertex, _start_rows, l1_vertex
 from l1fit.residual_solvers import (
     _TRY_EVERY,
     RESIDUAL_METHODS,
@@ -53,6 +53,7 @@ from support import (
     paper_pair,
     quickstart_problem,
     random_problem,
+    tall_problem,
     vertex_certificate,
 )
 
@@ -142,17 +143,11 @@ def test_iterative_converged_means_certified(method, seed, sparsity):
     assert report.cost == pytest.approx(fit_linprog(problem).cost, rel=1e-9)
 
 
-def _tall_problem():
-    """The first right-hand side of the tall benchmark's 512 x 128 matrix at seed 1."""
-    problem, _ = gen_instance(512, 128, 100000)
-    return MlmProblem(problem.A, add_sparse_noise(problem.b, 0.25, 0.25, 100001))
-
-
 NAMED_INSTANCES = {
     "quickstart": quickstart_problem,
     "s400201": lambda: bench_problem(256, 128, 0.25, 400201),
     "s100001": lambda: bench_problem(256, 128, 0.25, 100001),
-    "tall512": _tall_problem,
+    "tall512": tall_problem,
 }
 
 
@@ -178,7 +173,7 @@ def test_tall_crossover_certifies_its_tied_start(monkeypatch, method):
     # through the rows these iterates name is already optimal, and the
     # tied-row test proves it where the simplex walked 300-600 steps
     calls = _counting_simplex(monkeypatch)
-    report = fit_via_residual(_tall_problem(), method)
+    report = fit_via_residual(tall_problem(), method)
     assert [(vertex.steps, vertex.certified) for vertex in calls] == [(0, True)]
     assert report.converged
 
@@ -254,17 +249,17 @@ def test_linprog_starts_at_the_least_squares_rows(sparsity, seed):
 
 
 def _counting_simplex(monkeypatch, certified=None):
-    """Record the residual solvers' l1_vertex calls; a given ``certified`` overrides the verdict."""
+    """Record the residual solvers' vertex simplex calls; a given ``certified`` overrides the verdict."""
     calls = []
 
     def counted(*args, **kwargs):
-        vertex = l1_vertex(*args, **kwargs)
+        vertex = _l1_vertex(*args, **kwargs)
         calls.append(vertex)
         if certified is None:
             return vertex
         return dataclasses.replace(vertex, certified=certified)
 
-    monkeypatch.setattr("l1fit.residual_solvers.l1_vertex", counted)
+    monkeypatch.setattr(residual_solvers, "_l1_vertex", counted)
     return calls
 
 
@@ -870,18 +865,18 @@ def _scripted(points):
 
 
 def _spying_simplex(monkeypatch, certified=None):
-    """Record the start rows of the residual solvers' l1_vertex calls.
+    """Record the start rows of the residual solvers' vertex simplex calls.
 
     A given ``certified`` overrides the verdict.
     """
     starts = []
 
-    def spied(A, b, rows=None):
-        starts.append(rows)
-        vertex = l1_vertex(A, b, rows=rows)
+    def spied(A, b, rows):
+        starts.append(rows.copy())  # the descent edits rows
+        vertex = _l1_vertex(A, b, rows)
         return vertex if certified is None else dataclasses.replace(vertex, certified=certified)
 
-    monkeypatch.setattr(residual_solvers, "l1_vertex", spied)
+    monkeypatch.setattr(residual_solvers, "_l1_vertex", spied)
     return starts
 
 

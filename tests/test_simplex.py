@@ -5,8 +5,8 @@ from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, resid
 from l1fit.linalg import default_rank_tol
 from l1fit.residual_solvers import RESIDUAL_METHODS
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
-from support import (bench_problem, dependent_top_rows_problem, highs_cost, kahan,
-                     near_rank_deficient_problem, vertex_certificate)
+from support import (bench_problem, dependent_top_rows_problem, highs_cost, highs_tied_bound,
+                     kahan, near_rank_deficient_problem, tall_problem, vertex_certificate)
 
 
 def test_single_variable():
@@ -367,7 +367,7 @@ def _one_column(outliers):
 
 def test_tied_start_certified_by_projections(monkeypatch):
     # c = 2: the minimum-norm u_T = a_T c / ||a_T||^2 has u_0 = 8/7 > 1, and
-    # the projections move it into the box, e.g. to (1, 2/3, 2/3, 2/3)
+    # the Douglas-Rachford rounds move it into the box, e.g. to (1, 2/3, 2/3, 2/3)
     A, b = _one_column(2)
     a_T = A[:4, 0]
     assert np.max(np.abs(a_T * 2.0 / (a_T @ a_T))) > 1.0
@@ -400,6 +400,76 @@ def test_tied_start_that_is_not_optimal_runs_the_simplex(monkeypatch, build):
     untested = l1_vertex(A, b)
     assert (untested.steps, untested.certified) == (vertex.steps, vertex.certified)
     assert np.array_equal(untested.rows, vertex.rows) and np.array_equal(untested.x, vertex.x)
+
+
+def _l1_lp_start(m, n, seed):
+    """(A, b, x) of L1-LP's start vertex on the small-batch instance m x n of ``seed``."""
+    problem = bench_problem(m, n, 0.25, seed)
+    A, b = problem.A, problem.b
+    rows = simplex._least_squares_rows(A, b)
+    return A, b, b[rows] @ np.linalg.inv(A[rows].T)
+
+
+def _tall_start(monkeypatch):
+    """(A, b, x) of L1-HP's crossover start on the tall 512 x 128 input: 384 rows tie."""
+    starts = []
+    tied_optimal = simplex._tied_optimal
+
+    def recording(A, b, x):
+        starts.append((A, b, x))
+        return tied_optimal(A, b, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_tied_optimal", recording)
+        fit_via_residual(tall_problem(), "homotopy")
+    return starts[0]
+
+
+# Start vertices that tie more than n rows, with c != 0: L1-LP's on the
+# small-batch input (m, n, generator seed), or the tall crossover's (None),
+# and whether some u_T in the box fits.  The feasible small ones failed the
+# 50 alternating projections that the test ran before Douglas-Rachford, and
+# the simplex then walked 1-2 steps back to them.  The infeasible ones are
+# proved so at the first round (True) or later.
+TIED_STARTS = {
+    "8x4/s100002": ((8, 4, 100002), True, False),
+    "6x2/s100309": ((6, 2, 100309), True, False),
+    "11x4/s700523": ((11, 4, 700523), True, False),
+    "tall": (None, True, False),
+    "7x3/s100001": ((7, 3, 100001), False, True),
+    "8x4/s700002": ((8, 4, 700002), False, True),
+    "8x4/s700611": ((8, 4, 700611), False, False),
+    "6x2/s700209": ((6, 2, 700209), False, False),
+    "14x4/s100517": ((14, 4, 100517), False, False),
+}
+
+
+@pytest.mark.parametrize("name", TIED_STARTS)
+def test_tied_row_test_agrees_with_highs(monkeypatch, name):
+    source, feasible, at_first_round = TIED_STARTS[name]
+    A, b, x = _l1_lp_start(*source) if source else _tall_start(monkeypatch)
+    assert (highs_tied_bound(A, b, x, simplex._TIE_TOL) <= 1.0) == feasible
+    # the Farkas exit is the module's only use of norm1, twice per round
+    norms = []
+    norm1 = simplex.norm1
+
+    def counting(v):
+        norms.append(v)
+        return norm1(v)
+
+    monkeypatch.setattr(simplex, "norm1", counting)
+    # a feasible input passes, so the exit never fired on it; an infeasible
+    # one fails by the exit's proof, not by running out of rounds
+    assert _tied_optimal(A, b, x) == feasible
+    rounds = len(norms) // 2
+    if not feasible:
+        assert rounds < simplex._TIED_PROJECTIONS
+        assert (rounds == 1) == at_first_round
+    elif source:
+        # a former false negative: L1-LP's start is certified where it is
+        vertex = l1_vertex(A, b, rows=simplex._least_squares_rows(A, b))
+        assert (vertex.steps, vertex.certified) == (0, True)
+        assert np.array_equal(vertex.x, x)
 
 
 def test_start_without_a_least_squares_ranking():

@@ -23,6 +23,12 @@ Per workload and label, and then per workload, it prints the geometric mean
 of the ratios with a 95 % bootstrap interval over fits, the ratio of total
 times, and the number of fits more than 1.2x slower and more than 1.2x
 faster.  Answers are not compared here; ``tools/replay.py`` does that.
+
+The bootstrap interval covers the spread over the fits of this one run
+only, not the spread between runs: a label whose code did not change can
+read 1-2 % away from 1 in another run.  So these ratios show where a
+change pays, and a gate on the benchmark's metrics rests on alternating
+``perfbench/run.py`` pairs of the two trees.
 """
 
 from __future__ import annotations
