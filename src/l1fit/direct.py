@@ -27,11 +27,11 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
 
     The answer interpolates n rows of A x = b, so the residual carries at
     least n zeros.  The simplex starts at the n rows of smallest
-    least-squares residual, most of which such an optimum interpolates, or
-    at the first n independent rows when the normal equations are singular
-    or those rows are not independent.  ``iterations`` counts basis
-    changes; ``converged`` is the vertex's optimality certificate, False
-    when the step budget ran out.
+    least-squares residual, most of which such an optimum interpolates, or,
+    when the normal equations are singular or those rows fail the
+    independence test, at the first n independent rows, by Gram-Schmidt.
+    ``iterations`` counts basis changes; ``converged`` is the vertex's
+    optimality certificate, False when the step budget ran out.
     """
     t0 = time.perf_counter()
     A, b = problem.A, problem.b

@@ -10,13 +10,12 @@ at rate |s_k| - 1, and the entering row is the weighted median of the
 breakpoints -r_i / (A d)_i, where the slope has risen to zero.
 
 A row swap changes A_Z^-1 by one rank-one term (Sherman-Morrison).  The
-terms are not applied to the n x n inverse one by one: A_Z^-1 is held as
-a factor F less the terms of the steps since the last fold, the product
-form of the inverse (Dantzig & Orchard-Hays 1954), and every
-``_FOLD_EVERY`` steps one matmul folds them into F.  F is stored
-transposed, so the column A_Z^-1 e_k along which x moves is a contiguous
-row.  A_Z^-1 is refactored from A_Z every ``_REFACTOR_EVERY`` steps and
-before a verdict, unless no step was taken since it was last factored.
+terms are not applied to the n x n inverse: A_Z^-1 is held as its last
+factorization F less the terms of the steps since, the product form of
+the inverse (Dantzig & Orchard-Hays 1954).  F is stored transposed, so
+the column A_Z^-1 e_k along which x moves is a contiguous row.  A_Z^-1 is
+refactored from A_Z every ``_REFACTOR_EVERY`` steps and before a verdict,
+unless no step was taken since it was last factored.
 
 The first phase runs on a graded perturbation of b, on which no residual
 off Z vanishes.  The second starts from its rows on the original b: a
@@ -27,14 +26,14 @@ lowest-index leaving row is taken (Bland's rule) until a step moves
 again.
 
 The descent starts at the caller's rows, or by default at the first n
-independent rows.  A start basis is factored once: the inverse the
+independent rows.  A caller's basis is factored once: the inverse the
 descent needs is also its independence test.  Row k of A_Z^-T is
 orthogonal to every other row of A_Z and has inner product 1 with a_k, so
 1 / ||row k|| is the distance from a_k to the span of the others; the
 basis is taken when every such distance exceeds ``default_rank_tol(A)``,
-read from the largest entry of A_Z^-T (``_basis_inverse``).  When the
-caller's rows and then the first n rows fail, the start takes rows one at
-a time, by Gram-Schmidt (``_start_rows``).
+read from the largest entry of A_Z^-T (``_basis_inverse``).  Without
+caller's rows, or when they fail, the start takes rows one at a time, by
+Gram-Schmidt (``_start_rows``).
 
 Before either phase the start vertex is tested on its tied rows T, the
 residuals within the tie tolerance of zero, when there are more than n:
@@ -64,8 +63,6 @@ __all__ = ["L1Vertex", "l1_vertex"]
 _STALL_LIMIT = 30
 # steps between refactorizations of A_Z^-1
 _REFACTOR_EVERY = 200
-# rank-one terms held beside the factor of A_Z^-1 before they are folded into it
-_FOLD_EVERY = 32
 # step budget per row plus column of A
 _STEPS_PER_DIM = 50
 # the first phase's right-hand side is b + _PERTURB (1 + ||b||_inf) (1 + (i+1)/m)
@@ -241,16 +238,15 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
     ``b_pert``.  Every verdict is taken again on a fresh factorization, and
     only a verdict on ``b`` ends the descent.
 
-    Between factorizations A_Z^-1 is F - P^T Q: the factor F, held as
-    ``inv_T`` = F^T, less one rank-one term p_t q_t^T per step since the
-    last fold (rows t of P and Q).  Every ``_FOLD_EVERY`` terms are folded
-    into F with one matmul.
+    Between factorizations A_Z^-1 is F - P^T Q: the last factorization F,
+    held as ``inv_T`` = F^T, less one rank-one term p_t q_t^T per step
+    since (rows t of P and Q).
     """
     n = A.shape[1]
     tol = _TIE_TOL * (1.0 + norm_inf(b))
     target = b_pert
-    steps = stall = since = terms = 0  # since: steps since A_Z^-1 was factored
-    P, Q = np.empty((_FOLD_EVERY, n)), np.empty((_FOLD_EVERY, n))
+    steps = stall = since = 0  # since: steps since A_Z^-1 was factored
+    P, Q = np.empty((_REFACTOR_EVERY, n)), np.empty((_REFACTOR_EVERY, n))
     r = None
     while True:
         if r is None:
@@ -260,7 +256,7 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         sigma = np.sign(r if r_tie is r else np.where(np.abs(r) > tol, r, r_tie))
         sigma[rows] = 0.0
         g = sigma @ A
-        s = inv_T @ g - (P[:terms] @ g) @ Q[:terms]
+        s = inv_T @ g - (P[:since] @ g) @ Q[:since]
         size = np.abs(s)
         over = (size > 1.0 + _CERT_TOL).nonzero()[0]
         if over.size == 0 or steps >= budget:
@@ -268,10 +264,10 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
                 return rows, inv_T, steps, float(size.max(initial=0.0))
             target, r = b, None
             if since > 0:  # at since == 0, inv_T is already a fresh factorization
-                inv_T, since, terms = np.linalg.inv(A[rows].T), 0, 0
+                inv_T, since = np.linalg.inv(A[rows].T), 0
             continue
         k = int(over[rows[over].argmin()]) if stall >= _STALL_LIMIT else int(size.argmax())
-        col = inv_T[k] - Q[:terms, k] @ P[:terms]  # A_Z^-1 e_k
+        col = inv_T[k] - Q[:since, k] @ P[:since]  # A_Z^-1 e_k
         Ad = -np.sign(s[k]) * (A @ col)
         # a row whose residual moves toward zero is a breakpoint; the slope
         # starts at 1 - |s_k| and rises by 2 |(A d)_i| as each is passed
@@ -293,19 +289,16 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         r[j] = 0.0
         # A_Z with row k replaced by a_j (Sherman-Morrison): A_Z^-1 gains the
         # term -(A_Z^-1 e_k / u_k) (u - e_k)^T, with u^T = a_j^T A_Z^-1
-        u = inv_T @ A[j] - (P[:terms] @ A[j]) @ Q[:terms]
+        u = inv_T @ A[j] - (P[:since] @ A[j]) @ Q[:since]
         pivot = u[k]
         u[k] -= 1.0
-        P[terms], Q[terms] = col / pivot, u
-        terms += 1
+        P[since], Q[since] = col / pivot, u
         rows[k] = j
         steps += 1
         stall = stall + 1 if step == 0.0 else 0
         since += 1
         if since == _REFACTOR_EVERY:
-            inv_T, since, terms, r = np.linalg.inv(A[rows].T), 0, 0, None
-        elif terms == _FOLD_EVERY:
-            inv_T, terms = inv_T - Q.T @ P, 0  # F^T - Q^T P
+            inv_T, since, r = np.linalg.inv(A[rows].T), 0, None
 
 
 def l1_vertex(A, b, rows=None) -> L1Vertex:
@@ -318,8 +311,8 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     A[rows] fails the independence test (every row farther than
     ``default_rank_tol(A)`` from the span of the others, read from the
     inverse the start needs anyway), the descent starts from the first n
-    independent rows.  A basis that passes the test is factored once, and
-    no start takes a QR.  Indices of another count or out of range raise
+    independent rows, taken by Gram-Schmidt.  A basis that passes the test
+    is factored once, and no start takes a QR.  Indices of another count or out of range raise
     ValueError.  The step budget is 50 (m + n) over both phases; a run
     that spends it returns its last vertex with ``certified`` False.  A
     start vertex that passes the tied-row test (see the module docstring)
@@ -356,11 +349,8 @@ def _l1_vertex(A, b, rows) -> L1Vertex:
     tol = default_rank_tol(A)
     inv_T = None if rows is None else _basis_inverse(A, rows, tol)
     if inv_T is None:
-        rows = np.arange(n)
-        inv_T = _basis_inverse(A, rows, tol)
-        if inv_T is None:
-            rows = _start_rows(A)
-            inv_T = np.linalg.inv(A[rows].T)
+        rows = _start_rows(A)
+        inv_T = np.linalg.inv(A[rows].T)
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)

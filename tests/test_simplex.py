@@ -524,11 +524,12 @@ def test_fit_linprog_far_above_unit_scale(scale, m, n, seed, sparsity):
         assert scaled.cost <= 1e-12 * scale * np.sum(np.abs(base.b))
 
 
-def test_folded_terms_match_the_per_step_update(monkeypatch):
+def test_product_form_matches_refactoring_every_step(monkeypatch):
     # 215 basis changes from the first rows, across the refactorization at
-    # step 200; folding after every step is the per-step Sherman-Morrison
-    # update.  Every verdict still comes from a fresh factorization: the
-    # start, step 200 and the first phase's end
+    # step 200.  Refactoring after every step leaves no rank-one term in the
+    # product form, and takes the same steps to the same rows.  Every verdict
+    # of the default walk comes from a fresh factorization: the start, step
+    # 200 and the first phase's end
     problem = bench_problem(256, 128, 0.25, 100001)
     A, b = problem.A, problem.b
     inverses = []
@@ -539,15 +540,15 @@ def test_folded_terms_match_the_per_step_update(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
-    folded = l1_vertex(A, b, rows=_start_rows(A))
+    product_form = l1_vertex(A, b, rows=_start_rows(A))
     assert len(inverses) == 3
-    monkeypatch.setattr(simplex, "_FOLD_EVERY", 1)
-    per_step = l1_vertex(A, b, rows=_start_rows(A))
-    assert len(inverses) == 6
-    assert folded.steps > simplex._REFACTOR_EVERY
-    assert (folded.steps, folded.certified) == (per_step.steps, per_step.certified)
-    assert np.array_equal(folded.rows, per_step.rows)
-    assert np.linalg.norm(folded.x - per_step.x) <= 1e-12 * np.linalg.norm(per_step.x)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    refactored = l1_vertex(A, b, rows=_start_rows(A))
+    assert product_form.steps > 200
+    assert len(inverses) == 3 + 1 + refactored.steps
+    assert (product_form.steps, product_form.certified) == (refactored.steps, refactored.certified)
+    assert np.array_equal(product_form.rows, refactored.rows)
+    assert product_form.x.tobytes() == refactored.x.tobytes()
 
 
 def test_basis_inverse_of_an_independent_basis_is_the_inverse():
