@@ -8,6 +8,7 @@ with one SVD of each zero set serving both.
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
@@ -71,11 +72,13 @@ def fit_perturbation(
     same factors give A_z^+, and s = (A_z^T)^+ A_*^T sign(r_*) either
     certifies optimality (||s||_inf <= 1) or points to the zero rows whose
     residual signs to flip via x += c * A_z^+ u(s), which ends the round.
+    At most ``maxiter`` rounds run; it must be an integer, since the loop
+    ends when the round count equals it.
     """
     if not c > 0:
         raise ValueError("correction scale c must be positive")
-    if maxiter < 1:
-        raise ValueError("maxiter must be at least 1")
+    if not isinstance(maxiter, numbers.Integral) or maxiter < 1:
+        raise ValueError(f"maxiter must be an integer of at least 1, got {maxiter!r}")
     A, b = problem.A, problem.b
     m, n = problem.m, problem.n
     t0 = time.perf_counter()

@@ -15,10 +15,16 @@ factorization F less the terms of the steps since, the product form of
 the inverse (Dantzig & Orchard-Hays 1954).  F is stored transposed, so
 the column A_Z^-1 e_k along which x moves is a contiguous row.  A_Z^-1 is
 refactored from A_Z every ``_REFACTOR_EVERY`` steps and before a verdict,
-unless no step was taken since it was last factored.
+unless no step was taken since it was last factored.  Every factorization
+takes the start basis's independence test (below), and a basis that fails
+it raises ValueError (``_factor``).
 
 The first phase runs on a graded perturbation of b, on which no residual
-off Z vanishes.  The second starts from its rows on the original b: a
+off Z vanishes: b_i + _PERTURB (1 + ||b||_inf) g_i, with g_i in (1, 2] the
+first m uniforms of a pinned ``rng`` stream (``_grades``).  A grading
+affine in the row index would not do: on A = [1, i], an intercept plus a
+linear trend, it lies in range(A), so the perturbed problem keeps every
+tie of b.  The second phase starts from the first's rows on b: a
 residual within the tie tolerance of zero takes the sign of the perturbed
 residual of the same basis.  Ties in the line search go to the lowest
 row index.  After ``_STALL_LIMIT`` zero-length steps in a row the
@@ -50,12 +56,14 @@ toward the affine set proves, by Farkas' lemma, that no such u_T exists
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _EPS, default_rank_tol, norm1, norm_inf
+from .rng import uniforms
 
 __all__ = ["L1Vertex", "l1_vertex"]
 
@@ -65,7 +73,7 @@ _STALL_LIMIT = 30
 _REFACTOR_EVERY = 200
 # step budget per row plus column of A
 _STEPS_PER_DIM = 50
-# the first phase's right-hand side is b + _PERTURB (1 + ||b||_inf) (1 + (i+1)/m)
+# the first phase's right-hand side is b + _PERTURB (1 + ||b||_inf) _grades(m)
 _PERTURB = 1e-7
 # a residual is tied at zero when |r_i| <= _TIE_TOL (1 + ||b||_inf)
 _TIE_TOL = 1e-9
@@ -171,6 +179,22 @@ def _basis_inverse(A, rows, tol):
     return inv_T if A.shape[1] ** 0.5 * size * tol < 1.0 else None
 
 
+def _factor(A, rows, tol):
+    """A_Z^-T by ``_basis_inverse``; a basis that fails its test raises ValueError."""
+    inv_T = _basis_inverse(A, rows, tol)
+    if inv_T is None:
+        raise ValueError("A has column rank below n; the l1 fit is not unique")
+    return inv_T
+
+
+@functools.lru_cache(maxsize=64)
+def _grades(m):
+    """1 + the first m uniforms of stream (seed 0, salt 0), in (1, 2]; read-only, as cached."""
+    grades = 1.0 + uniforms(0, m)
+    grades.flags.writeable = False
+    return grades
+
+
 def _tied_optimal(A, b, x) -> bool:
     """Whether x passes the tied-row test; False when at most n rows are tied.
 
@@ -229,14 +253,15 @@ def _tied_optimal(A, b, x) -> bool:
     return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
 
 
-def _descend(A, b, b_pert, rows, inv_T, budget):
+def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol):
     """Both phases from the start ``rows``; returns (rows, A_Z^-T, steps, ||s||_inf).
 
     ``inv_T`` is A_Z^-T at the start rows.  The first phase steps on
     ``b_pert``.  When it is certified or out of budget the second starts
     from its rows on ``b``, with ties at zero broken by the residuals on
     ``b_pert``.  Every verdict is taken again on a fresh factorization, and
-    only a verdict on ``b`` ends the descent.
+    only a verdict on ``b`` ends the descent.  Each factorization passes
+    the independence test at ``rank_tol`` or raises ValueError (``_factor``).
 
     Between factorizations A_Z^-1 is F - P^T Q: the last factorization F,
     held as ``inv_T`` = F^T, less one rank-one term p_t q_t^T per step
@@ -264,7 +289,7 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
                 return rows, inv_T, steps, float(size.max(initial=0.0))
             target, r = b, None
             if since > 0:  # at since == 0, inv_T is already a fresh factorization
-                inv_T, since = np.linalg.inv(A[rows].T), 0
+                inv_T, since = _factor(A, rows, rank_tol), 0
             continue
         k = int(over[rows[over].argmin()]) if stall >= _STALL_LIMIT else int(size.argmax())
         col = inv_T[k] - Q[:since, k] @ P[:since]  # A_Z^-1 e_k
@@ -298,15 +323,15 @@ def _descend(A, b, b_pert, rows, inv_T, budget):
         stall = stall + 1 if step == 0.0 else 0
         since += 1
         if since == _REFACTOR_EVERY:
-            inv_T, since, r = np.linalg.inv(A[rows].T), 0, None
+            inv_T, since, r = _factor(A, rows, rank_tol), 0, None
 
 
 def l1_vertex(A, b, rows=None) -> L1Vertex:
     """Minimize ||A x - b||_1 at a vertex: n rows of A x = b interpolated.
 
     A must be m x n with m >= n and column rank n (ValueError otherwise,
-    also when a step finds no breakpoint, which only rounding on a
-    numerically rank-deficient A allows).
+    also when a step finds no breakpoint or a basis it refactors fails the
+    independence test, which only a numerically rank-deficient A allows).
     ``rows`` (n row indices) is the start basis; by default, or when
     A[rows] fails the independence test (every row farther than
     ``default_rank_tol(A)`` from the span of the others, read from the
@@ -350,12 +375,12 @@ def _l1_vertex(A, b, rows) -> L1Vertex:
     inv_T = None if rows is None else _basis_inverse(A, rows, tol)
     if inv_T is None:
         rows = _start_rows(A)
-        inv_T = np.linalg.inv(A[rows].T)
+        inv_T = _factor(A, rows, tol)
     x = b[rows] @ inv_T
     if _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)
     budget = _STEPS_PER_DIM * (m + n)
-    b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * (1.0 + np.arange(1, m + 1) / m)
-    rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget)
+    b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * _grades(m)
+    rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget, tol)
     x = b[rows] @ inv_T
     return L1Vertex(x=x, rows=rows, steps=steps, certified=s_max <= 1.0 + _CERT_TOL)

@@ -89,6 +89,19 @@ def dependent_top_rows_problem():
     return MlmProblem(A, b)
 
 
+def trend_problem(seed):
+    """An intercept plus a linear trend, A = [1, i], against integers b in [-3, 3].
+
+    m is drawn from 6..39; on odd seeds b also carries the trend i.  The
+    ties of an integer b are the hard case for the simplex's perturbed phase.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 40))
+    i = np.arange(m, dtype=float)
+    b = rng.integers(-3, 4, m) + (seed % 2) * i
+    return MlmProblem(np.column_stack([np.ones(m), i]), b.astype(float))
+
+
 def near_rank_deficient_problem(seed, m, n, c):
     """U diag(1, ..., 1, c tol) V^T with tol = default_rank_tol of U V^T, and a normal b.
 

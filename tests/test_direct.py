@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, direct, fit_linprog, fit_perturbation, gen_instance, oracle_solve
+from l1fit import MlmProblem, direct, fit_linprog, fit_perturbation, gen_instance, oracle_solve, solve
 from l1fit.direct import _best_step, _zero_mask
 from l1fit.linalg import norm_inf, nullspace_basis, pinv
 from support import bench_problem, dependent_top_rows_problem, highs_cost, random_problem
@@ -114,6 +114,18 @@ def test_perturbation_validation():
         fit_perturbation(prob, c=0.0)
     with pytest.raises(ValueError):
         fit_perturbation(prob, maxiter=0)
+
+
+@pytest.mark.parametrize("maxiter", [2.5, 3.0, "3"])
+def test_perturbation_rejects_a_non_integer_maxiter(maxiter):
+    # the rounds end when their count equals maxiter, so 2.5 never ended on
+    # an input that L1-PTB does not certify
+    problem = bench_problem(8, 4, 0.25, 100002)
+    with pytest.raises(ValueError, match="integer"):
+        fit_perturbation(problem, maxiter=maxiter)
+    with pytest.raises(ValueError, match="integer"):
+        solve(problem, "L1-PTB", perturbation_maxiter=maxiter)
+    assert fit_perturbation(problem, maxiter=np.int64(2)).iterations == 2
 
 
 def test_perturbation_needs_zero_rows_of_rank_n():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from l1fit import MlmProblem, fit_linprog, fit_via_residual, oracle_solve, residual_linprog, simplex
+from l1fit import (ALL_METHODS, MlmProblem, fit_linprog, fit_via_residual, oracle_solve,
+                   residual_linprog, simplex, solve)
 from l1fit.linalg import default_rank_tol
 from l1fit.residual_solvers import RESIDUAL_METHODS
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
 from support import (bench_problem, dependent_top_rows_problem, highs_cost, highs_tied_bound,
-                     kahan, near_rank_deficient_problem, tall_problem, vertex_certificate)
+                     kahan, near_rank_deficient_problem, tall_problem, trend_problem,
+                     vertex_certificate)
 
 
 def test_single_variable():
@@ -522,6 +524,22 @@ def test_fit_linprog_far_above_unit_scale(scale, m, n, seed, sparsity):
         assert scaled.cost == pytest.approx(scale * report.cost, rel=1e-12)
     else:  # b = A p: both costs are at rounding level
         assert scaled.cost <= 1e-12 * scale * np.sum(np.abs(base.b))
+
+
+@pytest.mark.parametrize("seed", [29, 42, 54, 110, 174, 180, 250])
+def test_linear_trend_designs_are_certified(seed):
+    # with A = [1, i] a perturbation graded affinely in the row index lies in
+    # range(A) and keeps every tie of b; these inputs then spent the whole
+    # step budget uncertified on L1-LP (all seven), L1-RES, L1-GPSR, L1-IST,
+    # L1-TNIPM (54, 250), L1-ADM (110, 180) and L1-POB (174, 250)
+    problem = trend_problem(seed)
+    ref = highs_cost(problem.A, problem.b)
+    for label in ALL_METHODS:
+        if label == "L1-PTB" or (label == "ORACLE" and problem.m > 14):
+            continue  # L1-PTB is not exact; ORACLE is guarded to m <= 14
+        report = solve(problem, label)
+        assert report.converged, label
+        assert report.cost == pytest.approx(ref, rel=1e-9), label
 
 
 def test_product_form_matches_refactoring_every_step(monkeypatch):

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import l1fit  # noqa: E402
+import workloads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -34,6 +35,24 @@ def test_ab_times_one_tree_against_itself():
     assert [line.split()[1] for line in lines] == [*l1fit.ALL_METHODS, "all"]
     with pytest.raises(ValueError, match="even"):
         ab.time_fits(trees, fits, passes=3)
+
+
+def test_ab_fits_tall_round_zero_as_replay_does(tmp_path, capsys):
+    # tall-multi-rhs is timed through l1fit.solve over the benchmark's default
+    # labels on round 0 of each seed, every right-hand side, as replay.py fits it
+    ab = _tool("ab")
+    labels = l1fit.bench.DEFAULT_BENCH_METHODS
+    fits = ab.workload_fits(workloads, ab.TALL, [1], labels)
+    rhs = [inst for _, group in WORKLOADS[ab.TALL].inputs(1, 0) for inst in group]
+    assert [(inst.key, label) for inst, label in fits] == [(i.key, label) for i in rhs for label in labels]
+    small = ab.workload_fits(workloads, "small-batch", [1], labels)
+    assert len(small) == WORKLOADS["small-batch"].min_rounds * 27 * len(l1fit.ALL_METHODS)
+    trees = [ab.load(ROOT / "src", "l1fit_ab_old"), ab.load(ROOT / "src", "l1fit_ab_new")]
+    secs = ab.time_fits(trees, [(fits[0][0], "L1-HP")], passes=2)
+    assert secs.shape == (1, 2) and (secs > 0).all()
+    with pytest.raises(SystemExit):  # the workload is accepted; the missing tree is not
+        ab.main([str(tmp_path), str(tmp_path), "--workloads", ab.TALL])
+    assert "holds no l1fit package" in capsys.readouterr().err
 
 
 def test_replay_gives_one_stable_line_per_label():

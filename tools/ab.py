@@ -1,13 +1,15 @@
 """Time two trees' fits of the benchmark's inputs in one process, interleaved fit by fit.
 
-    python3 tools/ab.py OLD_SRC NEW_SRC [--workloads small-batch square] [--seeds 1 7]
+    python3 tools/ab.py OLD_SRC NEW_SRC [--workloads small-batch square tall-multi-rhs] [--seeds 1 7]
 
 OLD_SRC and NEW_SRC are ``src`` directories.  Each tree's ``l1fit`` is
 imported under its own name, so both run in this process with BLAS on one
 thread.  The inputs come from this checkout's ``perfbench/workloads.py``
 (pinned generator, so any tree gets the same bytes), as in
-``tools/replay.py``: every round of each seed, through each workload's
-methods.  Every fit (input, label) goes through each tree's ``l1fit.solve``
+``tools/replay.py``: every round of each seed through each workload's
+methods, and for ``tall-multi-rhs`` (not run by default) round 0 of each
+seed through ``bench.DEFAULT_BENCH_METHODS``, whose walks are the longest.
+Every fit (input, label) goes through each tree's ``l1fit.solve``
 once in each of ``PASSES`` passes.  Which tree goes first on a fit
 alternates pass by pass, and the pass count is even, so each tree goes
 first equally often on every fit.  The tree that starts a fit's first pass
@@ -41,7 +43,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD_NAMES = ("small-batch", "square")  # the workloads that fit through l1fit.solve
+DEFAULT_WORKLOADS = ("small-batch", "square")  # the workloads that fit through l1fit.solve
+TALL = "tall-multi-rhs"  # fit here through l1fit.solve, as tools/replay.py fits it
 MOVED = 1.2  # a fit counts as slower or faster beyond this ratio
 PASSES = 4  # even: each tree goes first on every fit in half of them
 BOOTSTRAP_REPS = 1000
@@ -116,11 +119,27 @@ def report(workload, fits, secs):
     return lines + [summary(f"{workload} all", secs)]
 
 
+def workload_fits(workloads, name, seeds, tall_labels):
+    """The fits (instance, label) of workload ``name`` over ``seeds``.
+
+    Every round of each seed through the workload's methods, but for
+    ``TALL`` round 0 of each seed, every right-hand side, through ``tall_labels``.
+    """
+    workload = workloads.WORKLOADS[name]
+    if name == TALL:
+        return [(inst, label) for seed in seeds for _, rhs in workload.inputs(seed, 0)
+                for inst in rhs for label in tall_labels]
+    return [(inst, label)
+            for seed in seeds for k in range(workload.min_rounds)
+            for inst in workload.inputs(seed, k) for label in workload.methods]
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES, default=list(WORKLOAD_NAMES))
+    ap.add_argument("--workloads", nargs="+", choices=[*DEFAULT_WORKLOADS, TALL],
+                    default=list(DEFAULT_WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
     args = ap.parse_args(argv)
     for src in (args.old_src, args.new_src):
@@ -133,10 +152,7 @@ def main(argv):
 
     trees = [load(args.old_src, "l1fit_old"), load(args.new_src, "l1fit_new")]
     for name in args.workloads:
-        workload = workloads.WORKLOADS[name]
-        fits = [(inst, label)
-                for seed in args.seeds for k in range(workload.min_rounds)
-                for inst in workload.inputs(seed, k) for label in workload.methods]
+        fits = workload_fits(workloads, name, args.seeds, trees[1].bench.DEFAULT_BENCH_METHODS)
         for line in report(name, fits, time_fits(trees, fits, PASSES)):
             print(line, flush=True)
 
