@@ -20,11 +20,10 @@ takes the start basis's independence test (below), and a basis that fails
 it raises ValueError (``_factor``).
 
 The first phase runs on a graded perturbation of b, on which no residual
-off Z vanishes: b_i + _PERTURB (1 + ||b||_inf) g_i, with g_i in (1, 2] the
-first m uniforms of a pinned ``rng`` stream (``_grades``).  A grading
-affine in the row index would not do: on A = [1, i], an intercept plus a
-linear trend, it lies in range(A), so the perturbed problem keeps every
-tie of b.  The second phase starts from the first's rows on b: a
+off Z vanishes: b_i + _PERTURB (1 + ||b||_inf) g_i, with g_i in (1, 2]
+pinned uniforms (``_grades``).  A grading affine in i would lie in
+range(A) of A = [1, i], an intercept plus a trend, and keep every tie of
+b.  The second phase starts from the first's rows on b: a
 residual within the tie tolerance of zero takes the sign of the perturbed
 residual of the same basis.  Ties in the line search go to the lowest
 row index.  After ``_STALL_LIMIT`` zero-length steps in a row the
@@ -337,11 +336,11 @@ def l1_vertex(A, b, rows=None) -> L1Vertex:
     ``default_rank_tol(A)`` from the span of the others, read from the
     inverse the start needs anyway), the descent starts from the first n
     independent rows, taken by Gram-Schmidt.  A basis that passes the test
-    is factored once, and no start takes a QR.  Indices of another count or out of range raise
-    ValueError.  The step budget is 50 (m + n) over both phases; a run
-    that spends it returns its last vertex with ``certified`` False.  A
-    start vertex that passes the tied-row test (see the module docstring)
-    is returned certified, with ``steps`` 0.
+    is factored once, and no start takes a QR.  Indices of another count
+    or out of range raise ValueError.  The step budget is 50 (m + n) over
+    both phases; a run that spends it returns its last vertex with
+    ``certified`` False.  A start vertex that passes the tied-row test
+    (see the module docstring) is returned certified, with ``steps`` 0.
 
     These input checks are for outside callers.  The package's own routes
     (``fit_linprog`` and the residual solvers) hand data they have already

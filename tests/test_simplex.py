@@ -66,10 +66,14 @@ def test_rank_below_n_rejected():
 
 @pytest.mark.parametrize("seed, m, n, c", [
     (25, 14, 4, 0.05), (12, 64, 16, 0.05), (16, 64, 16, 0.1), (26, 64, 16, 0.1), (35, 64, 16, 0.1),
+    (0, 6, 2, 1.0), (26, 6, 2, 1.0), (16, 12, 3, 2.0),
 ])
 def test_rank_below_n_in_rounding_rejected(seed, m, n, c):
     # the start basis passes the row-distance test, but a step finds no
-    # breakpoint; the descent used to fail with an IndexError there
+    # breakpoint (the descent used to fail with an IndexError there); or the
+    # basis _start_rows picks (0, 6, 2), or one the descent refactors (the
+    # last two), fails the test: without that check these were certified or
+    # ran out the step budget
     problem = near_rank_deficient_problem(seed, m, n, c)
     with pytest.raises(ValueError, match="column rank"):
         fit_linprog(problem)
