@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .linalg import default_rank_tol, norm_inf
-from .reduction import MlmProblem, SolveReport
+from .reduction import MlmProblem, SolveReport, reduce_problem
 from .simplex import _l1_vertex, _least_squares_rows
 
 __all__ = ["fit_linprog", "fit_perturbation"]
@@ -73,16 +73,28 @@ def fit_perturbation(
     certifies optimality (||s||_inf <= 1) or points to the zero rows whose
     residual signs to flip via x += c * A_z^+ u(s), which ends the round.
     At most ``maxiter`` rounds run; it must be an integer, since the loop
-    ends when the round count equals it.
+    ends when the round count equals it.  A breakdown (m + n kernel steps
+    in one round, or a kernel direction that moves no nonzero residual)
+    raises the rank ValueError of every route when ``reduce_problem``
+    rejects A, else RuntimeError.
     """
     if not c > 0:
         raise ValueError("correction scale c must be positive")
     if not isinstance(maxiter, numbers.Integral) or maxiter < 1:
         raise ValueError(f"maxiter must be an integer of at least 1, got {maxiter!r}")
-    A, b = problem.A, problem.b
-    m, n = problem.m, problem.n
     t0 = time.perf_counter()
+    try:
+        x, rounds, converged = _descent(problem.A, problem.b, c, maxiter)
+    except RuntimeError:
+        reduce_problem(problem)  # raises the rank ValueError when A fails the test
+        raise
+    return SolveReport.of(problem, x, t0, iterations=rounds, method="L1-PTB",
+                          converged=converged)
 
+
+def _descent(A, b, c, maxiter):
+    """``fit_perturbation``'s rounds from x = 0: (x, rounds, converged)."""
+    m, n = A.shape
     x = np.zeros(n)
     outer, grown = 1, 0
     converged = False
@@ -109,6 +121,4 @@ def fit_perturbation(
             if outer == maxiter:
                 break
             outer, grown = outer + 1, 0
-
-    return SolveReport.of(problem, x, t0, iterations=outer, method="L1-PTB",
-                          converged=converged)
+    return x, outer, converged

@@ -49,6 +49,11 @@ def soft(u, a):
     return float(out) if out.ndim == 0 else out
 
 
+def _rank_error() -> ValueError:
+    """The one error of every route on an A of column rank below n."""
+    return ValueError("A has column rank below n; the l1 fit is not unique")
+
+
 def default_rank_tol(A: np.ndarray) -> float:
     """machine-eps * max(m, n) * max|A|, the default rank threshold."""
     A = np.asarray(A, dtype=float)

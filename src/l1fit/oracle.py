@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .reduction import MlmProblem, SolveReport
+from .reduction import MlmProblem, SolveReport, reduce_problem
 from .simplex import _unit_shift
 
 __all__ = ["oracle_solve"]
@@ -37,7 +37,9 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     is a product of the scaled A's row norms, each taken once.  The answer
     is the first minimal computed cost in lexicographic order of the
     subsets.  ``iterations`` counts the
-    nonsingular subsets.  Guarded to m <= 14, n <= 4.
+    nonsingular subsets.  Guarded to m <= 14, n <= 4.  When every subset is
+    skipped, it raises the rank ValueError of every route if
+    ``reduce_problem`` rejects A, else RuntimeError.
     """
     m, n = problem.m, problem.n
     if m > _MAX_M or n > _MAX_N:
@@ -53,6 +55,7 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     scale = np.linalg.norm(A_s, axis=1)[rows].prod(axis=1)
     keep = np.abs(np.linalg.det(A_s[rows])) > _DET_RTOL * scale
     if not keep.any():
+        reduce_problem(problem)  # raises the rank ValueError when A fails the test
         raise RuntimeError("every n-row subset is numerically singular")
     rows = rows[keep]
     X = np.linalg.solve(A[rows], b[rows, None])[..., 0]

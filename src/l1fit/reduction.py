@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _EPS, default_rank_tol, norm1
+from .linalg import _EPS, _rank_error, default_rank_tol, norm1
 
 _TINY = float(np.finfo(float).tiny)
 # the shift mu = tol^2 + _GRAM_SHIFT m n eps trace(A^T A); see _certified_full_rank
@@ -227,7 +227,7 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     else:
         Q, R = np.linalg.qr(A)
         if np.linalg.svd(R, compute_uv=False)[-1] <= tol:
-            raise ValueError("A has column rank below n; the l1 fit is not unique")
+            raise _rank_error()
     return ReducedSystem(Q=Q, R=R)
 
 

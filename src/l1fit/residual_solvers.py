@@ -19,7 +19,10 @@ r0 + N (N^T r); the multipliers D^T y of the dual methods live in range(P).
 pipeline: from the thin QR A = Q R that ``reduce_problem`` builds it hands
 every core N = Q and r0 = Q (Q^T b) - b, the projection of -b off
 range(A), so nothing else is factored per fit and no D is formed, and it
-answers a consistent system (r0 at rounding level) with r = 0 directly.
+sets an r0 at rounding level (a consistent system) to zero.  Every method
+answers r = 0 in 0 iterations, with converged=True, before any core or
+crossover runs when r0 is zero or N is square (no constraints remain):
+r = 0 is then feasible, and optimal (``_zero_answer``).
 The public ``residual_*`` functions accept any pair (D, w) and take
 (N, r0) from one SVD of D (``_kernel_pair``), so dependent rows are
 accepted when w agrees with them.
@@ -201,23 +204,37 @@ def _restore_feasibility(N, r0, r):
     return r0 + N @ (N.T @ r)
 
 
+def _zero_answer(N, r0) -> ResidualSolution | None:
+    """r = 0 in 0 iterations, certified, when r0 is zero or N is square; else None.
+
+    Either way r = 0 lies in r0 + range(N), and no r has a smaller l1 norm.
+    """
+    m, k = N.shape
+    if m == k or not r0.any():
+        return ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
+    return None
+
+
 def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution:
     """Run the iterative core ``core(N, r0, p)`` and end it with exactly one crossover.
 
-    The core is a generator: each yield is one iteration, (r, r_f), a point
-    it moved to and, when the core names rows there, that point restored
-    onto r0 + range(N) (the dual methods hold it without a product by N),
-    else None; its last yield is its end point.  Each r_f is a try: it
-    names its k smallest rows (``_smallest_rows``), and a try that names
-    the previous try's rows has settled on a vertex and ends the run.  The
-    run also ends where the core returns (its own stop rule; a core that
-    returns before its first iteration ends at r = 0) or after ``maxiter``
-    iterations.  The crossover then runs once: the vertex simplex
-    ``l1_vertex(N, -r0)``, warm-started at the repeated rows, or else at the
-    rows of the end point restored.  A certified vertex z gives r = N z + r0 and converged=True;
-    otherwise the answer is the end point, restored onto the constraints,
-    with converged=False.
+    When r0 is zero or N is square, ``_zero_answer`` answers instead, and
+    neither runs.  The core is a generator: each yield is one iteration,
+    (r, r_f), a point it moved to and, when the core names rows there, that
+    point restored onto r0 + range(N) (the dual methods hold it without a
+    product by N), else None; its last yield is its end point.  Each r_f is
+    a try: it names its k smallest rows (``_smallest_rows``), and a try
+    that names the previous try's rows has settled on a vertex and ends the
+    run.  The run also ends where the core returns (its own stop rule; a
+    core that returns before its first iteration ends at r = 0) or after
+    ``maxiter`` iterations.  The crossover then runs once: the vertex
+    simplex ``l1_vertex(N, -r0)``, warm-started at the repeated rows, or
+    else at the rows of the end point restored.  A certified vertex z gives
+    r = N z + r0 and converged=True; otherwise the answer is the end point,
+    restored onto the constraints, with converged=False.
     """
+    if (zero := _zero_answer(N, r0)) is not None:
+        return zero
     p = params or SolverParams()
     k = N.shape[1]
     r, it, tried, rows = np.zeros(N.shape[0]), 0, None, None
@@ -256,8 +273,11 @@ def _linprog(N, r0, params: SolverParams | None = None) -> ResidualSolution:
 
     The simplex starts at the k = dim(null D) rows of smallest |r0|
     (``_smallest_rows``): r0 is the least-squares residual, whose small
-    entries name most of the rows an l1 optimum interpolates.
+    entries name most of the rows an l1 optimum interpolates.  When r0 is
+    zero or N is square, ``_zero_answer`` answers r = 0 with no walk.
     """
+    if (zero := _zero_answer(N, r0)) is not None:
+        return zero
     vertex = _l1_vertex(N, -r0, _smallest_rows(r0, N.shape[1]))
     r = N @ vertex.x + r0
     return ResidualSolution(r=r, iterations=vertex.steps, converged=vertex.certified,
@@ -590,8 +610,9 @@ def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
     ``_run`` ends the run at a repeat of the previous iteration's rows: the
     dual iterates settle slowly, so rows a few iterations apart keep
     differing long after consecutive ones agree.  ``_run`` also ends it at
-    the budget and crosses over once, and ``converged`` means certified.  A
-    zero r0 takes no iteration: the crossover certifies r = 0 at once.
+    the budget and crosses over once, and ``converged`` means certified.
+    ``_run`` answers a zero r0 or a square N before the core starts, so mu
+    and its sqrt(rank D) are only formed with rank D > 0.
     """
     return _run(*_kernel_pair(D, w), params, core=_adm)
 
@@ -600,8 +621,6 @@ def _adm(N, r0, p):
     """``residual_adm``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     m, n = N.shape
     r0norm = norm2(r0)
-    if r0norm == 0.0:
-        return  # mu would be 0; r = 0 is optimal, and _run's crossover certifies it
     mu = p.mu if p.mu is not None else r0norm / math.sqrt(m - n)
 
     # P r0 = r0, so r and P r start equal; z and P z start at zero
@@ -638,7 +657,8 @@ def residual_pob(D, w, params: SolverParams | None = None) -> ResidualSolution:
     ``residual_adm``, or at the budget.  It yields r unscaled, so the one
     crossover runs on the unscaled pair, whose tie tolerance the rescaling
     would put below the rounding of the scaled data; ``converged`` means
-    certified, and a zero r0 takes no iteration, as in ``residual_adm``.
+    certified.  ``_run`` answers a zero r0 before the core starts, as in
+    ``residual_adm``, so the working scale is finite.
     """
     return _run(*_kernel_pair(D, w), params, core=_pob)
 
@@ -647,8 +667,6 @@ def _pob(N, r0, p):
     """``residual_pob``'s iteration on the kernel pair (N, r0), a core for ``_run``."""
     m = N.shape[0]
     r0norm = norm2(r0)
-    if r0norm == 0.0:
-        return  # the working scale would be infinite; r = 0 is optimal, as in _adm
     scale = _POB_W_NORM / r0norm
     scaled = scale * r0
     mu = p.mu if p.mu is not None else 0.999 * p.tau
@@ -716,9 +734,9 @@ def fit_via_residual(
     v = (1, ..., n) (distinct entries, so permuted columns show), or with
     Q^T (Q v) off v (a Q whose columns are not orthonormal), does not fit
     the problem and raises ValueError.  When
-    |r0| <= m eps (|b| + |Q| |Q|^T |b|) holds in every row (no
-    constraints, or r0 is rounding noise), r = 0 is optimal and no solver
-    runs.
+    |r0| <= m eps (|b| + |Q| |Q|^T |b|) holds in every row, r0 is rounding
+    noise (a consistent system) and is set to zero; the method then answers
+    r = 0 in 0 iterations, as it does when m = n (``_zero_answer``).
     """
     if method not in RESIDUAL_METHODS:
         raise ValueError(
@@ -741,13 +759,9 @@ def fit_via_residual(
             raise ValueError("reduced system's Q does not have orthonormal columns")
     r0 = Q @ (Q.T @ b) - b
     absQ, absb = np.abs(Q), np.abs(b)
-    rounding = m * _EPS * (absb + absQ @ (absQ.T @ absb))
-    if (np.abs(r0) <= rounding).all():
-        # consistent system (r0 is rounding noise, or no constraints remain):
-        # r = 0 is optimal
-        res = ResidualSolution(r=np.zeros(m), iterations=0, converged=True, objective=0.0)
-    else:
-        res = RESIDUAL_METHODS[method](Q, r0, params)
+    if (np.abs(r0) <= m * _EPS * (absb + absQ @ (absQ.T @ absb))).all():
+        r0 = np.zeros(m)
+    res = RESIDUAL_METHODS[method](Q, r0, params)
     x = recover(problem, rs, res.r)
     return SolveReport.of(problem, x, t0, iterations=res.iterations,
                           method=RESIDUAL_LABELS[method], converged=res.converged)

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EPS, default_rank_tol, norm1, norm_inf
+from .linalg import _EPS, _rank_error, default_rank_tol, norm1, norm_inf
 from .rng import uniforms
 
 __all__ = ["L1Vertex", "l1_vertex"]
@@ -121,7 +121,7 @@ def _start_rows(A: np.ndarray) -> np.ndarray:
             Q[len(rows)] = v / norm
             rows.append(i)
     if len(rows) < n:
-        raise ValueError("A has column rank below n; the l1 fit is not unique")
+        raise _rank_error()
     return np.array(rows, dtype=int)
 
 
@@ -182,7 +182,7 @@ def _factor(A, rows, tol):
     """A_Z^-T by ``_basis_inverse``; a basis that fails its test raises ValueError."""
     inv_T = _basis_inverse(A, rows, tol)
     if inv_T is None:
-        raise ValueError("A has column rank below n; the l1 fit is not unique")
+        raise _rank_error()
     return inv_T
 
 
@@ -299,7 +299,7 @@ def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol):
         if cand.size == 0:
             # in exact arithmetic sigma_S^T A_S d = -|s_k| < 0, so some row is a
             # breakpoint; none is left only when rounding swamps A_Z^-1
-            raise ValueError("A has column rank below n; the l1 fit is not unique")
+            raise _rank_error()
         alpha = np.maximum(-r[cand] / Ad[cand], 0.0)
         order = alpha.argsort(kind="stable")  # ties go to the lowest row
         slope = 1.0 - size[k] + (2.0 * np.abs(Ad[cand[order]])).cumsum()

@@ -117,6 +117,28 @@ def near_rank_deficient_problem(seed, m, n, c):
     return MlmProblem(U @ np.diag(s) @ V.T, b)
 
 
+def square_problem(t):
+    """The t-th of the n x n systems, n = 1 + t mod 5, drawn in turn from default_rng(0).
+
+    Each draw is a normal A and then a normal b.  L1-ADM divided by zero on
+    t = 81, 916, 1041, 1082, 1131, 1692 and 1762, where r0 stood above
+    ``fit_via_residual``'s rounding bound.
+    """
+    rng = np.random.default_rng(0)
+    for i in range(t + 1):
+        n = 1 + i % 5
+        A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+    return MlmProblem(A, b)
+
+
+def duplicated_rows_problem(seed):
+    """m rows drawn from n - 1 distinct normal rows, m in 6..14 and n in 2..4: rank below n."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(6, 15)), int(rng.integers(2, 5))
+    A = rng.standard_normal((n - 1, n))[rng.integers(0, n - 1, m)]
+    return MlmProblem(A, rng.standard_normal(m))
+
+
 def kahan(n, theta=1.2):
     """Kahan's upper-triangular matrix: no small diagonal entry, sigma_min tiny for large n."""
     sin, cos = np.sin(theta), np.cos(theta)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import l1fit
-from l1fit import ALL_METHODS, fit_perturbation, methods, residual_solvers, solve
+from l1fit import ALL_METHODS, MlmProblem, fit_perturbation, methods, residual_solvers, solve
 from l1fit.linalg import norm1
-from support import random_problem
+from support import duplicated_rows_problem, random_problem, square_problem
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -26,6 +26,43 @@ def test_residual_is_a_x_minus_b(method):
     assert report.cost == norm1(report.residual)
     assert report.method == method
     assert report.runtime_s > 0.0
+
+
+# t = 0..4 has n = 1..5; L1-ADM divided by zero on the other seven
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4, 81, 916, 1041, 1082, 1131, 1692, 1762])
+def test_square_systems_are_interpolated_by_every_label(t):
+    # with m = n no constraint remains: r = 0 is the only feasible residual
+    prob = square_problem(t)
+    residual_labels = set(residual_solvers.RESIDUAL_LABELS.values())
+    for method in ALL_METHODS:
+        if method == "ORACLE" and prob.n > 4:
+            continue  # beyond the exhaustive search's size guard
+        report = solve(prob, method)
+        assert report.converged, method
+        assert report.cost <= 1e-12 * (1.0 + norm1(prob.b)), method
+        if method in residual_labels:
+            assert report.iterations == 0, method
+
+
+def _zero_first_column():
+    """8 x 3 with a zero first column: L1-PTB's first kernel direction, e_0, moves no residual."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 3))
+    A[:, 0] = 0.0
+    return MlmProblem(A, rng.standard_normal(8))
+
+
+@pytest.mark.parametrize("prob", [*map(duplicated_rows_problem, range(8)), _zero_first_column()],
+                         ids=[*(f"duplicated-rows-{seed}" for seed in range(8)), "zero-column"])
+def test_rank_deficiency_is_one_error_from_every_label(prob):
+    # L1-PTB stalled (RuntimeError) and ORACLE found every subset singular
+    # (RuntimeError) where the other eight labels raised the rank ValueError
+    messages = set()
+    for method in ALL_METHODS:
+        with pytest.raises(ValueError) as raised:
+            solve(prob, method)
+        messages.add(str(raised.value))
+    assert messages == {"A has column rank below n; the l1 fit is not unique"}
 
 
 def test_unknown_label_lists_the_methods():

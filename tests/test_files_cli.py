@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from l1fit import add_sparse_noise, gen_instance
+from l1fit import add_sparse_noise, direct, gen_instance
 from l1fit.cli import main
 from l1fit.datafiles import read_matrix, read_vector, write_matrix, write_vector
-from support import near_rank_deficient_problem
+from support import duplicated_rows_problem, near_rank_deficient_problem, square_problem
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -178,18 +178,50 @@ def test_cli_solve_exit_two_when_budget_exhausted(tmp_path, capsys):
     assert (tmp_path / "x.txt").exists()  # result still written
 
 
-def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, capsys):
-    # a rank-1 A leaves the exhaustive search no nonsingular n-row subset
-    write_matrix(tmp_path / "A.txt", np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]))
-    write_vector(tmp_path / "b.txt", np.array([1.0, 2.0, 3.0, 4.0]))
+def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, monkeypatch, capsys):
+    # a step that never moves x stalls L1-PTB's zero-set growth on a
+    # full-rank A: the method broke down, which exits 2
+    problem, _ = gen_instance(12, 3, 2)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", add_sparse_noise(problem.b, 0.25, 0.25, 2))
+    monkeypatch.setattr(direct, "_best_step", lambda r_star, Ad: 0.0)
     out = tmp_path / "x.txt"
-    code = main(["solve", "--method", "oracle", "--matrix", str(tmp_path / "A.txt"),
+    code = main(["solve", "--method", "l1-ptb", "--matrix", str(tmp_path / "A.txt"),
                  "--rhs", str(tmp_path / "b.txt"), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("l1fit solve: error: every n-row subset is numerically singular")
+    assert captured.err.startswith("l1fit solve: error: zero-set growth stalled")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["l1-ptb", "oracle"])
+def test_cli_solve_rank_deficient_a_is_a_usage_error_for_every_method(tmp_path, capsys, method):
+    # both used to raise RuntimeError here, and exit 2 as for a breakdown
+    problem = duplicated_rows_problem(0)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", problem.b)
+    code = main(["solve", "--method", method, "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("l1fit solve: error: A has column rank below n")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_solve_square_system_with_l1_adm(tmp_path, capsys):
+    # L1-ADM's sqrt(m - n) = 0 escaped the CLI as a ZeroDivisionError traceback
+    problem = square_problem(81)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", problem.b)
+    out = tmp_path / "x.txt"
+    code = main(["solve", "--method", "l1-adm", "--matrix", str(tmp_path / "A.txt"),
+                 "--rhs", str(tmp_path / "b.txt"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    x = np.array(out.read_text().split(), dtype=float)
+    assert np.allclose(problem.A @ x, problem.b, rtol=0.0, atol=1e-12)
 
 
 def test_cli_solve_rank_below_n_in_rounding_is_an_error(tmp_path, capsys):

@@ -44,9 +44,15 @@ def test_size_guard():
 
 
 def test_all_subsets_singular():
+    # a zero A fails the reduction's rank test too: the rank error of every route
     prob = MlmProblem(np.zeros((4, 2)), np.ones(4))
-    with pytest.raises(RuntimeError, match="singular"):
+    with pytest.raises(ValueError, match="column rank below n"):
         oracle_solve(prob)
+    # sigma_min about 3.5e-14 passes the rank test, but no 2 x 2 determinant
+    # reaches 1e-12 of its Hadamard bound: the search itself broke down
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13], [1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(RuntimeError, match="singular"):
+        oracle_solve(MlmProblem(A, np.ones(4)))
 
 
 @pytest.mark.parametrize("m,n,scale", [
@@ -122,7 +128,7 @@ def test_singular_blocks_do_not_end_the_search():
     # the first three subsets, (0,1) (0,2) (0,3), are all singular
     report = assert_matches_loop(MlmProblem(A, rng.standard_normal(6)))
     assert report.iterations == 15 - 6
-    # a rank-one matrix makes all 120 subsets singular and raises
+    # a rank-one matrix makes all 120 subsets singular and raises the rank error
     rank_one = np.outer(rng.standard_normal(10), rng.standard_normal(3))
-    with pytest.raises(RuntimeError, match="singular"):
+    with pytest.raises(ValueError, match="column rank below n"):
         oracle_solve(MlmProblem(rank_one, rng.standard_normal(10)))

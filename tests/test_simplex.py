@@ -7,7 +7,7 @@ from l1fit.linalg import default_rank_tol
 from l1fit.residual_solvers import RESIDUAL_METHODS
 from l1fit.simplex import _start_rows, _tied_optimal, l1_vertex
 from support import (bench_problem, dependent_top_rows_problem, highs_cost, highs_tied_bound,
-                     kahan, near_rank_deficient_problem, tall_problem, trend_problem,
+                     kahan, lines_run, near_rank_deficient_problem, tall_problem, trend_problem,
                      vertex_certificate)
 
 
@@ -678,3 +678,18 @@ def test_blands_rule_at_every_step_reaches_the_same_optimum(monkeypatch, m, n, s
     assert vertex.steps > 0 and vertex.certified and reference.certified
     cost = np.abs(A @ vertex.x - b).sum()
     assert cost == pytest.approx(np.abs(A @ reference.x - b).sum(), rel=1e-12)
+
+
+def test_second_phase_steps_keep_the_tie_breaker(monkeypatch):
+    # at _PERTURB = 1e-3 the first phase's vertex is off the optimum on b,
+    # so the second phase steps and moves r_tie with r; no benchmark input
+    # and no other test reaches those lines
+    problem = bench_problem(14, 4, 0.25, 100004)
+    A, b = problem.A, problem.b
+    monkeypatch.setattr(simplex, "_PERTURB", 1e-3)
+    vertex = []
+    ran = lines_run(simplex._descend, lambda: vertex.append(l1_vertex(A, b)))
+    assert {"r_tie -= (r_tie[j] / Ad[j]) * Ad", "r_tie[j] = 0.0"} <= ran
+    assert vertex[0].certified and vertex[0].steps > 0
+    optimum = highs_cost(A, b)
+    assert abs(np.abs(A @ vertex[0].x - b).sum() - optimum) <= 1e-12 * optimum

@@ -58,15 +58,14 @@ def test_ab_fits_tall_round_zero_as_replay_does(tmp_path, capsys):
 def test_replay_gives_one_stable_line_per_label():
     replay = _tool("replay")
     inst = WORKLOADS["small-batch"].inputs(1, 0)[0]
-    lines = replay.fit_lines(l1fit, "small-batch", inst, l1fit.ALL_METHODS)
-    assert len(lines) == len(l1fit.ALL_METHODS)
+    lines = [replay.fit_line(l1fit, "small-batch", inst, label) for label in l1fit.ALL_METHODS]
     for line, label in zip(lines, l1fit.ALL_METHODS):
         fields = line.split()
         assert fields[:3] == ["small-batch", inst.key, label]
         if fields[3] != "error:":
             assert len(fields) == 7 and len(fields[3]) == 16
             assert int(fields[4]) >= 0 and fields[5] in ("True", "False") and float(fields[6]) >= 0
-    assert replay.fit_lines(l1fit, "small-batch", inst, l1fit.ALL_METHODS) == lines
+    assert [replay.fit_line(l1fit, "small-batch", inst, label) for label in l1fit.ALL_METHODS] == lines
 
 
 PARENT_REPLAY = """\
