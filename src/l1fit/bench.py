@@ -140,6 +140,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; ``nonconverged`` (not in the CSV) counts the runs with converged=False."""
+
     method: str
     m: int
     n: int
@@ -149,6 +151,7 @@ class BenchRecord:
     mean_runtime_s: float
     repeats: int
     errors: int
+    nonconverged: int = 0
 
 
 def _configurations(spec: ExperimentSpec) -> list[tuple[int, int, float]]:
@@ -168,7 +171,7 @@ def _one_repetition(method, m, n, gamma, variance, seed):
     t0 = time.perf_counter()
     report = _methods.solve(problem, method)
     elapsed = time.perf_counter() - t0
-    return norm2(report.x - p) / norm2(p), elapsed
+    return norm2(report.x - p) / norm2(p), elapsed, report.converged
 
 
 def run_experiment(spec: ExperimentSpec) -> list[BenchRecord]:
@@ -176,7 +179,9 @@ def run_experiment(spec: ExperimentSpec) -> list[BenchRecord]:
 
     Per-repetition seeds are spec.seed + repetition.  Solver failures
     (ValueError, RuntimeError) are counted per record instead of aborting
-    the run; any other exception propagates.
+    the run; any other exception propagates.  Runs that return
+    ``converged=False`` are counted in ``nonconverged`` and still enter
+    the means.
     """
     records = []
     for method in spec.methods:
@@ -189,8 +194,8 @@ def run_experiment(spec: ExperimentSpec) -> list[BenchRecord]:
                 except (ValueError, RuntimeError):
                     outcomes.append(None)
             good = [o for o in outcomes if o is not None]
-            errs = [e for e, _ in good]
-            times = [t for _, t in good]
+            errs = [e for e, _, _ in good]
+            times = [t for _, t, _ in good]
             records.append(
                 BenchRecord(
                     method=method,
@@ -202,6 +207,7 @@ def run_experiment(spec: ExperimentSpec) -> list[BenchRecord]:
                     mean_runtime_s=float(np.mean(times)) if times else float("nan"),
                     repeats=spec.repeats,
                     errors=len(outcomes) - len(good),
+                    nonconverged=sum(1 for _, _, converged in good if not converged),
                 )
             )
     records.sort(key=lambda rec: (rec.method, rec.m, rec.n, rec.sparsity, rec.drl))

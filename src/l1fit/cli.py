@@ -142,6 +142,10 @@ def _cmd_bench(args) -> int:
     except OSError as exc:
         print(f"l1fit bench: error: {exc}", file=sys.stderr)
         return 1
+    for rec in records:  # the CSV folds nonconverged runs into its means
+        print(f"l1fit bench: {rec.method} {rec.m}x{rec.n} sparsity {rec.sparsity:g}: "
+              f"{rec.nonconverged} of {rec.repeats} runs not converged, {rec.errors} failed",
+              file=sys.stderr)
     total = len(records)
     failed = sum(1 for rec in records if rec.errors >= rec.repeats)
     if total and failed == total:

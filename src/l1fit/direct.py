@@ -42,7 +42,8 @@ def fit_linprog(problem: MlmProblem) -> SolveReport:
 
 
 def _zero_mask(r: np.ndarray) -> np.ndarray:
-    return np.abs(r) <= _ZERO_TOL * (1.0 + norm_inf(r))
+    size = np.abs(r)
+    return size <= _ZERO_TOL * (1.0 + float(size.max(initial=0.0)))
 
 
 def _best_step(r_star: np.ndarray, Ad: np.ndarray) -> float:
@@ -54,7 +55,7 @@ def _best_step(r_star: np.ndarray, Ad: np.ndarray) -> float:
     if usable.size == 0:
         raise RuntimeError("kernel direction does not move any nonzero residual")
     steps = -r_star[usable] / Ad[usable]
-    objectives = np.abs(r_star[:, None] + np.outer(Ad, steps)).sum(axis=0)
+    objectives = np.abs(r_star[:, None] + Ad[:, None] * steps).sum(axis=0)
     order = np.lexsort((usable, np.abs(steps), objectives))
     return float(steps[order[0]])
 
@@ -101,6 +102,7 @@ def _descent(A, b, c, maxiter):
     while True:
         r = A @ x - b
         zmask = _zero_mask(r)
+        free = ~zmask
         A_z = A[zmask]
         U, sv, Vt = np.linalg.svd(A_z)
         rank = np.count_nonzero(sv > default_rank_tol(A_z))
@@ -109,11 +111,11 @@ def _descent(A, b, c, maxiter):
             if grown > m + n:
                 raise RuntimeError("zero-set growth stalled; residual ties too degenerate")
             d = Vt[rank]
-            x = x + _best_step(r[~zmask], A[~zmask] @ d) * d
+            x = x + _best_step(r[free], A[free] @ d) * d
         else:
             A_z_pinv = (Vt.T / sv) @ U[:, :n].T
             # s = 0 certifies a fit that interpolates every row
-            s = A_z_pinv.T @ (A[~zmask].T @ np.sign(r[~zmask]))
+            s = A_z_pinv.T @ (A[free].T @ np.sign(r[free]))
             if norm_inf(s) <= 1.0:
                 converged = True
                 break

@@ -7,11 +7,13 @@ the solver tests compare against.
 
 The size guard, m <= 14 and n <= 4, caps the work at C(14, 4) = 1001
 subsets, so every subset is stacked into one (B, n, n) array and
-evaluated by one stacked ``det`` and ``solve``.
+evaluated by one stacked ``det`` and ``solve``.  The subsets of a shape
+are enumerated once and cached (``_subsets``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -27,6 +29,15 @@ _MAX_M = 14
 _MAX_N = 4
 
 
+@functools.lru_cache(maxsize=_MAX_M * _MAX_N)  # every shape the guard admits
+def _subsets(m, n):
+    """Every n-row subset of range(m), one per row, in lexicographic order; read-only, as cached."""
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), n))
+    rows = np.fromiter(subsets, dtype=np.intp).reshape(-1, n)
+    rows.flags.writeable = False
+    return rows
+
+
 def oracle_solve(problem: MlmProblem) -> SolveReport:
     """Enumerate every n-row subset; return the interpolant of least l1 cost.
 
@@ -36,10 +47,10 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     the bound overflows or vanishes when A is far out of range; the bound
     is a product of the scaled A's row norms, each taken once.  The answer
     is the first minimal computed cost in lexicographic order of the
-    subsets.  ``iterations`` counts the
-    nonsingular subsets.  Guarded to m <= 14, n <= 4.  When every subset is
-    skipped, it raises the rank ValueError of every route if
-    ``reduce_problem`` rejects A, else RuntimeError.
+    subsets, which are enumerated once per shape (``_subsets``).
+    ``iterations`` counts the nonsingular subsets.  Guarded to m <= 14,
+    n <= 4.  When every subset is skipped, it raises the rank ValueError of
+    every route if ``reduce_problem`` rejects A, else RuntimeError.
     """
     m, n = problem.m, problem.n
     if m > _MAX_M or n > _MAX_N:
@@ -49,8 +60,7 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
     A, b = problem.A, problem.b
     t0 = time.perf_counter()
 
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), n))
-    rows = np.fromiter(subsets, dtype=np.intp).reshape(-1, n)
+    rows = _subsets(m, n)
     A_s = np.ldexp(A, _unit_shift(A))
     scale = np.linalg.norm(A_s, axis=1)[rows].prod(axis=1)
     keep = np.abs(np.linalg.det(A_s[rows])) > _DET_RTOL * scale

@@ -207,18 +207,21 @@ def _tied_optimal(A, b, x) -> bool:
     u = P(2 p - z) onto A_T^T u = c and moves z by u - p, until u lies in
     the box.  The test also fails at once when y = G^-1 (c - A_T^T p),
     the part of u - p in range(A_T), proves that no u_T in the box fits:
-    |c^T y| > ||A_T y||_1 (Farkas).  A singular G fails the test.  Only the
-    final check certifies, so an inaccurate G^-1 can fail the test but not
-    pass a vertex that is not optimal.
+    |c^T y| > ||A_T y||_1 (Farkas).  The Farkas slack is formed only when
+    the minimum-norm start leaves the box, and ||u||_inf once per round,
+    the final check reusing the last.  A singular G fails the test.  Only
+    the final check certifies, so an inaccurate G^-1 can fail the test but
+    not pass a vertex that is not optimal.
     """
     n = A.shape[1]
     r = A @ x - b
     tied = np.abs(r) <= _TIE_TOL * (1.0 + norm_inf(b))
-    t = np.count_nonzero(tied)
+    t = int(np.count_nonzero(tied))
     if t <= n:
         return False
     A_T = A[tied]
-    c = -(np.sign(r[~tied]) @ A[~tied])
+    free = ~tied
+    c = -(np.sign(r[free]) @ A[free])
     if not c.any():
         return True  # u_T = 0 certifies; every row is tied on a consistent system
     # the rounds run on A_T and c scaled by s = 2^shift, with s max|A_T| < 1
@@ -230,44 +233,67 @@ def _tied_optimal(A, b, x) -> bool:
         return False
     c_max = norm_inf(c)
     tol = _TIED_TOL * (1.0 + c_max)
-    # Giving up is proven.  A u that passes the final check has |u_i| <= 1 and
-    # A_T^T u = c + e, |e_j| <= tol + (t + 1) eps (t max|A_T| + ||c||_inf) with
-    # the check's own rounding, so for every y
-    # |c_s^T y| = |u^T A_s y - s e^T y| <= ||A_s y||_1 + s ||e||_inf ||y||_1.
-    # Forming c_s^T y and ||A_s y||_1 errs by (t + n) eps (t + ||c_s||_inf) ||y||_1
-    # more, to first order.  The slack below exceeds the sum of both terms by
-    # s tol + (n + 1) eps (t + ||c_s||_inf), room for the second-order ones.
-    slack = 2.0 * (math.ldexp(tol, shift) + (t + n + 1) * _EPS * (t + math.ldexp(c_max, shift)))
     u = z = A_s @ (G_inv @ c_s)
-    for _ in range(_TIED_PROJECTIONS):
-        if norm_inf(u) <= 1.0:
-            break
-        p = z.clip(-_TIED_CLIP, _TIED_CLIP)
-        y = G_inv @ (c_s - p @ A_s)
-        if abs(y @ c_s) > norm1(A_s @ y) + slack * norm1(y):
-            return False
-        v = 2.0 * p - z
-        u = v - A_s @ (G_inv @ (v @ A_s - c_s))
-        z += u - p
-    return norm_inf(u) <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
+    u_max = norm_inf(u)
+    if u_max > 1.0:
+        # Giving up is proven.  A u that passes the final check has |u_i| <= 1
+        # and A_T^T u = c + e, |e_j| <= tol + (t + 1) eps (t max|A_T| + ||c||_inf)
+        # with the check's own rounding, so for every y
+        # |c_s^T y| = |u^T A_s y - s e^T y| <= ||A_s y||_1 + s ||e||_inf ||y||_1.
+        # Forming c_s^T y and ||A_s y||_1 errs by (t + n) eps (t + ||c_s||_inf) ||y||_1
+        # more, to first order.  The slack below exceeds the sum of both terms
+        # by s tol + (n + 1) eps (t + ||c_s||_inf), room for the second-order ones.
+        slack = 2.0 * (math.ldexp(tol, shift) + (t + n + 1) * _EPS * (t + math.ldexp(c_max, shift)))
+        for _ in range(_TIED_PROJECTIONS):
+            p = z.clip(-_TIED_CLIP, _TIED_CLIP)
+            y = G_inv @ (c_s - p @ A_s)
+            if abs(y @ c_s) > norm1(A_s @ y) + slack * norm1(y):
+                return False
+            v = 2.0 * p - z
+            u = v - A_s @ (G_inv @ (v @ A_s - c_s))
+            z += u - p
+            u_max = norm_inf(u)
+            if u_max <= 1.0:
+                break
+    return u_max <= 1.0 and norm_inf(A_T.T @ u - c) <= tol
 
 
-def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol):
+def _line_search(alpha, Ad, slope):
+    """The index into the breakpoints ``alpha`` of the entering row.
+
+    The cost's slope along d starts at ``slope`` = 1 - |s_k| < 0 and rises
+    by 2 |Ad_i| as breakpoint i is passed, in increasing order of alpha,
+    ties to the lowest index (a stable sort); the entering row is the first
+    at which it reaches zero (a weighted median), else the last.  When the
+    first breakpoint, alpha's first minimum, already gets there, it is
+    taken without the sort.
+    """
+    pick = int(alpha.argmin())
+    if slope + 2.0 * abs(Ad[pick]) >= 0.0:
+        return pick
+    order = alpha.argsort(kind="stable")
+    rise = slope + (2.0 * np.abs(Ad[order])).cumsum()
+    return int(order[min(int(rise.searchsorted(0.0)), order.size - 1)])
+
+
+def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol, tie_tol):
     """Both phases from the start ``rows``; returns (rows, A_Z^-T, steps, ||s||_inf).
 
     ``inv_T`` is A_Z^-T at the start rows.  The first phase steps on
     ``b_pert``.  When it is certified or out of budget the second starts
-    from its rows on ``b``, with ties at zero broken by the residuals on
-    ``b_pert``.  Every verdict is taken again on a fresh factorization, and
-    only a verdict on ``b`` ends the descent.  Each factorization passes
-    the independence test at ``rank_tol`` or raises ValueError (``_factor``).
+    from its rows on ``b``, with ties at zero (|r_i| <= ``tie_tol``)
+    broken by the residuals on ``b_pert``.  Every verdict is taken again
+    on a fresh factorization, and only a verdict on ``b`` ends the
+    descent.  Each factorization passes the independence test at
+    ``rank_tol`` or raises ValueError (``_factor``).
 
     Between factorizations A_Z^-1 is F - P^T Q: the last factorization F,
     held as ``inv_T`` = F^T, less one rank-one term p_t q_t^T per step
-    since (rows t of P and Q).
+    since (rows t of P and Q); right after a factorization there are none
+    to apply.  The entering row comes from ``_line_search``, which sorts
+    the breakpoints only when the first one does not end the step.
     """
     n = A.shape[1]
-    tol = _TIE_TOL * (1.0 + norm_inf(b))
     target = b_pert
     steps = stall = since = 0  # since: steps since A_Z^-1 was factored
     P, Q = np.empty((_REFACTOR_EVERY, n)), np.empty((_REFACTOR_EVERY, n))
@@ -277,33 +303,33 @@ def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol):
             r = A @ (target[rows] @ inv_T) - target
             # in the first phase the target is b_pert, so r is its own tie-breaker
             r_tie = r if target is b_pert else A @ (b_pert[rows] @ inv_T) - b_pert
-        sigma = np.sign(r if r_tie is r else np.where(np.abs(r) > tol, r, r_tie))
+        sigma = np.sign(r if r_tie is r else np.where(np.abs(r) > tie_tol, r, r_tie))
         sigma[rows] = 0.0
         g = sigma @ A
-        s = inv_T @ g - (P[:since] @ g) @ Q[:since]
+        s = inv_T @ g if since == 0 else inv_T @ g - (P[:since] @ g) @ Q[:since]
         size = np.abs(s)
-        over = (size > 1.0 + _CERT_TOL).nonzero()[0]
-        if over.size == 0 or steps >= budget:
+        k = int(size.argmax())
+        if not size[k] > 1.0 + _CERT_TOL or steps >= budget:
             if since == 0 and target is b:
-                return rows, inv_T, steps, float(size.max(initial=0.0))
+                return rows, inv_T, steps, float(size[k])
             target, r = b, None
             if since > 0:  # at since == 0, inv_T is already a fresh factorization
                 inv_T, since = _factor(A, rows, rank_tol), 0
             continue
-        k = int(over[rows[over].argmin()]) if stall >= _STALL_LIMIT else int(size.argmax())
-        col = inv_T[k] - Q[:since, k] @ P[:since]  # A_Z^-1 e_k
-        Ad = -np.sign(s[k]) * (A @ col)
-        # a row whose residual moves toward zero is a breakpoint; the slope
-        # starts at 1 - |s_k| and rises by 2 |(A d)_i| as each is passed
+        if stall >= _STALL_LIMIT:
+            over = (size > 1.0 + _CERT_TOL).nonzero()[0]
+            k = int(over[rows[over].argmin()])
+        col = inv_T[k] if since == 0 else inv_T[k] - Q[:since, k] @ P[:since]  # A_Z^-1 e_k
+        Ad = A @ (-np.sign(s[k]) * col)
+        # a row whose residual moves toward zero is a breakpoint
         cand = (sigma * Ad < 0.0).nonzero()[0]
         if cand.size == 0:
             # in exact arithmetic sigma_S^T A_S d = -|s_k| < 0, so some row is a
             # breakpoint; none is left only when rounding swamps A_Z^-1
             raise _rank_error()
-        alpha = np.maximum(-r[cand] / Ad[cand], 0.0)
-        order = alpha.argsort(kind="stable")  # ties go to the lowest row
-        slope = 1.0 - size[k] + (2.0 * np.abs(Ad[cand[order]])).cumsum()
-        pick = order[min(int(slope.searchsorted(0.0)), order.size - 1)]
+        Ad_c = Ad[cand]
+        alpha = np.maximum(-r[cand] / Ad_c, 0.0)
+        pick = _line_search(alpha, Ad_c, 1.0 - size[k])
         j, step = int(cand[pick]), float(alpha[pick])
 
         r += step * Ad
@@ -313,7 +339,7 @@ def _descend(A, b, b_pert, rows, inv_T, budget, rank_tol):
         r[j] = 0.0
         # A_Z with row k replaced by a_j (Sherman-Morrison): A_Z^-1 gains the
         # term -(A_Z^-1 e_k / u_k) (u - e_k)^T, with u^T = a_j^T A_Z^-1
-        u = inv_T @ A[j] - (P[:since] @ A[j]) @ Q[:since]
+        u = inv_T @ A[j] if since == 0 else inv_T @ A[j] - (P[:since] @ A[j]) @ Q[:since]
         pivot = u[k]
         u[k] -= 1.0
         P[since], Q[since] = col / pivot, u
@@ -376,10 +402,13 @@ def _l1_vertex(A, b, rows) -> L1Vertex:
         rows = _start_rows(A)
         inv_T = _factor(A, rows, tol)
     x = b[rows] @ inv_T
-    if _tied_optimal(A, b, x):
+    # with no columns the empty x is the only vertex
+    if n == 0 or _tied_optimal(A, b, x):
         return L1Vertex(x=x, rows=rows, steps=0, certified=True)
     budget = _STEPS_PER_DIM * (m + n)
-    b_pert = b + _PERTURB * (1.0 + norm_inf(b)) * _grades(m)
-    rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget, tol)
+    b_scale = 1.0 + norm_inf(b)
+    b_pert = b + _PERTURB * b_scale * _grades(m)
+    rows, inv_T, steps, s_max = _descend(A, b, b_pert, rows, inv_T, budget, tol,
+                                         _TIE_TOL * b_scale)
     x = b[rows] @ inv_T
     return L1Vertex(x=x, rows=rows, steps=steps, certified=s_max <= 1.0 + _CERT_TOL)

@@ -274,6 +274,18 @@ def test_cli_bench_writes_csv(tmp_path, capsys):
         assert float(line.split(",")[5]) <= 1e-8
 
 
+def test_cli_bench_prints_nonconverged_counts(tmp_path, capsys):
+    # the CSV folds L1-PTB's nonconverged run into its mean; stderr counts it
+    assert main(["bench", "--experiment", "sparse-noise", "--m", "12", "--n", "3",
+                 "--repeats", "4", "--seed", "0", "--methods", "L1-PTB",
+                 "--csv", str(tmp_path / "bench.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "l1fit bench: L1-PTB 12x3 sparsity 0.25: 1 of 4 runs not converged, 0 failed",
+        "l1fit bench: L1-PTB 12x3 sparsity 0.5: 0 of 4 runs not converged, 0 failed",
+        "l1fit bench: L1-PTB 12x3 sparsity 0.75: 0 of 4 runs not converged, 0 failed",
+    ]
+
+
 def test_cli_bench_deterministic_modulo_runtime(tmp_path, capsys):
     outs = []
     for name in ("one.csv", "two.csv"):

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from l1fit import ALL_METHODS, MlmProblem, oracle_solve, solve
+from l1fit import ALL_METHODS, MlmProblem, oracle, oracle_solve, solve
 from support import oracle_loop, random_problem
 
 
@@ -132,3 +134,13 @@ def test_singular_blocks_do_not_end_the_search():
     rank_one = np.outer(rng.standard_normal(10), rng.standard_normal(3))
     with pytest.raises(ValueError, match="column rank below n"):
         oracle_solve(MlmProblem(rank_one, rng.standard_normal(10)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (6, 2), (9, 3), (14, 4)])
+def test_subsets_are_the_combinations_in_order_and_read_only(m, n):
+    rows = oracle._subsets(m, n)
+    assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), n)]
+    assert rows.dtype == np.intp and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    assert oracle._subsets(m, n) is rows  # enumerated once per shape

@@ -136,6 +136,29 @@ def test_run_experiment_counts_failures():
     assert np.isnan(rec.mean_rel_err)
 
 
+def test_run_experiment_counts_nonconverged_runs(monkeypatch, tmp_path):
+    # L1-PTB stops nonconverged on one of these four inputs; the count
+    # matches the reports, and the CSV row keeps its nine columns
+    flags = []
+    solve = methods.solve
+
+    def recording(problem, method):
+        report = solve(problem, method)
+        flags.append((method, report.converged))
+        return report
+
+    monkeypatch.setattr(methods, "solve", recording)
+    spec = ExperimentSpec(kind="sparse_noise", m=12, n=3, repeats=4, seed=0,
+                          sparsity_ratios=(0.25,), methods=("L1-PTB", "L1-LP"))
+    records = {rec.method: rec for rec in run_experiment(spec)}
+    for method, rec in records.items():
+        assert rec.nonconverged == sum(1 for label, ok in flags if label == method and not ok)
+    assert (records["L1-PTB"].nonconverged, records["L1-LP"].nonconverged) == (1, 0)
+    path = tmp_path / "runs.csv"
+    write_csv(records.values(), path)
+    assert [len(line.split(",")) for line in path.read_text().splitlines()] == [9] * 3
+
+
 def test_run_experiment_lets_a_bug_propagate(monkeypatch):
     # only solver failures (ValueError, RuntimeError) are counted as errors
     def broken(problem, method):

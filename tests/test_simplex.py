@@ -693,3 +693,71 @@ def test_second_phase_steps_keep_the_tie_breaker(monkeypatch):
     assert vertex[0].certified and vertex[0].steps > 0
     optimum = highs_cost(A, b)
     assert abs(np.abs(A @ vertex[0].x - b).sum() - optimum) <= 1e-12 * optimum
+
+
+def _sorted_line_search(alpha, Ad, slope):
+    """The entering breakpoint by the full stable sort, as the descent chose it before."""
+    order = alpha.argsort(kind="stable")
+    rise = slope + (2.0 * np.abs(Ad[order])).cumsum()
+    return int(order[min(int(rise.searchsorted(0.0)), order.size - 1)])
+
+
+def test_line_search_takes_the_row_of_the_full_stable_sort():
+    # random breakpoints, with ties and zeros in alpha (a zero-length step),
+    # and slopes from barely to far below zero; the first-breakpoint exit
+    # must fire on some and the sort decide the others
+    rng = np.random.default_rng(37)
+    exits = sorts = 0
+    for trial in range(3000):
+        size = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            alpha = rng.exponential(size=size)
+        elif trial % 3 == 1:
+            alpha = rng.integers(0, 3, size=size).astype(float)  # ties, zeros among them
+        else:
+            alpha = np.zeros(size)
+        Ad = rng.standard_normal(size)
+        slope = -rng.exponential() * rng.choice([1e-3, 1.0, 10.0])
+        pick = simplex._line_search(alpha, Ad, slope)
+        assert pick == _sorted_line_search(alpha, Ad, slope)
+        first = int(alpha.argmin())
+        if slope + 2.0 * abs(Ad[first]) >= 0.0:
+            exits += 1
+            assert pick == first
+        else:
+            sorts += 1
+    assert exits > 500 and sorts > 500
+
+
+@pytest.mark.parametrize("m,n,sparsity,seed", [
+    (40, 5, 0.25, 4), (64, 16, 0.25, 18), (64, 16, 0.75, 10), (256, 128, 0.25, 100001)])
+def test_pinned_walks_keep_their_steps_under_the_full_sort(monkeypatch, m, n, sparsity, seed):
+    # every line search of the walk picks the row the full sort picks, the
+    # first breakpoint both ending steps and not; with the full sort in its
+    # place the walk takes the same steps to the same rows and bytes
+    problem = bench_problem(m, n, sparsity, seed)
+    A, b = problem.A, problem.b
+    searches = []
+    line_search = simplex._line_search
+
+    def recording(alpha, Ad, slope):
+        pick = line_search(alpha, Ad, slope)
+        searches.append((pick, pick == int(alpha.argmin()), _sorted_line_search(alpha, Ad, slope)))
+        return pick
+
+    monkeypatch.setattr(simplex, "_line_search", recording)
+    vertex = l1_vertex(A, b, rows=_start_rows(A))
+    assert vertex.certified and len(searches) == vertex.steps > 0
+    assert all(pick == sorted_pick for pick, _, sorted_pick in searches)
+    assert {first for _, first, _ in searches} == {True, False}
+    monkeypatch.setattr(simplex, "_line_search", _sorted_line_search)
+    sorted_walk = l1_vertex(A, b, rows=_start_rows(A))
+    assert (sorted_walk.steps, sorted_walk.certified) == (vertex.steps, vertex.certified)
+    assert np.array_equal(sorted_walk.rows, vertex.rows)
+    assert sorted_walk.x.tobytes() == vertex.x.tobytes()
+
+
+def test_no_columns_is_the_empty_vertex():
+    vertex = l1_vertex(np.zeros((3, 0)), np.array([1.0, -2.0, 0.0]))
+    assert vertex.x.shape == (0,) and vertex.rows.shape == (0,)
+    assert (vertex.steps, vertex.certified) == (0, True)

@@ -1,4 +1,4 @@
-"""The tools run end to end on one small input: the two-tree timer ``tools/ab.py``,
+"""The tools run end to end on small inputs: the two-tree timer ``tools/ab.py``,
 the answer replay ``tools/replay.py`` and its comparison ``tools/replay_cmp.py``."""
 
 import importlib.util
@@ -53,6 +53,22 @@ def test_ab_fits_tall_round_zero_as_replay_does(tmp_path, capsys):
     with pytest.raises(SystemExit):  # the workload is accepted; the missing tree is not
         ab.main([str(tmp_path), str(tmp_path), "--workloads", ab.TALL])
     assert "holds no l1fit package" in capsys.readouterr().err
+
+
+def test_ab_labels_time_one_label_alone(monkeypatch, capsys):
+    # --labels keeps one label's fits; square has no ORACLE fit and is skipped
+    ab = _tool("ab")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # main sets them; restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    src = str(ROOT / "src")
+    ab.main([src, src, "--workloads", "small-batch", "square", "--seeds", "1", "--labels", "oracle"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["small-batch", "ORACLE"], ["small-batch", "all"]]
+    assert int(lines[-1].split()[3]) == WORKLOADS["small-batch"].min_rounds * 27
+    with pytest.raises(SystemExit):
+        ab.main([src, src, "--labels", "L1-LP", "L1-FOO"])
+    assert "unknown labels ['L1-FOO']" in capsys.readouterr().err
 
 
 def test_replay_gives_one_stable_line_per_label():

@@ -1,6 +1,7 @@
 """Time two trees' fits of the benchmark's inputs in one process, interleaved fit by fit.
 
     python3 tools/ab.py OLD_SRC NEW_SRC [--workloads small-batch square tall-multi-rhs] [--seeds 1 7]
+                        [--labels L1-LP ORACLE]
 
 OLD_SRC and NEW_SRC are ``src`` directories.  Each tree's ``l1fit`` is
 imported under its own name, so both run in this process with BLAS on one
@@ -9,6 +10,8 @@ thread.  The inputs come from this checkout's ``perfbench/workloads.py``
 ``tools/replay.py``: every round of each seed through each workload's
 methods, and for ``tall-multi-rhs`` (not run by default) round 0 of each
 seed through ``bench.DEFAULT_BENCH_METHODS``, whose walks are the longest.
+``--labels`` keeps only the fits of those labels (any case), so that one
+label's path can be timed alone; a workload left with no fit is skipped.
 Every fit (input, label) goes through each tree's ``l1fit.solve``
 once in each of ``PASSES`` passes.  Which tree goes first on a fit
 alternates pass by pass, and the pass count is even, so each tree goes
@@ -141,6 +144,7 @@ def main(argv):
     ap.add_argument("--workloads", nargs="+", choices=[*DEFAULT_WORKLOADS, TALL],
                     default=list(DEFAULT_WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
+    ap.add_argument("--labels", nargs="+", type=str.upper, default=None)
     args = ap.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (Path(src) / "l1fit" / "__init__.py").is_file():
@@ -151,8 +155,15 @@ def main(argv):
     import workloads
 
     trees = [load(args.old_src, "l1fit_old"), load(args.new_src, "l1fit_new")]
+    unknown = sorted(set(args.labels or ()) - set(trees[1].ALL_METHODS))
+    if unknown:
+        ap.error(f"unknown labels {unknown}; valid labels: " + ", ".join(trees[1].ALL_METHODS))
     for name in args.workloads:
-        fits = workload_fits(workloads, name, args.seeds, trees[1].bench.DEFAULT_BENCH_METHODS)
+        fits = [(inst, label) for inst, label in workload_fits(
+            workloads, name, args.seeds, trees[1].bench.DEFAULT_BENCH_METHODS)
+            if args.labels is None or label in args.labels]
+        if not fits:
+            continue
         for line in report(name, fits, time_fits(trees, fits, PASSES)):
             print(line, flush=True)
 
