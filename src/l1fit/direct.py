@@ -8,6 +8,7 @@ with one SVD of each zero set serving both.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 
@@ -72,15 +73,15 @@ def fit_perturbation(
     enlarges the zero set, at most m + n times per round; at rank n the
     same factors give A_z^+, and s = (A_z^T)^+ A_*^T sign(r_*) either
     certifies optimality (||s||_inf <= 1) or points to the zero rows whose
-    residual signs to flip via x += c * A_z^+ u(s), which ends the round.
-    At most ``maxiter`` rounds run; it must be an integer, since the loop
-    ends when the round count equals it.  A breakdown (m + n kernel steps
-    in one round, or a kernel direction that moves no nonzero residual)
-    raises the rank ValueError of every route when ``reduce_problem``
-    rejects A, else RuntimeError.
+    residual signs to flip via x += c * A_z^+ u(s), which ends the round;
+    c must be positive and finite.  At most ``maxiter`` rounds run; it
+    must be an integer, since the loop ends when the round count equals
+    it.  A breakdown (m + n kernel steps in one round, or a kernel
+    direction that moves no nonzero residual) raises the rank ValueError
+    of every route when ``reduce_problem`` rejects A, else RuntimeError.
     """
-    if not c > 0:
-        raise ValueError("correction scale c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"correction scale c must be positive and finite, got {c!r}")
     if not isinstance(maxiter, numbers.Integral) or maxiter < 1:
         raise ValueError(f"maxiter must be an integer of at least 1, got {maxiter!r}")
     t0 = time.perf_counter()

@@ -13,7 +13,8 @@ null(D) and r0 the set's minimum-norm point.  No core touches D or w.  With
 P v = v - N (N^T v), the projection onto the complement of range(N), every
 step the methods take on an orthonormal-row pair reads D^T (D r - w) =
 P r - r0, ||D r - w|| = ||P r - r0||, and restoring feasibility maps r to
-r0 + N (N^T r); the multipliers D^T y of the dual methods live in range(P).
+r0 + N (N^T r) = r - (P r - r0); the multipliers D^T y of the dual methods
+live in range(P).
 ``RESIDUAL_METHODS`` maps the method names to these cores.
 ``fit_via_residual`` wires them into the reduce -> solve -> recover
 pipeline: from the thin QR A = Q R that ``reduce_problem`` builds it hands
@@ -30,9 +31,10 @@ accepted when w agrees with them.
 By the paper's equivalence theorem an optimal residual vanishes on
 dim(null D) rows, so every iterative answer points at a vertex that the
 simplex can finish.  Each of the six iterative cores is a generator that
-only iterates: it yields every point it moves to once, as (r, r_f), with
-r_f that point restored onto r0 + range(N) when the core names rows there,
-else None, and it returns where its own stop rule fires.  One loop,
+only iterates: it yields every point it moves to once, as (r_f, tries),
+with r_f that point restored onto r0 + range(N) from the P r - r0 the core
+carries (no product by N), and tries whether rows are named there, and it
+returns where its own stop rule fires.  One loop,
 ``_run``, drives every core and owns the rest: the iteration count (one per
 yield), the ``maxiter`` budget, the tries and the answer.  A try names the
 k = dim(null D) smallest |r_f| (``_smallest_rows``), and a try that
@@ -45,13 +47,14 @@ a warm-started continuation over the penalty weight (the SpaRSA scheme):
 each steps on ``_lambda_levels`` in turn until its stationarity residual
 drops below ``_LEVEL_TOL`` times the level.  ``converged`` is
 the simplex's certificate; the solvers' own stop rules and the iteration
-budget only decide when to stop, and an uncertified run returns its end
-point, restored onto the constraints, with converged=False.
+budget only decide when to stop, and an uncertified run returns its last
+r_f with converged=False.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -103,20 +106,22 @@ _HP_REFACTOR_EVERY = 50
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Shared knobs for the iterative solvers.
+    """Shared knobs for the iterative solvers; ValueError outside their ranges.
 
-    epsilon  positive stopping / constraint tolerance (also the homotopy's
-             terminal regularization level; its path cannot end at 0)
-    lam      positive penalty weight of the quadratic relaxation solved by the
-             gradient-projection, interior-point and shrinkage methods
-    maxiter  iteration cap; it ends a run like the solver's own stop rule,
-             and converged is then True only if the crossover from the end
-             point is certified
-    tau, mu  proximity-operator parameters; mu=None derives the default
-             0.999 * tau / ||D||_2^2 (the alternating-directions method
-             instead defaults mu to ||r0||_2 / sqrt(rank D), the RMS of w on
-             any orthonormal-row pair, so it does not depend on which basis
-             of D's rows is given)
+    epsilon  positive finite stopping / constraint tolerance (also the
+             homotopy's terminal regularization level; its path cannot end
+             at 0)
+    lam      positive finite penalty weight of the quadratic relaxation
+             solved by the gradient-projection, interior-point and
+             shrinkage methods
+    maxiter  integer iteration cap, at least 1; it ends a run like the
+             solver's own stop rule, and converged is then True only if the
+             crossover from the end point is certified
+    tau, mu  positive finite proximity-operator parameters; mu=None derives
+             the default 0.999 * tau / ||D||_2^2 (the alternating-directions
+             method instead defaults mu to ||r0||_2 / sqrt(rank D), the RMS
+             of w on any orthonormal-row pair, so it does not depend on which
+             basis of D's rows is given)
     """
 
     epsilon: float = 1e-8
@@ -126,16 +131,12 @@ class SolverParams:
     mu: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.maxiter >= 1:
-            raise ValueError("maxiter must be at least 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError("mu must be positive when given")
+        for name in ("epsilon", "lam", "tau") + (() if self.mu is None else ("mu",)):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.maxiter, numbers.Integral) or self.maxiter < 1:
+            raise ValueError(f"maxiter must be an integer of at least 1, got {self.maxiter!r}")
 
 
 @dataclass(frozen=True)
@@ -199,11 +200,6 @@ def _qp_stationarity(r, grad, lam, support_tol):
     return max(worst_on, float(np.abs(grad[~on]).max(initial=lam)) - lam)
 
 
-def _restore_feasibility(N, r0, r):
-    """l2-minimal correction of r onto r0 + range(N): r0 + N (N^T r)."""
-    return r0 + N @ (N.T @ r)
-
-
 def _zero_answer(N, r0) -> ResidualSolution | None:
     """r = 0 in 0 iterations, certified, when r0 is zero or N is square; else None.
 
@@ -220,27 +216,26 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
 
     When r0 is zero or N is square, ``_zero_answer`` answers instead, and
     neither runs.  The core is a generator: each yield is one iteration,
-    (r, r_f), a point it moved to and, when the core names rows there, that
-    point restored onto r0 + range(N) (the dual methods hold it without a
-    product by N), else None; its last yield is its end point.  Each r_f is
-    a try: it names its k smallest rows (``_smallest_rows``), and a try
-    that names the previous try's rows has settled on a vertex and ends the
-    run.  The run also ends where the core returns (its own stop rule; a
-    core that returns before its first iteration ends at r = 0) or after
-    ``maxiter`` iterations.  The crossover then runs once: the vertex
+    (r_f, tries), the point it moved to restored onto r0 + range(N) and
+    whether to try there; its last yield is its end point.  A try names the
+    k smallest rows of r_f (``_smallest_rows``), and a try that names the
+    previous try's rows has settled on a vertex and ends the run.  The run
+    also ends where the core returns (its own stop rule; a core that
+    returns before its first iteration ends at r = 0, restored to r0) or
+    after ``maxiter`` iterations.  The crossover then runs once: the vertex
     simplex ``l1_vertex(N, -r0)``, warm-started at the repeated rows, or
-    else at the rows of the end point restored.  A certified vertex z gives
-    r = N z + r0 and converged=True; otherwise the answer is the end point,
-    restored onto the constraints, with converged=False.
+    else at the rows of the last r_f.  A certified vertex z gives
+    r = N z + r0, the one product by N here, and converged=True; otherwise
+    the answer is the last r_f, with converged=False.
     """
     if (zero := _zero_answer(N, r0)) is not None:
         return zero
     p = params or SolverParams()
     k = N.shape[1]
-    r, it, tried, rows = np.zeros(N.shape[0]), 0, None, None
-    for r, r_f in core(N, r0, p):
+    r_f, it, tried, rows = r0, 0, None, None  # r = 0 restored is r0
+    for r_f, tries in core(N, r0, p):
         it += 1
-        if r_f is not None:
+        if tries:
             named = _smallest_rows(r_f, k)
             if tried is not None and (named == tried).all():
                 rows = named
@@ -249,9 +244,9 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
         if it >= p.maxiter:
             break
     if rows is None:
-        rows = _smallest_rows(_restore_feasibility(N, r0, r), k)
+        rows = _smallest_rows(r_f, k)
     vertex = _l1_vertex(N, -r0, rows)
-    r = N @ vertex.x + r0 if vertex.certified else _restore_feasibility(N, r0, r)
+    r = N @ vertex.x + r0 if vertex.certified else r_f
     return ResidualSolution(r=r, iterations=it, converged=bool(vertex.certified),
                             objective=norm1(r))
 
@@ -348,7 +343,7 @@ def _gpsr(N, r0, p):
                 Pr = Pr + beta * Pdr
                 grad0 = Pr - r0
             steps += 1
-            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
+            yield r - grad0, _tries_at(steps)
 
 
 def residual_tnipm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -441,7 +436,7 @@ def _tnipm(N, r0, p):
         if step * norm2(df) <= 1e-14 * (1.0 + norm2(r) + norm2(u)):
             return  # accepted step moves nothing; numerical floor reached
         r, u, f, g = r_new, u_new, f_new, g_new
-        yield r, _restore_feasibility(N, r0, r)
+        yield r - g, True
 
 
 def _homotopy_step(support, r_k, v, pvec, dk, level, m):
@@ -495,7 +490,7 @@ def _homotopy(N, r0, p):
     lam = p.epsilon  # terminal level of the path
 
     r = np.zeros(m)
-    pvec = -r0
+    pvec = -r0  # P r - r0, held at +-pmax on the support
     pmax = norm_inf(pvec)
     if pmax <= lam:
         return
@@ -504,8 +499,6 @@ def _homotopy(N, r0, p):
     z = np.zeros(m)
     z[xi] = -np.sign(pvec[xi])
     pvec[xi] = pmax * np.sign(pvec[xi])
-    in_support = np.zeros(m, dtype=bool)
-    in_support[xi] = True
     # G^-1 = F - U^T diag(coef) U: the last refactor F less the Sherman-Morrison
     # terms since, kept apart so that an update costs two thin products, not n^2
     U, coef = np.empty((_HP_REFACTOR_EVERY, n)), np.empty(_HP_REFACTOR_EVERY)
@@ -519,12 +512,15 @@ def _homotopy(N, r0, p):
         c = N.T @ z
         y = F @ c - Uk.T @ (ck * (Uk @ c))
         Ny = N @ y
-        v = np.where(in_support, z + Ny, 0.0)
+        v = np.zeros(m)
+        v[xi] = z[xi] + Ny[xi]
         dk = v - Ny  # P v
         delta, i_add, i_del, removing = _homotopy_step(xi, r, v, pvec, dk, pmax, m)
 
         if pmax - delta <= lam:
-            yield r + (pmax - lam) * v, None  # the path's end
+            # the path's end r + s v, s = pmax - lam, where P r - r0 has
+            # moved to pvec + s P v = pvec + s (v - Ny)
+            yield r - pvec + (pmax - lam) * Ny, False
             return
         r = r + delta * v
         pvec = pvec + delta * dk
@@ -536,23 +532,21 @@ def _homotopy(N, r0, p):
         sign = 1.0 if removing else -1.0
         denom = 1.0 + sign * float(a @ g)
         if denom <= 0.0:  # G would turn singular (S outgrowing rank D)
-            yield r, None  # r vanishes off S: a vertex, where the path ends
+            yield r - pvec, False  # r vanishes off S: a vertex, where the path ends
             return
         U[updates], coef[updates] = g, sign / denom
         updates += 1
         if removing:
-            in_support[i_del] = False
             r[i_del] = z[i_del] = 0.0
             pin = xi  # the leaving index stays pinned this once
             xi = xi[xi != i_del]  # in entry order, which breaks ties among leaving rows
         else:
-            in_support[i_add] = True
             xi = np.append(xi, i_add)
             r[i_add] = 0.0
             z[i_add] = -np.sign(pvec[i_add])
             pin = xi
         pvec[pin] = pmax * np.sign(pvec[pin])
-        yield r, None
+        yield r - pvec, False
 
 
 def residual_ist(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -594,7 +588,7 @@ def _ist(N, r0, p):
             if delta > 0.0 and gamma > 0.0:
                 alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, gamma / delta))
             steps += 1
-            yield r, _restore_feasibility(N, r0, r) if _tries_at(steps) else None
+            yield r - g, _tries_at(steps)
 
 
 def residual_adm(D, w, params: SolverParams | None = None) -> ResidualSolution:
@@ -634,7 +628,7 @@ def _adm(N, r0, p):
         dr = _ADM_ZETA * mu * (g - z)
         r = r + dr
         Pr = Pr + _ADM_ZETA * mu * (g - Pz)
-        yield r, r - Pr + r0  # r restored onto r0 + range(N)
+        yield r - Pr + r0, True
         # feasibility alone can be reached while the multiplier is still
         # moving; also require the update itself to have settled
         if norm2(Pr - r0) <= p.epsilon * r0norm and norm2(dr) <= p.epsilon * (1.0 + norm2(r)):
@@ -682,7 +676,7 @@ def _pob(N, r0, p):
         s = r
         r = soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
         Pr = _project(N, r)
-        yield r / scale, (r - Pr) / scale + r0  # r / scale, restored
+        yield (r - Pr) / scale + r0, True  # r / scale, restored
         ns = norm2(s)
         if ns > 0.0 and norm2(r - s) < 1e-6 * ns and norm2(Pr / scale - r0) <= feas_gate:
             return

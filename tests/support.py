@@ -223,7 +223,8 @@ def lines_run(func, call):
     """The source lines of ``func``, stripped, that ``call()`` executes (a line trace).
 
     Shows that a test reaches the branch it is written for, wherever the
-    branch sits in the file.
+    branch sits in the file.  The tracer active before the call, such as
+    coverage's or a debugger's, is put back after it.
     """
     source, first = inspect.getsourcelines(func)
     code, ran = func.__code__, set()
@@ -233,9 +234,10 @@ def lines_run(func, call):
             ran.add(source[frame.f_lineno - first].strip())
         return local
 
+    outer = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
         call()
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return ran

@@ -112,6 +112,10 @@ def test_perturbation_validation():
     prob = random_problem(rng, 5, 2)
     with pytest.raises(ValueError):
         fit_perturbation(prob, c=0.0)
+    # an infinite c stalled the zero-set growth, reported as a breakdown
+    for c in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            fit_perturbation(prob, c=c)
     with pytest.raises(ValueError):
         fit_perturbation(prob, maxiter=0)
     # the rounds end when their count equals maxiter, so maxiter=2.5 never

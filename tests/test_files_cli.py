@@ -195,6 +195,20 @@ def test_cli_solve_solver_failure_is_an_error_without_x(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_cli_solve_infinite_ptb_c_is_a_usage_error(tmp_path, capsys):
+    # it printed RuntimeWarnings and exited 2, "zero-set growth stalled"
+    problem, _ = gen_instance(12, 3, 2)
+    write_matrix(tmp_path / "A.txt", problem.A)
+    write_vector(tmp_path / "b.txt", add_sparse_noise(problem.b, 0.25, 0.25, 2))
+    code = main(["solve", "--method", "l1-ptb", "--ptb-c", "inf",
+                 "--matrix", str(tmp_path / "A.txt"), "--rhs", str(tmp_path / "b.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("l1fit solve: error: correction scale c must be positive and "
+                            "finite, got inf\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("method", ["l1-ptb", "oracle"])
 def test_cli_solve_rank_deficient_a_is_a_usage_error_for_every_method(tmp_path, capsys, method):
     # both used to raise RuntimeError here, and exit 2 as for a breakdown
@@ -331,6 +345,9 @@ def test_cli_bench_rejects_a_level_that_gives_no_tall_system(tmp_path, capsys):
     ("--tau", "0", "tau"),
     ("--eps", "-1", "epsilon"),
     ("--lambda", "0", "lam"),
+    ("--lambda", "inf", "lam"),
+    ("--eps", "inf", "epsilon"),
+    ("--mu", "inf", "mu"),
 ])
 def test_cli_solve_bad_solver_parameter_is_usage_error(tmp_path, capsys, flag, value, message):
     rng = np.random.default_rng(86)

@@ -30,7 +30,6 @@ from l1fit.residual_solvers import (
     _lambda_levels,
     _newton_direction,
     _pob,
-    _restore_feasibility,
     _run,
     _smallest_rows,
     _tnipm,
@@ -312,6 +311,16 @@ def test_homotopy_early_return_meets_the_constraint():
     assert norm2(D @ res.r - w) <= 1e-12 * norm2(w)
 
 
+def _restored(N, r0, r):
+    """r restored onto the constraint set r0 + range(N): r0 + N (N^T r)."""
+    return r0 + N @ (N.T @ r)
+
+
+def _off_constraints(N, r0, r):
+    """||P r - r0||, the distance of r from r0 + range(N) when N^T r0 = 0."""
+    return norm2(r - N @ (N.T @ r) - r0)
+
+
 def _reduced_pair(problem):
     """The kernel pair (N, r0) that ``fit_via_residual`` hands the cores."""
     rs = reduce_problem(problem)
@@ -355,7 +364,7 @@ def test_vertex_rows_restore_feasibility_and_sort():
     pair = _kernel_pair([[1.0, 0.0, 0.0]], [1.0])
 
     def vertex_rows(r):
-        return list(_smallest_rows(_restore_feasibility(*pair, np.array(r)), 2))
+        return list(_smallest_rows(_restored(*pair, np.array(r)), 2))
 
     assert vertex_rows([1.0, 0.5, 3.0]) == [0, 1]
     assert vertex_rows([0.1, 0.5, 0.2]) == [1, 2]
@@ -768,6 +777,15 @@ def test_solver_params_validation():
     for lam in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError, match="lam must be positive"):
             SolverParams(lam=lam)
+    # an infinite tolerance or penalty ran 0 iterations, an infinite mu
+    # iterated on NaN, and a fractional or infinite budget was taken
+    for name in ("epsilon", "lam", "tau", "mu"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SolverParams(**{name: np.inf})
+    for maxiter in (2.5, np.inf, 3.0):
+        with pytest.raises(ValueError, match="maxiter must be an integer"):
+            SolverParams(maxiter=maxiter)
+    assert SolverParams(maxiter=np.int64(2)).maxiter == 2
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -884,11 +902,11 @@ def test_run_ends_at_a_repeated_try_and_crosses_over_from_its_rows(monkeypatch):
     N, r0 = _small_pair()
     k = N.shape[1]
     rng = np.random.default_rng(1)
-    rs = [rng.standard_normal(N.shape[0]) for _ in range(5)]
-    a, b = (_restore_feasibility(N, r0, r) for r in rng.standard_normal((2, N.shape[0])))
+    c, a, b = (_restored(N, r0, r) for r in rng.standard_normal((7, N.shape[0]))[[1, 5, 6]])
     assert not (_smallest_rows(a, k) == _smallest_rows(b, k)).all()
-    # tries b, a, a: the second a repeats the rows of the try before it
-    core, asked = _scripted([(rs[0], b), (rs[1], None), (rs[2], a), (rs[3], a), (rs[4], b)])
+    # tries b, a, a: the second a repeats the rows of the try before it; the
+    # untried c between them names no rows
+    core, asked = _scripted([(b, True), (c, False), (a, True), (a, True), (b, True)])
     starts = _spying_simplex(monkeypatch)
     res = _run(N, r0, core=core)
     assert res.iterations == 4 and len(asked) == 4
@@ -900,11 +918,11 @@ def test_run_ends_at_a_repeated_try_and_crosses_over_from_its_rows(monkeypatch):
 def test_run_out_of_budget_ends_at_the_last_yielded_point(monkeypatch):
     N, r0 = _small_pair()
     rng = np.random.default_rng(2)
-    points = [(r, None) for r in rng.standard_normal((5, N.shape[0]))]
+    points = [(_restored(N, r0, r), False) for r in rng.standard_normal((5, N.shape[0]))]
     core, asked = _scripted(points)
     starts = _spying_simplex(monkeypatch, certified=False)
     res = _run(N, r0, SolverParams(maxiter=3), core=core)
-    end = _restore_feasibility(N, r0, points[2][0])
+    end = points[2][0]
     assert res.iterations == 3 and len(asked) == 3
     assert len(starts) == 1 and (starts[0] == _smallest_rows(end, N.shape[1])).all()
     assert not res.converged
@@ -925,18 +943,18 @@ def test_run_of_a_core_that_returns_at_once_crosses_over_from_zero(monkeypatch):
 
 @pytest.mark.parametrize("core", [_gpsr, _ist])
 def test_continuation_cores_try_on_schedule_under_the_callers_errstate(core):
-    # the tries come exactly at the _tries_at iterations, each restored onto
+    # the tries come exactly at the _tries_at iterations, each on
     # r0 + range(N), and no step's error state leaks out across a yield
     N, r0 = _reduced_pair(bench_problem(64, 16, 0.25, 100001))
     it = 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         caller = np.geterr()
-        for r, r_f in itertools.islice(core(N, r0, SolverParams()), 300):
+        for r_f, tries in itertools.islice(core(N, r0, SolverParams()), 300):
             it += 1
             assert np.geterr() == caller
-            assert (r_f is not None) == _tries_at(it)
-            if r_f is not None:
-                assert norm2(r_f - N @ (N.T @ r_f) - r0) <= 1e-12 * norm2(r0)
+            assert tries == _tries_at(it)
+            if tries:
+                assert _off_constraints(N, r0, r_f) <= 1e-12 * norm2(r0)
     assert it > 3 * _TRY_EVERY
 
 
@@ -958,7 +976,7 @@ def test_cores_yield_each_point_once_and_return_at_their_stop_rule(method):
     points = list(CORES[method](N, r0, SolverParams()))
     assert len(points) >= 2
     assert not np.array_equal(points[-1][0], points[-2][0])
-    tries = [r_f is not None for _, r_f in points]
+    tries = [tries for _, tries in points]
     if method in ("tnipm", "adm", "pob"):
         assert all(tries)
     elif method == "homotopy":
@@ -967,9 +985,30 @@ def test_cores_yield_each_point_once_and_return_at_their_stop_rule(method):
         assert tries == [_tries_at(it) for it in range(1, len(points) + 1)]
 
 
+YIELD_PAIRS = {
+    "reduced-64x16": lambda: _reduced_pair(bench_problem(64, 16, 0.25, 100001)),
+    "reduced-256x128": lambda: _reduced_pair(bench_problem(256, 128, 0.25, 100001)),
+    "paper-40x8": lambda: _paper_orthonormal_pair(bench_problem(40, 8, 0.25, 100001)),
+}
+
+
+@pytest.mark.parametrize("pair", YIELD_PAIRS)
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_every_yield_lies_on_the_constraints(method, pair):
+    # every core yields the point it moves to restored onto r0 + range(N)
+    # from the P r - r0 it carries, tried or not, so _run names rows and
+    # answers from it without a product by N; up to 2000 iterations, where
+    # the carried P r has longest to drift
+    N, r0 = YIELD_PAIRS[pair]()
+    points = list(itertools.islice(CORES[method](N, r0, SolverParams()), 2000))
+    assert points
+    for r_f, _ in points:
+        assert _off_constraints(N, r0, r_f) <= 1e-12 * norm2(r0)
+
+
 @pytest.mark.parametrize("m,n,seed,scale,exit_line", [
-    (8, 3, 100001, 1.0, "yield r + (pmax - lam) * v, None  # the path's end"),
-    (12, 3, 5, 1e8, "yield r, None  # r vanishes off S: a vertex, where the path ends"),
+    (8, 3, 100001, 1.0, "yield r - pvec + (pmax - lam) * Ny, False"),
+    (12, 3, 5, 1e8, "yield r - pvec, False  # r vanishes off S: a vertex, where the path ends"),
 ])
 def test_homotopy_yields_the_point_it_moves_to_at_either_exit(monkeypatch, m, n, seed, scale,
                                                               exit_line):
@@ -980,7 +1019,7 @@ def test_homotopy_yields_the_point_it_moves_to_at_either_exit(monkeypatch, m, n,
     steps, step = [], residual_solvers._homotopy_step
 
     def counting(*args):
-        steps.append(args)
+        steps.append([np.copy(arg) for arg in args])
         return step(*args)
 
     monkeypatch.setattr(residual_solvers, "_homotopy_step", counting)
@@ -990,9 +1029,35 @@ def test_homotopy_yields_the_point_it_moves_to_at_either_exit(monkeypatch, m, n,
     assert len(points) == len(steps) >= 2
     assert not np.array_equal(points[-1][0], points[-2][0])
     if scale == 1.0:  # the path ends at the terminal level: |P r - r0| <= epsilon
-        end = points[-1][0]
-        assert norm_inf(end - N @ (N.T @ end) - r0) == pytest.approx(SolverParams().epsilon,
-                                                                      rel=1e-6)
+        # the last step leaves r_k along v from its level down to epsilon;
+        # the core yields that end point restored onto the constraints
+        _, r_k, v, _, _, level, _ = steps[-1]
+        eps = SolverParams().epsilon
+        end = r_k + (level - eps) * v
+        assert norm_inf(end - N @ (N.T @ end) - r0) == pytest.approx(eps, rel=1e-6)
+        assert norm2(points[-1][0] - _restored(N, r0, end)) <= 1e-12 * norm2(r0)
+
+
+def test_lines_run_puts_back_the_outer_tracer():
+    # a line trace ended with sys.settrace(None), which switched off an
+    # outer tracer, coverage's or a debugger's, for the rest of the session
+    seen = []
+
+    def outer(frame, event, arg):
+        if frame.f_code is _tries_at.__code__:
+            seen.append(event)
+
+    before = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        ran = lines_run(_tries_at, lambda: _tries_at(3))
+        restored = sys.gettrace()
+        _tries_at(5)
+    finally:
+        sys.settrace(before)
+    assert ran == {"return it in (1, 2, 4, 8) or it % _TRY_EVERY == 0"}
+    assert restored is outer
+    assert seen == ["call"]  # the call after the trace, none during it
 
 
 def _scaled_problems(scale):
@@ -1011,7 +1076,7 @@ def test_gpsr_rejects_a_step_whose_curvature_overflows():
         ran = lines_run(_gpsr, lambda: points.extend(
             itertools.islice(_gpsr(N, r0, SolverParams()), 3)))
     assert "beta = 0.0" in ran
-    assert all(not r.any() for r, _ in points)
+    assert all(np.array_equal(r_f, r0) for r_f, _ in points)  # r = 0 restored
     report = fit_via_residual(scaled, "gpsr")
     assert report.converged
     assert np.allclose(report.x, fit_via_residual(problem, "gpsr").x, rtol=1e-12, atol=0.0)
@@ -1019,15 +1084,17 @@ def test_gpsr_rejects_a_step_whose_curvature_overflows():
 
 def test_gpsr_takes_a_whole_step_when_its_curvature_underflows():
     # at |r0| near 1e-200, with lam scaled alike, ||P d||^2 underflows to 0:
-    # the step is taken whole, the soft-threshold of r0 at the first level,
-    # and the next step length is the largest
+    # the step is taken whole, to the soft-threshold of r0 at the first
+    # level (yielded restored onto the constraints), and the next step
+    # length is the largest
     N, r0 = _reduced_pair(_scaled_problems(1e-200)[1])
     p = SolverParams(lam=1e-210)
     points = []
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         ran = lines_run(_gpsr, lambda: points.extend(itertools.islice(_gpsr(N, r0, p), 2)))
     assert {"beta = 1.0", "alpha = _ALPHA_MAX"} <= ran
-    assert np.allclose(points[0][0], soft(r0, _lambda_levels(r0, p.lam)[0]), rtol=1e-14, atol=0.0)
+    whole = _restored(N, r0, soft(r0, _lambda_levels(r0, p.lam)[0]))
+    assert np.allclose(points[0][0], whole, rtol=1e-14, atol=0.0)
 
 
 def test_tnipm_ends_where_backtracking_finds_no_step():
