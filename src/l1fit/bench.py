@@ -126,9 +126,14 @@ class ExperimentSpec:
         if any(v < 1.0 for v in self.drl_values):
             raise ValueError("redundancy levels must be at least 1")
         if self.kind == "drl_sweep":
+            levels = {}  # m -> the first level that gives it
             for v, (m, n, _) in zip(self.drl_values, _configurations(self)):
                 if not m > n:
                     raise ValueError(f"redundancy level {v} gives m = {m}, not above n = {n}")
+                if m in levels:
+                    raise ValueError(f"redundancy levels {levels[m]} and {v} both give m = {m} "
+                                     f"at n = {n}")
+                levels[m] = v
         if not self.methods:
             raise ValueError("at least one method is required")
         unknown = [m for m in self.methods if str(m).upper() not in _methods.ALL_METHODS]

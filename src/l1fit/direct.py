@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .linalg import default_rank_tol, norm_inf
+from .linalg import _EPS, norm_inf
 from .reduction import MlmProblem, SolveReport, reduce_problem
 from .simplex import _l1_vertex, _least_squares_rows
 
@@ -106,7 +106,8 @@ def _descent(A, b, c, maxiter):
         free = ~zmask
         A_z = A[zmask]
         U, sv, Vt = np.linalg.svd(A_z)
-        rank = np.count_nonzero(sv > default_rank_tol(A_z))
+        # default_rank_tol(A_z), without its checks: once per zero set
+        rank = np.count_nonzero(sv > _EPS * max(A_z.shape) * norm_inf(A_z))
         if rank < n:
             grown += 1
             if grown > m + n:

@@ -62,7 +62,7 @@ def oracle_solve(problem: MlmProblem) -> SolveReport:
 
     rows = _subsets(m, n)
     A_s = np.ldexp(A, _unit_shift(A))
-    scale = np.linalg.norm(A_s, axis=1)[rows].prod(axis=1)
+    scale = np.sqrt((A_s * A_s).sum(axis=1))[rows].prod(axis=1)  # the row norms
     keep = np.abs(np.linalg.det(A_s[rows])) > _DET_RTOL * scale
     if not keep.any():
         reduce_problem(problem)  # raises the rank ValueError when A fails the test

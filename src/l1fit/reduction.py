@@ -7,21 +7,29 @@ conversely the minimum-l1 residual r* recovers the optimal parameters.
 The paper writes D = [-A2 A1^+  I], w = A2 A1^+ b(1:n) - b(n+1:m), with A1
 the top n x n block of A and A2 the remaining rows; any D with that null
 space will do, and the paper's loses it when A1 is singular.  The
-reduction takes one thin QR factorization A = Q R, Q of size m x n with
-orthonormal columns: Q is a kernel basis of any such D, the constraint
-set is r0 + range(Q) with r0 = Q (Q^T b) - b, and x* = R^-1 Q^T (b + r*).
-An orthonormal D itself, D = Q2^T from a complete basis [Q Q2], is built
-only on request (``ReducedSystem.D``); the fit path never forms it.
+reduction takes one thin factorization A = Q R, Q of size m x n with
+orthonormal columns and R of size n x n: Q is a kernel basis of any such
+D, the constraint set is r0 + range(Q) with r0 = Q (Q^T b) - b, and
+x* = R^-1 Q^T (b + r*).  R is the Householder or Gram-Schmidt triangle,
+or S V^T on the small branch below.  An orthonormal D itself,
+D = Q2^T from a complete basis [Q Q2], is built only on request
+(``ReducedSystem.D``); the fit path never forms it.
 
-A has full column rank when sigma_min(R) of its Householder factor R
-exceeds ``default_rank_tol(A)``.  A Cholesky factorization of A^T A - mu I
-that succeeds proves that, for a shift mu chosen above the rounding errors
-of forming and factoring the Gram matrix, of Householder QR and of the SVD
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10 and
-Thm 19.4).  It also bounds kappa(A), and then block Gram-Schmidt with
-reorthogonalization on Householder panels gives the thin QR in about half
-the time of LAPACK's above one panel of columns; below it, and when the
-certificate fails, Householder QR and an SVD of R decide.
+A has full column rank when sigma_min(A), read from an SVD of A or of its
+Householder factor R, exceeds ``default_rank_tol(A)``.  When m n^2 is at
+most ``_SVD_WORK``, one thin SVD A = Q S V^T gives Q, R = S V^T and that
+test in one LAPACK call, against three for Householder QR (its factor,
+then its Q) and an SVD of R (Golub & Van Loan, Matrix Computations,
+sections 2.5 and 5.4).  The SVD takes more flops than the QR, so it wins
+only while the per-call cost dominates; ``tools/reduce_sizes.py`` times
+the two over a grid of shapes.  A Cholesky factorization of A^T A - mu I
+that succeeds proves full rank, for a shift mu chosen above the rounding
+errors of forming and factoring the Gram matrix, of Householder QR and of
+the SVD (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+ch. 10 and Thm 19.4).  It also bounds kappa(A), and then block
+Gram-Schmidt with reorthogonalization on Householder panels gives the thin
+QR in about half the time of LAPACK's above one panel of columns; below
+it, and when the certificate fails, Householder QR and an SVD of R decide.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ _TINY = float(np.finfo(float).tiny)
 _GRAM_SHIFT = 4.0
 # columns per block Gram-Schmidt panel (_block_qr)
 _PANEL = 32
+# reduce_problem factors A by one thin SVD when m n^2 is at most this
+_SVD_WORK = 3072
 
 __all__ = [
     "MlmProblem",
@@ -117,7 +127,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The thin QR factors A = Q R of A, Q of size m x n, R of size n x n.
+    """Thin factors A = Q R: Q of size m x n with orthonormal columns, R of size n x n.
+
+    R is triangular from QR, or S V^T from a thin SVD A = Q S V^T on small
+    inputs (``reduce_problem``).
 
     ``D`` is the paper's constraint operator on request: Q2^T, with Q2 an
     orthonormal basis of the complement of range(Q), so D is (m - n) x m
@@ -209,20 +222,27 @@ def _block_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reduce_problem(problem: MlmProblem) -> ReducedSystem:
-    """Factor A = Q R by one thin QR for the reduce -> solve -> recover pipeline.
+    """Factor A = Q R, Q orthonormal, for the reduce -> solve -> recover pipeline.
 
-    Raises ValueError when A has column rank below n: sigma_min(R) of A's
-    Householder factor R at most ``default_rank_tol(A)``.  Above ``_PANEL``
-    columns a Cholesky certificate on A^T A (``_certified_full_rank``) may
-    prove full rank first; the factors then come from block Gram-Schmidt
-    (``_block_qr``), whose Q the certificate's bound on kappa(A) keeps
-    orthonormal to O(eps), as Householder QR's is.  Otherwise Householder QR
-    (``np.linalg.qr``) factors A and the smallest singular value of R
-    decides, so the verdict is the SVD's on every input.
+    Raises ValueError when A has column rank below n: sigma_min(A) at most
+    ``default_rank_tol(A)``.  When m n^2 <= ``_SVD_WORK`` one thin SVD
+    A = Q S V^T gives Q, R = S V^T and sigma_min(A) = S[-1].  Above
+    ``_PANEL`` columns a Cholesky certificate on A^T A
+    (``_certified_full_rank``) may prove full rank first; the factors then
+    come from block Gram-Schmidt (``_block_qr``), whose Q the certificate's
+    bound on kappa(A) keeps orthonormal to O(eps), as Householder QR's is.
+    Otherwise Householder QR (``np.linalg.qr``) factors A and the smallest
+    singular value of R decides, so the verdict is the SVD's on every input.
     """
     A = problem.A
+    m, n = A.shape
     tol = default_rank_tol(A)
-    if A.shape[1] > _PANEL and _certified_full_rank(A, tol):
+    if m * n * n <= _SVD_WORK:
+        Q, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        if sv[-1] <= tol:
+            raise _rank_error()
+        R = sv[:, None] * Vt
+    elif n > _PANEL and _certified_full_rank(A, tol):
         Q, R = _block_qr(A)
     else:
         Q, R = np.linalg.qr(A)

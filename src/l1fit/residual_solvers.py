@@ -17,7 +17,7 @@ r0 + N (N^T r) = r - (P r - r0); the multipliers D^T y of the dual methods
 live in range(P).
 ``RESIDUAL_METHODS`` maps the method names to these cores.
 ``fit_via_residual`` wires them into the reduce -> solve -> recover
-pipeline: from the thin QR A = Q R that ``reduce_problem`` builds it hands
+pipeline: from the thin factors A = Q R that ``reduce_problem`` builds it hands
 every core N = Q and r0 = Q (Q^T b) - b, the projection of -b off
 range(A), so nothing else is factored per fit and no D is formed, and it
 sets an r0 at rounding level (a consistent system) to zero.  Every method
@@ -139,6 +139,10 @@ class SolverParams:
             raise ValueError(f"maxiter must be an integer of at least 1, got {self.maxiter!r}")
 
 
+# what ``_run`` reads when no params are given; frozen, so one serves every call
+_DEFAULT_PARAMS = SolverParams()
+
+
 @dataclass(frozen=True)
 class ResidualSolution:
     r: np.ndarray
@@ -230,7 +234,7 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
     """
     if (zero := _zero_answer(N, r0)) is not None:
         return zero
-    p = params or SolverParams()
+    p = params or _DEFAULT_PARAMS
     k = N.shape[1]
     r_f, it, tried, rows = r0, 0, None, None  # r = 0 restored is r0
     for r_f, tries in core(N, r0, p):
@@ -752,9 +756,15 @@ def fit_via_residual(
         if norm2(Q.T @ (Q @ v) - v) > 1e-8 * norm2(v):
             raise ValueError("reduced system's Q does not have orthonormal columns")
     r0 = Q @ (Q.T @ b) - b
-    absQ, absb = np.abs(Q), np.abs(b)
-    if (np.abs(r0) <= m * _EPS * (absb + absQ @ (absQ.T @ absb))).all():
-        r0 = np.zeros(m)
+    # Q has unit columns and rows of norm at most 1, so (|Q|^T |b|)_j <= sqrt(m)
+    # ||b||_inf and (|Q| |Q|^T |b|)_i <= sqrt(n) sqrt(m) ||b||_inf: the row test
+    # below asks ||r0||_inf <= m eps (1 + sqrt(m n)) ||b||_inf at least.  Twice
+    # that covers the rounding of Q's norms and of the test itself, and above
+    # it the row test cannot pass, so skipping it changes no decision.
+    if norm_inf(r0) <= 2.0 * m * _EPS * (1.0 + math.sqrt(m * n)) * norm_inf(b):
+        absQ, absb = np.abs(Q), np.abs(b)
+        if (np.abs(r0) <= m * _EPS * (absb + absQ @ (absQ.T @ absb))).all():
+            r0 = np.zeros(m)
     res = RESIDUAL_METHODS[method](Q, r0, params)
     x = recover(problem, rs, res.r)
     return SolveReport.of(problem, x, t0, iterations=res.iterations,

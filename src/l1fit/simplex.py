@@ -396,7 +396,7 @@ def _l1_vertex(A, b, rows) -> L1Vertex:
     or n row indices in [0, m) that the descent may edit in place.
     """
     m, n = A.shape
-    tol = default_rank_tol(A)
+    tol = _EPS * m * norm_inf(A)  # default_rank_tol(A), as m >= n
     inv_T = None if rows is None else _basis_inverse(A, rows, tol)
     if inv_T is None:
         rows = _start_rows(A)

@@ -340,6 +340,16 @@ def test_cli_bench_rejects_a_level_that_gives_no_tall_system(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_cli_bench_rejects_two_levels_that_give_one_m(tmp_path, capsys):
+    # at n = 3 the levels 1.25 and 1.5 both give m = 4, which was fit twice
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--experiment", "drl", "--m", "12", "--n", "3", "--repeats", "1",
+                 "--methods", "L1-LP", "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "l1fit bench: error: redundancy levels 1.25 and 1.5 both give m = 4 at n = 3\n")
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--maxiter", "0", "maxiter"),
     ("--tau", "0", "tau"),

@@ -14,7 +14,7 @@ from l1fit import (
 )
 from l1fit.bench import gen_instance
 from l1fit.linalg import default_rank_tol
-from l1fit.reduction import _block_qr
+from l1fit.reduction import _SVD_WORK, _block_qr
 from support import bench_problem, dependent_top_rows_problem, kahan, paper_pair, random_problem
 
 
@@ -216,16 +216,26 @@ def test_certified_reduction_factors_by_panels(monkeypatch):
     assert np.max(np.abs(rs.Q @ rs.R - problem.A)) <= 1e-13 * np.max(np.abs(problem.A))
 
 
-@pytest.mark.parametrize("m,n", [(12, 3), (64, 32)])
-def test_one_panel_reduction_takes_no_certificate(monkeypatch, m, n):
+# m n^2 <= _SVD_WORK (3072 = 48 * 8^2) takes one thin SVD of A; from 49 x 8
+# on, Householder QR and the SVD of R
+@pytest.mark.parametrize("m,n,calls", [
+    (12, 3, {"qr": [], "svd": [(12, 3)]}),
+    (48, 8, {"qr": [], "svd": [(48, 8)]}),
+    (49, 8, {"qr": [(49, 8)], "svd": [(8, 8)]}),
+    (64, 32, {"qr": [(64, 32)], "svd": [(32, 32)]}),
+], ids=["12-3", "48-8", "49-8", "64-32"])
+def test_one_panel_reduction_takes_no_certificate(monkeypatch, m, n, calls):
     # up to _PANEL columns block Gram-Schmidt is one Householder QR, so the
-    # certificate would license nothing: the SVD of R decides at once
+    # certificate would license nothing: one SVD decides at once, of A on
+    # small inputs, else of R
+    assert (m * n * n <= _SVD_WORK) == (calls["qr"] == [])
     problem = bench_problem(m, n, 0.25, 100001)
-    calls = _counting_linalg(monkeypatch)
+    recorded = _counting_linalg(monkeypatch)
     cholesky = []
     monkeypatch.setattr(np.linalg, "cholesky", lambda G: cholesky.append(G))
     rs = reduce_problem(problem)
-    assert calls == {"qr": [(m, n)], "svd": [(n, n)]} and cholesky == []
+    assert recorded == calls and cholesky == []
+    assert np.max(np.abs(rs.Q.T @ rs.Q - np.eye(n))) <= 1e-13
     assert np.max(np.abs(rs.Q @ rs.R - problem.A)) <= 1e-13 * np.max(np.abs(problem.A))
 
 

@@ -416,6 +416,31 @@ def test_consistent_system_short_circuits(monkeypatch):
     assert len(calls) >= 1 and all(vertex.certified for vertex in calls)
 
 
+def _consistent_cases():
+    """(problem, whether r0 is zeroed) on each side of the consistency test."""
+    rng = np.random.default_rng(0)
+    A, p = rng.standard_normal((12, 3)), rng.standard_normal(3)
+    B, q = 1e6 * rng.standard_normal((256, 128)), rng.standard_normal(128)
+    A_rows = A * 10.0 ** rng.uniform(-8.0, 8.0, (12, 1))
+    noisy = A @ p + rng.standard_normal(12)
+    return [pytest.param(MlmProblem(1e6 * A, (1e6 * A) @ p), True, id="12x3-scaled"),
+            pytest.param(MlmProblem(B, B @ q), True, id="256x128-scaled"),
+            pytest.param(MlmProblem(A_rows, A_rows @ p), False, id="12x3-graded-rows"),
+            pytest.param(MlmProblem(A, noisy), False, id="12x3-noisy")]
+
+
+@pytest.mark.parametrize("problem,zeroed", _consistent_cases())
+def test_consistency_bound_keeps_the_row_test_decision(monkeypatch, problem, zeroed):
+    # the ||r0||_inf bound in front of the row test only skips a test that
+    # cannot pass: r0 is zeroed (0 iterations) or kept exactly as without it
+    seen = []
+    core = RESIDUAL_METHODS["adm"]
+    monkeypatch.setitem(RESIDUAL_METHODS, "adm", lambda N, r0, p: seen.append(r0) or core(N, r0, p))
+    report = fit_via_residual(problem, "adm")
+    assert (not seen[0].any()) == zeroed
+    assert (report.iterations == 0) == zeroed and report.converged
+
+
 @pytest.mark.parametrize("solver", ITERATIVE)
 def test_cross_solver_agreement(solver):
     rng = np.random.default_rng(31)

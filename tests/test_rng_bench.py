@@ -98,6 +98,9 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="redundancy level 1.25 gives m = 2, not above n = 2"):
         ExperimentSpec(kind="drl_sweep", m=4, n=2)
     ExperimentSpec(kind="noise_free", m=4, n=2)  # the levels set m only in a redundancy sweep
+    # two levels that round to one m used to fit it twice, the second reported at the first's level
+    with pytest.raises(ValueError, match="redundancy levels 1.25 and 1.5 both give m = 4 at n = 3"):
+        ExperimentSpec(kind="drl_sweep", m=12, n=3)
     with pytest.raises(ValueError):
         ExperimentSpec(kind="noise_free", methods=())
     # a NaN variance used to run the whole campaign, every repetition an error

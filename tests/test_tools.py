@@ -1,5 +1,6 @@
-"""The tools run end to end on small inputs: the two-tree timer ``tools/ab.py``,
-the answer replay ``tools/replay.py`` and its comparison ``tools/replay_cmp.py``."""
+"""The tools run end to end on small inputs: the two-tree timers ``tools/ab.py``
+and ``tools/reduce_sizes.py``, the answer replay ``tools/replay.py`` and its
+comparison ``tools/replay_cmp.py``."""
 
 import importlib.util
 import subprocess
@@ -69,6 +70,20 @@ def test_ab_labels_time_one_label_alone(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         ab.main([src, src, "--labels", "L1-LP", "L1-FOO"])
     assert "unknown labels ['L1-FOO']" in capsys.readouterr().err
+
+
+def test_reduce_sizes_times_both_branches(monkeypatch, capsys):
+    # one line per shape: 6 x 2 is inside the thin-SVD rule, 49 x 8 just outside
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # main sets them; restored after the test
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # the tool imports ab beside it
+    sizes = _tool("reduce_sizes")
+    assert (12, 3) in sizes.grid() and all(m > n for m, n in sizes.grid())
+    src = str(ROOT / "src")
+    sizes.main([src, src, "--rounds", "2", "--shapes", "6x2", "49x8"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [fields[:4] for fields in lines] == [["6x2", "mn2", "24", "svd"], ["49x8", "mn2", "3136", "qr"]]
+    assert all(float(fields[-1]) > 0 for fields in lines)
 
 
 def test_replay_gives_one_stable_line_per_label():
