@@ -141,6 +141,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown methods {unknown}; valid methods: " + ", ".join(_methods.ALL_METHODS)
             )
+        labels = [str(m).upper() for m in self.methods]  # as ``solve`` matches them
+        twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if twice:
+            raise ValueError(f"method {twice[0]} is named twice")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 ``fit_linprog`` is the l1 vertex simplex on (A, b); ``fit_perturbation`` is
 the descent scheme that grows the set of zero residuals along kernel
 directions and applies a correction step when the zero rows reach rank n,
-with one SVD of each zero set serving both.
+with one SVD of each nonempty zero set serving both.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def fit_perturbation(
 ) -> SolveReport:
     """Descent on kernel directions with the sign-based correction step.
 
-    One SVD factors each zero set A_z, the rows of zero residual.  Below
+    One SVD factors each nonempty zero set A_z, the rows of zero residual
+    (an empty one has the kernel basis I and rank 0).  Below
     rank n (n dependent rows are not enough) a step along a kernel vector
     enlarges the zero set, at most m + n times per round; at rank n the
     same factors give A_z^+, and s = (A_z^T)^+ A_*^T sign(r_*) either
@@ -76,9 +77,13 @@ def fit_perturbation(
     residual signs to flip via x += c * A_z^+ u(s), which ends the round;
     c must be positive and finite.  At most ``maxiter`` rounds run; it
     must be an integer, since the loop ends when the round count equals
-    it.  A breakdown (m + n kernel steps in one round, or a kernel
-    direction that moves no nonzero residual) raises the rank ValueError
-    of every route when ``reduce_problem`` rejects A, else RuntimeError.
+    it.  A round that starts at the x of an earlier round repeats the
+    rounds since, so the run ends there and returns the x that round
+    ``maxiter`` would end at, with iterations = maxiter and
+    converged=False.  A breakdown (m + n kernel steps in one round, or a
+    kernel direction that moves no nonzero residual) raises the rank
+    ValueError of every route when ``reduce_problem`` rejects A, else
+    RuntimeError.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"correction scale c must be positive and finite, got {c!r}")
@@ -98,16 +103,20 @@ def _descent(A, b, c, maxiter):
     """``fit_perturbation``'s rounds from x = 0: (x, rounds, converged)."""
     m, n = A.shape
     x = np.zeros(n)
+    starts, seen = [x], {x.tobytes(): 1}  # starts[k - 1] is round k's start
     outer, grown = 1, 0
     converged = False
     while True:
         r = A @ x - b
         zmask = _zero_mask(r)
         free = ~zmask
-        A_z = A[zmask]
-        U, sv, Vt = np.linalg.svd(A_z)
-        # default_rank_tol(A_z), without its checks: once per zero set
-        rank = np.count_nonzero(sv > _EPS * max(A_z.shape) * norm_inf(A_z))
+        if zmask.any():
+            A_z = A[zmask]
+            U, sv, Vt = np.linalg.svd(A_z)
+            # default_rank_tol(A_z), without its checks: once per zero set
+            rank = np.count_nonzero(sv > _EPS * max(A_z.shape) * norm_inf(A_z))
+        else:  # np.linalg.svd of a (0, n) matrix gives Vt = I exactly
+            rank, Vt = 0, np.eye(n)
         if rank < n:
             grown += 1
             if grown > m + n:
@@ -125,4 +134,14 @@ def _descent(A, b, c, maxiter):
             if outer == maxiter:
                 break
             outer, grown = outer + 1, 0
+            j = seen.setdefault(x.tobytes(), outer)
+            if j < outer:
+                # a round reads only the x it starts at (grown restarts, and
+                # outer is only compared with maxiter), and round `outer`
+                # starts where round j did: with p = outer - j, round k + p
+                # repeats round k for every k >= j, so none certifies or
+                # raises.  The loop would stop at the start of round
+                # maxiter + 1 > outer, the start of round j + (maxiter + 1 - j) mod p.
+                return starts[j - 1 + (maxiter + 1 - j) % (outer - j)], maxiter, False
+            starts.append(x)
     return x, outer, converged

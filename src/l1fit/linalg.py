@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+_F64 = np.dtype(float)
 
 __all__ = [
     "norm1",
@@ -29,7 +30,9 @@ def norm1(v) -> float:
 
 
 def norm2(v) -> float:
-    v = np.asarray(v, dtype=float).ravel()
+    # a strided v is copied, as ravel does: a strided dot product rounds differently
+    if type(v) is not np.ndarray or v.dtype is not _F64 or v.strides != (8,):
+        v = np.asarray(v, dtype=float).ravel()
     return math.sqrt(v @ v)  # as np.linalg.norm: the root of the dot product
 
 
@@ -44,9 +47,13 @@ def soft(u, a):
     """
     if not (np.asarray(a) >= 0).all():
         raise ValueError("soft-threshold level must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    out = np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
+    out = _soft(np.asarray(u, dtype=float), a)
     return float(out) if out.ndim == 0 else out
+
+
+def _soft(u: np.ndarray, a):
+    """``soft`` without its checks: u a float ndarray, a nonnegative."""
+    return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
 
 
 def _rank_error() -> ValueError:

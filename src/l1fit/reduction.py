@@ -11,7 +11,8 @@ reduction takes one thin factorization A = Q R, Q of size m x n with
 orthonormal columns and R of size n x n: Q is a kernel basis of any such
 D, the constraint set is r0 + range(Q) with r0 = Q (Q^T b) - b, and
 x* = R^-1 Q^T (b + r*).  R is the Householder or Gram-Schmidt triangle,
-or S V^T on the small branch below.  An orthonormal D itself,
+or S V^T on the small branch below, where R^-1 = V S^-1 comes with it and
+recovery takes a product instead of a solve.  An orthonormal D itself,
 D = Q2^T from a complete basis [Q Q2], is built only on request
 (``ReducedSystem.D``); the fit path never forms it.
 
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _EPS, _rank_error, default_rank_tol, norm1
+from .linalg import _EPS, _rank_error, norm1, norm_inf
 
 _TINY = float(np.finfo(float).tiny)
 # the shift mu = tol^2 + _GRAM_SHIFT m n eps trace(A^T A); see _certified_full_rank
@@ -130,7 +131,8 @@ class ReducedSystem:
     """Thin factors A = Q R: Q of size m x n with orthonormal columns, R of size n x n.
 
     R is triangular from QR, or S V^T from a thin SVD A = Q S V^T on small
-    inputs (``reduce_problem``).
+    inputs (``reduce_problem``), which then also sets ``R_inv`` = V S^-1,
+    so that ``recover`` multiplies where it would solve.
 
     ``D`` is the paper's constraint operator on request: Q2^T, with Q2 an
     orthonormal basis of the complement of range(Q), so D is (m - n) x m
@@ -142,6 +144,7 @@ class ReducedSystem:
     # read by nothing in l1fit; it goes once the tall benchmark workload
     # passes ``reduced`` as reduce_problem returns it
     w: np.ndarray | None = None
+    R_inv: np.ndarray | None = None
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -226,8 +229,8 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
 
     Raises ValueError when A has column rank below n: sigma_min(A) at most
     ``default_rank_tol(A)``.  When m n^2 <= ``_SVD_WORK`` one thin SVD
-    A = Q S V^T gives Q, R = S V^T and sigma_min(A) = S[-1].  Above
-    ``_PANEL`` columns a Cholesky certificate on A^T A
+    A = Q S V^T gives Q, R = S V^T, R^-1 = V S^-1 and sigma_min(A) = S[-1].
+    Above ``_PANEL`` columns a Cholesky certificate on A^T A
     (``_certified_full_rank``) may prove full rank first; the factors then
     come from block Gram-Schmidt (``_block_qr``), whose Q the certificate's
     bound on kappa(A) keeps orthonormal to O(eps), as Householder QR's is.
@@ -236,13 +239,13 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
     """
     A = problem.A
     m, n = A.shape
-    tol = default_rank_tol(A)
+    tol = _EPS * m * norm_inf(A)  # default_rank_tol(A), as m >= n and A is nonempty
     if m * n * n <= _SVD_WORK:
         Q, sv, Vt = np.linalg.svd(A, full_matrices=False)
         if sv[-1] <= tol:
             raise _rank_error()
-        R = sv[:, None] * Vt
-    elif n > _PANEL and _certified_full_rank(A, tol):
+        return ReducedSystem(Q=Q, R=sv[:, None] * Vt, R_inv=Vt.T / sv)
+    if n > _PANEL and _certified_full_rank(A, tol):
         Q, R = _block_qr(A)
     else:
         Q, R = np.linalg.qr(A)
@@ -252,8 +255,14 @@ def reduce_problem(problem: MlmProblem) -> ReducedSystem:
 
 
 def recover(problem: MlmProblem, reduced: ReducedSystem, r) -> np.ndarray:
-    """Map an optimal residual back to parameters: x = R^-1 Q^T (b + r)."""
+    """Map an optimal residual back to parameters: x = R^-1 Q^T (b + r).
+
+    By ``reduced.R_inv`` when set, else by one LU solve, cheaper than forming R^-1.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (problem.m,):
         raise ValueError(f"residual must have length {problem.m}, got shape {r.shape}")
-    return np.linalg.solve(reduced.R, reduced.Q.T @ (problem.b + r))
+    y = reduced.Q.T @ (problem.b + r)
+    if reduced.R_inv is not None:
+        return reduced.R_inv @ y
+    return np.linalg.solve(reduced.R, y)

@@ -61,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import _EPS, default_rank_tol, norm1, norm2, norm_inf, soft
+from .linalg import _EPS, _soft, default_rank_tol, norm1, norm2, norm_inf
 from .reduction import MlmProblem, ReducedSystem, SolveReport, recover, reduce_problem
 from .simplex import _l1_vertex, _smallest_rows
 
@@ -197,11 +197,12 @@ def _qp_stationarity(r, grad, lam, support_tol):
     """Max violation of the penalized problem's optimality conditions.
 
     ``grad`` is P r - r0; optimality requires grad_i = -lam * sign(r_i)
-    where r_i is nonzero and |grad_i| <= lam elsewhere.
+    where r_i is nonzero and |grad_i| <= lam elsewhere.  Rounding is
+    monotone, so max_i (|grad_i| - lam) off the support is the rounded
+    max_i |grad_i| - lam, and one pass gives both maxima.
     """
-    on = np.abs(r) > support_tol
-    worst_on = float(np.abs(grad[on] + lam * np.sign(r[on])).max(initial=0.0))
-    return max(worst_on, float(np.abs(grad[~on]).max(initial=lam)) - lam)
+    return float(np.where(np.abs(r) > support_tol, np.abs(grad + lam * np.sign(r)),
+                          np.abs(grad) - lam).max(initial=0.0))
 
 
 def _zero_answer(N, r0) -> ResidualSolution | None:
@@ -241,10 +242,10 @@ def _run(N, r0, params: SolverParams | None = None, *, core) -> ResidualSolution
         it += 1
         if tries:
             named = _smallest_rows(r_f, k)
-            if tried is not None and (named == tried).all():
+            if (key := named.tobytes()) == tried:
                 rows = named
                 break
-            tried = named
+            tried = key
         if it >= p.maxiter:
             break
     if rows is None:
@@ -403,7 +404,8 @@ def _tnipm(N, r0, p):
         dual_scale = norm_inf(nu)
         if dual_scale > p.lam:
             nu *= p.lam / dual_scale
-        pobj = 0.5 * float(g @ g) + p.lam * norm1(r)
+        half_gg = 0.5 * float(g @ g)
+        pobj = half_gg + p.lam * norm1(r)
         dobj = max(-0.5 * float(nu @ nu) - float(nu @ r0), dobj)
         eta = pobj - dobj
         if eta <= 0.0 or (dobj > 0.0 and eta / dobj < p.epsilon):
@@ -418,7 +420,7 @@ def _tnipm(N, r0, p):
         dr, du = df[:m], df[m:]
         Pdr = _project(N, dr)
 
-        fval = 0.5 * float(g @ g) + p.lam * float(u.sum()) - float(np.log(f).sum()) / t
+        fval = half_gg + p.lam * float(u.sum()) - float(np.log(f).sum()) / t
         gtd = float(grad @ df)
         step = 1.0
         for _ in range(100):
@@ -545,7 +547,7 @@ def _homotopy(N, r0, p):
             pin = xi  # the leaving index stays pinned this once
             xi = xi[xi != i_del]  # in entry order, which breaks ties among leaving rows
         else:
-            xi = np.append(xi, i_add)
+            xi = np.concatenate((xi, [i_add]))
             r[i_add] = 0.0
             z[i_add] = -np.sign(pvec[i_add])
             pin = xi
@@ -579,7 +581,7 @@ def _ist(N, r0, p):
         while _qp_stationarity(r, g, lam, 0.0) > _LEVEL_TOL * lam:
             r_prev, g_prev, f_prev = r, g, f
             for _ in range(200):
-                r = soft(r_prev - g_prev / alpha, lam / alpha)
+                r = _soft(r_prev - g_prev / alpha, lam / alpha)
                 dr = r - r_prev
                 Pdr = _project(N, dr)
                 g = g_prev + Pdr
@@ -678,7 +680,7 @@ def _pob(N, r0, p):
     zdual = scaled
     while True:
         s = r
-        r = soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
+        r = _soft(s - (mu / p.tau) * (2.0 * y - zdual), 1.0 / p.tau)
         Pr = _project(N, r)
         yield (r - Pr) / scale + r0, True  # r / scale, restored
         ns = norm2(s)
@@ -729,9 +731,10 @@ def fit_via_residual(
     (N, r0) = (Q, Q (Q^T b) - b) of the thin factors A = Q R, with b taken
     from ``problem``; nothing reads ``reduced.w`` or ``reduced.D``.  A
     ``reduced`` of other shapes, with Q R v off A v for the probe
-    v = (1, ..., n) (distinct entries, so permuted columns show), or with
-    Q^T (Q v) off v (a Q whose columns are not orthonormal), does not fit
-    the problem and raises ValueError.  When
+    v = (1, ..., n) (distinct entries, so permuted columns show), with
+    Q^T (Q v) off v (a Q whose columns are not orthonormal), or with an
+    ``R_inv`` that takes R v off v, does not fit the problem and raises
+    ValueError.  When
     |r0| <= m eps (|b| + |Q| |Q|^T |b|) holds in every row, r0 is rounding
     noise (a consistent system) and is set to zero; the method then answers
     r = 0 in 0 iterations, as it does when m = n (``_zero_answer``).
@@ -746,15 +749,18 @@ def fit_via_residual(
     t0 = time.perf_counter()
     rs = reduced if reduced is not None else reduce_problem(problem)
     Q = rs.Q
-    if Q.shape != (m, n) or rs.R.shape != (n, n):
-        raise ValueError(f"reduced system has Q {Q.shape} and R {rs.R.shape}; "
-                         f"the problem needs ({m}, {n}) and ({n}, {n})")
     if reduced is not None:
+        if Q.shape != (m, n) or rs.R.shape != (n, n):
+            raise ValueError(f"reduced system has Q {Q.shape} and R {rs.R.shape}; "
+                             f"the problem needs ({m}, {n}) and ({n}, {n})")
         v = np.arange(1.0, n + 1.0)
-        if norm2(Q @ (rs.R @ v) - problem.A @ v) > 1e-8 * np.linalg.norm(problem.A) * norm2(v):
+        Rv = rs.R @ v
+        if norm2(Q @ Rv - problem.A @ v) > 1e-8 * np.linalg.norm(problem.A) * norm2(v):
             raise ValueError("reduced system is not a QR factorization of the problem's A")
         if norm2(Q.T @ (Q @ v) - v) > 1e-8 * norm2(v):
             raise ValueError("reduced system's Q does not have orthonormal columns")
+        if rs.R_inv is not None and norm2(rs.R_inv @ Rv - v) > 1e-8 * norm2(v):
+            raise ValueError("reduced system's R_inv is not the inverse of its R")
     r0 = Q @ (Q.T @ b) - b
     # Q has unit columns and rows of norm at most 1, so (|Q|^T |b|)_j <= sqrt(m)
     # ||b||_inf and (|Q| |Q|^T |b|)_i <= sqrt(n) sqrt(m) ||b||_inf: the row test

@@ -6,7 +6,7 @@ import pytest
 
 from l1fit import MlmProblem, direct, fit_linprog, fit_perturbation, gen_instance, oracle_solve, solve
 from l1fit.direct import _best_step, _zero_mask
-from l1fit.linalg import norm_inf, nullspace_basis, pinv
+from l1fit.linalg import _EPS, norm_inf, nullspace_basis, pinv
 from support import bench_problem, dependent_top_rows_problem, highs_cost, random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -158,16 +158,100 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _counting_zero_sets(monkeypatch):
+    """Record the masks ``direct._zero_mask`` returns; returns the list of masks."""
+    masks = []
+    zero_mask = direct._zero_mask
+
+    def recorded(r):
+        masks.append(zero_mask(r))
+        return masks[-1]
+
+    monkeypatch.setattr(direct, "_zero_mask", recorded)
+    return masks
+
+
 @pytest.mark.parametrize("seed", [100001, 100026, 700023])
 def test_perturbation_takes_one_svd_per_zero_set(monkeypatch, seed):
     # each kernel step and each round's certificate factor their zero set
-    # once; the nullspace SVD and the pseudo-inverse's SVD used to be two
+    # once (the nullspace SVD and the pseudo-inverse's SVD used to be two),
+    # and an empty zero set, where every run starts, takes none
     problem = bench_problem(14, 4, 0.25, seed)
     steps = _counting(monkeypatch, direct, "_best_step")
+    masks = _counting_zero_sets(monkeypatch)
     svds = _counting(monkeypatch, np.linalg, "svd")
     report = fit_perturbation(problem)
+    rounds = len(masks) - len(steps)  # a zero set that takes no step ends a round
     assert len(steps) > 0
-    assert len(svds) == len(steps) + report.iterations
+    assert not masks[0].any()
+    assert len(svds) == sum(mask.any() for mask in masks)
+    # an exact cycle ends a nonconverged run before round maxiter
+    assert rounds == report.iterations or (rounds < report.iterations and not report.converged)
+
+
+def _descent_without_cycle_exit(A, b, c=1.0, maxiter=15):
+    """(x, rounds, converged) of ``direct._descent`` as it ran every round, an SVD per zero set."""
+    m, n = A.shape
+    x = np.zeros(n)
+    outer, grown = 1, 0
+    converged = False
+    while True:
+        r = A @ x - b
+        zmask = _zero_mask(r)
+        free = ~zmask
+        A_z = A[zmask]
+        U, sv, Vt = np.linalg.svd(A_z)
+        rank = np.count_nonzero(sv > _EPS * max(A_z.shape) * norm_inf(A_z))
+        if rank < n:
+            grown += 1
+            if grown > m + n:
+                raise RuntimeError("zero-set growth stalled; residual ties too degenerate")
+            d = Vt[rank]
+            x = x + _best_step(r[free], A[free] @ d) * d
+        else:
+            A_z_pinv = (Vt.T / sv) @ U[:, :n].T
+            s = A_z_pinv.T @ (A[free].T @ np.sign(r[free]))
+            if norm_inf(s) <= 1.0:
+                converged = True
+                break
+            x = x + c * (A_z_pinv @ (np.abs(s) > 1.0).astype(float))
+            if outer == maxiter:
+                break
+            outer, grown = outer + 1, 0
+    return x, outer, converged
+
+
+@pytest.mark.parametrize("seed,rounds_run", [
+    (100002, 4),  # round 5 starts at round 4's x: period 1
+    (100020, 10),  # round 11 starts at round 6's x: period 5
+])
+@pytest.mark.parametrize("maxiter", [15, 16, 18, 40])
+def test_perturbation_leaves_an_exact_cycle_with_the_full_run_answer(monkeypatch, seed,
+                                                                     rounds_run, maxiter):
+    problem = bench_problem(8, 4, 0.25, seed)
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    x, rounds, converged = _descent_without_cycle_exit(problem.A, problem.b, maxiter=maxiter)
+    full_svds = len(svds)
+    svds.clear()
+    steps = _counting(monkeypatch, direct, "_best_step")
+    masks = _counting_zero_sets(monkeypatch)
+    report = fit_perturbation(problem, maxiter=maxiter)
+    assert report.x.tobytes() == x.tobytes()
+    assert (report.iterations, report.converged) == (rounds, converged) == (maxiter, False)
+    assert len(masks) - len(steps) == rounds_run
+    assert len(svds) < full_svds
+
+
+def test_perturbation_runs_every_round_of_a_near_cycle(monkeypatch):
+    # its rounds come back to within rounding of an earlier start, never to its bytes
+    problem = bench_problem(10, 3, 0.25, 100022)
+    x, rounds, converged = _descent_without_cycle_exit(problem.A, problem.b)
+    steps = _counting(monkeypatch, direct, "_best_step")
+    masks = _counting_zero_sets(monkeypatch)
+    report = fit_perturbation(problem)
+    assert report.x.tobytes() == x.tobytes()
+    assert (report.iterations, report.converged) == (rounds, converged) == (15, False)
+    assert len(masks) - len(steps) == 15
 
 
 def test_perturbation_stalled_growth_raises_after_m_plus_n_steps(monkeypatch):

@@ -350,6 +350,15 @@ def test_cli_bench_rejects_two_levels_that_give_one_m(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_cli_bench_rejects_a_method_named_twice(tmp_path, capsys):
+    # l1-lp and L1-LP name one method, which was fit twice, every row written twice
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--experiment", "sparse-noise", "--m", "6", "--n", "2", "--repeats", "1",
+                 "--methods", "l1-lp,L1-LP", "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err == "l1fit bench: error: method L1-LP is named twice\n"
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--maxiter", "0", "maxiter"),
     ("--tau", "0", "tau"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1fit.linalg import default_rank_tol, norm1, norm2, norm_inf, nullspace_basis, pinv, soft
+from l1fit.linalg import _soft, default_rank_tol, norm1, norm2, norm_inf, nullspace_basis, pinv, soft
 
 
 def test_matmul_contract():
@@ -48,6 +48,10 @@ _VECTORS = [
     np.array([[1, -2], [3, 4]]), np.arange(-6.0, 6.0).reshape(3, 4),
     np.arange(-6.0, 6.0).reshape(3, 4).T, [1.0, np.nan], [np.inf, -1.0], [-np.inf],
     [np.nan, np.inf], np.random.default_rng(4).standard_normal(1001) * 1e3,
+    # a strided view, whose own dot product rounds away from its copy's, and
+    # float64 entries that are not native
+    np.random.default_rng(4).standard_normal((1001, 2))[:, 0], np.arange(-3.0, 4.0).astype(">f8"),
+    np.arange(-3.0, 4.0, dtype=np.float32),
 ]
 
 
@@ -80,6 +84,21 @@ def test_soft_examples():
         soft(1.0, -0.1)
     with pytest.raises(ValueError):
         soft(np.array([1.0, -2.0]), np.nan)
+
+
+@pytest.mark.parametrize("a", [-0.1, np.nan, np.array([0.5, -0.5]), np.array([np.nan, 1.0])])
+@pytest.mark.parametrize("u", [1.0, np.array([1.0, -2.0])])
+def test_soft_checks_its_level_before_its_kernel(u, a):
+    # the solvers call the unchecked kernel; ``soft`` itself still checks
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft(u, a)
+
+
+def test_soft_kernel_gives_soft_bytes():
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(50)
+    for a in (0.0, 0.3, np.abs(rng.standard_normal(50))):
+        assert _soft(u, a).tobytes() == soft(u, a).tobytes()
 
 
 def test_soft_non_expansive():

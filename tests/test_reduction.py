@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -269,6 +270,25 @@ def test_recover_annihilation_and_shape():
     assert np.allclose(recover(prob, rs, -prob.b), np.zeros(2))
     with pytest.raises(ValueError):
         recover(prob, rs, np.zeros(4))
+
+
+@pytest.mark.parametrize("m,n", [(6, 2), (14, 4), (48, 8)])
+def test_svd_branch_recovers_by_its_inverse(m, n):
+    # R^-1 = V S^-1 takes the place of the LU solve with R = S V^T
+    rng = np.random.default_rng(m)
+    prob = random_problem(rng, m, n)
+    rs = reduce_problem(prob)
+    assert m * n * n <= _SVD_WORK
+    assert np.max(np.abs(rs.R_inv @ rs.R - np.eye(n))) <= 1e-13
+    r = rng.standard_normal(m)
+    solved = np.linalg.solve(rs.R, rs.Q.T @ (prob.b + r))
+    assert np.linalg.norm(recover(prob, rs, r) - solved) <= 1e-13 * np.linalg.norm(solved)
+    assert np.array_equal(recover(prob, dataclasses.replace(rs, R_inv=None), r), solved)
+
+
+def test_qr_branch_keeps_no_inverse():
+    rng = np.random.default_rng(25)
+    assert reduce_problem(random_problem(rng, 49, 8)).R_inv is None
 
 
 def test_recover_matches_oracle():

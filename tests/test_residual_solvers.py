@@ -30,6 +30,7 @@ from l1fit.residual_solvers import (
     _lambda_levels,
     _newton_direction,
     _pob,
+    _qp_stationarity,
     _run,
     _smallest_rows,
     _tnipm,
@@ -592,6 +593,42 @@ def test_driver_rejects_a_rescaled_factorization(method):
     rs = reduce_problem(prob)
     with pytest.raises(ValueError, match="orthonormal"):
         fit_via_residual(prob, method, reduced=dataclasses.replace(rs, Q=rs.Q / 2, R=2 * rs.R))
+
+
+def test_driver_rejects_an_r_inv_that_does_not_invert_r():
+    # Q and R fit A, so only R_inv itself shows that it would recover a wrong x
+    rng = np.random.default_rng(50)
+    prob = random_problem(rng, 12, 3)
+    rs = reduce_problem(prob)
+    other = reduce_problem(random_problem(rng, 12, 3))
+    for R_inv in (2.0 * rs.R_inv, other.R_inv, rs.R):
+        with pytest.raises(ValueError, match="R_inv is not the inverse"):
+            fit_via_residual(prob, "adm", reduced=dataclasses.replace(rs, R_inv=R_inv))
+    # without R_inv the fit solves with R, and moves at rounding only
+    plain = fit_via_residual(prob, "linprog")
+    solved = fit_via_residual(prob, "linprog", reduced=dataclasses.replace(rs, R_inv=None))
+    assert np.linalg.norm(solved.x - plain.x) <= 1e-13 * np.linalg.norm(plain.x)
+
+
+def _qp_stationarity_two_masks(r, grad, lam, support_tol):
+    """``_qp_stationarity`` as two masked maxima, on and off the support."""
+    on = np.abs(r) > support_tol
+    worst_on = float(np.abs(grad[on] + lam * np.sign(r[on])).max(initial=0.0))
+    return max(worst_on, float(np.abs(grad[~on]).max(initial=lam)) - lam)
+
+
+@pytest.mark.parametrize("share_on", [0.0, 0.5, 1.0])
+def test_stationarity_in_one_pass_is_the_two_mask_maximum(share_on):
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        lam = 10.0 ** rng.uniform(-8, 0)
+        r = rng.standard_normal(m) * (rng.random(m) < share_on)
+        grad = lam * rng.choice([-1.0, 1.0], m) * rng.uniform(0.0, 2.0, m)
+        grad[rng.random(m) < 0.2] = lam  # on the off-support bound exactly
+        for tol in (0.0, 1e-12):
+            assert (_qp_stationarity(r, grad, lam, tol)
+                    == _qp_stationarity_two_masks(r, grad, lam, tol))
 
 
 @pytest.mark.parametrize("method", RESIDUAL_METHODS)

@@ -117,6 +117,13 @@ def test_experiment_spec_rejects_unknown_method():
     assert ExperimentSpec(kind="noise_free", methods=("l1-res", "oracle")).methods == ("l1-res", "oracle")
 
 
+def test_experiment_spec_rejects_a_method_named_twice():
+    # it used to be fit twice with the same seeds, each row written twice
+    for methods in (("L1-LP", "L1-LP"), ("l1-lp", "L1-HP", "L1-LP")):
+        with pytest.raises(ValueError, match="method L1-LP is named twice"):
+            ExperimentSpec(kind="sparse_noise", methods=methods)
+
+
 def test_run_experiment_basic():
     spec = ExperimentSpec(kind="noise_free", m=16, n=4, repeats=3, seed=5,
                           methods=("L1-RES", "L1-HP"))
